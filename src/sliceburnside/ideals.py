@@ -14,6 +14,7 @@ from fractions import Fraction
 from .groups import (
     FiniteGroup,
     GroupError,
+    _is_prime,
     all_subgroups,
     automorphisms,
     cyclic_group,
@@ -190,6 +191,10 @@ class GroupUniverse:
     """A finite stand-in for the category of p-groups up to an order bound."""
 
     def __init__(self, prime: int, bound: int, canon_bound: int | None = None):
+        if not _is_prime(prime):
+            raise GroupError(f"universe prime must be prime, got {prime}")
+        if bound < 1:
+            raise GroupError(f"universe bound must be at least 1, got {bound}")
         self.prime = prime
         self.bound = bound
         # membership tests during closure happen at or below this order

@@ -1,7 +1,9 @@
 """The slice Burnside ring of a finite group, over exact rationals.
 
 The ring is free on conjugacy classes of slices (T, S) with S <= T <= G;
-the class of (T, S) is realised by the coset projection G/S -> G/T.  All
+the class of (T, S) is realised by the coset projection G/S -> G/T.  Marks
+are computed in closed form from the subgroup lattice; the G-set count
+`gsets.hom_count` is kept only as the oracle that checks them.  All
 coefficients are `fractions.Fraction`; nothing here ever touches floats.
 """
 
@@ -9,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
+from math import gcd
 
 from .groups import (
     FiniteGroup,
@@ -59,6 +61,7 @@ class SliceClassTable:
         self._coset_spaces: dict[int, gsets.GSet] = {}
         self._projections: dict[int, gsets.GSetMorphism] = {}
         self._mark_matrix: list[list[int]] | None = None
+        self._mark_columns: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
         self._basis_products: dict[tuple[int, int], dict[int, int]] = {}
         self._idempotents: list[SliceRingElement | None] = [None] * len(reps)
 
@@ -129,14 +132,45 @@ class SliceClassTable:
     # -- marks ----------------------------------------------------------------
 
     def mark_matrix(self) -> list[list[int]]:
-        """Integer matrix of marks: row (T,S), column (V,U)."""
+        """Integer matrix of marks: row (T,S), column (V,U).
+
+        Closed form (Bouc): the mark of (V,U) at (T,S) is the number of
+        cosets gU with S <= gU and T <= gV, i.e. the number of g with both
+        inclusions, divided by |U|.  `gsets.hom_count` is the oracle.
+        """
         if self._mark_matrix is None:
-            projs = [self.projection(c) for c in range(self.size)]
-            self._mark_matrix = [
-                [gsets.hom_count(projs[r], projs[c]) for c in range(self.size)]
-                for r in range(self.size)
-            ]
+            lat = self.lattice
+            masks = lat.masks
+            rows_by_t: dict[int, list[tuple[int, int]]] = {}
+            for r, (t, s) in enumerate(self.reps):
+                rows_by_t.setdefault(t, []).append((masks[s], r))
+            matrix = [[0] * self.size for _ in range(self.size)]
+            columns = []
+            for c, (v, u) in enumerate(self.reps):
+                orbit = {(row[v], row[u]) for row in lat.conj_table}
+                # each conjugate pair is hit by |N_G(V,U)| elements g
+                weight = self.group.order // len(orbit) // len(lat.subgroups[u])
+                hits: dict[int, int] = {}
+                for v2, u2 in orbit:
+                    mu = masks[u2]
+                    for t in lat.below[v2]:
+                        for ms, r in rows_by_t.get(t, ()):
+                            if ms & mu == ms:
+                                hits[r] = hits.get(r, 0) + 1
+                rows = tuple(sorted(hits))
+                marks = tuple(hits[r] * weight for r in rows)
+                for r, m in zip(rows, marks):
+                    matrix[r][c] = m
+                columns.append((rows, marks))
+            self._mark_columns = columns
+            self._mark_matrix = matrix
         return self._mark_matrix
+
+    def mark_columns(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Nonzero marks of each column as (rows, marks), rows ascending."""
+        if self._mark_columns is None:
+            self.mark_matrix()
+        return self._mark_columns
 
     # -- multiplication --------------------------------------------------------
 
@@ -257,14 +291,8 @@ class SliceRingElement:
     def __mul__(self, other: "SliceRingElement") -> "SliceRingElement":
         self._require_same_table(other)
         # scale both sides to integers so accumulation stays in int arithmetic
-        da = 1
-        for q in self.coeffs.values():
-            da = da * q.denominator // _gcd(da, q.denominator)
-        db = 1
-        for q in other.coeffs.values():
-            db = db * q.denominator // _gcd(db, q.denominator)
-        a_int = {c: int(q * da) for c, q in self.coeffs.items()}
-        b_int = {c: int(q * db) for c, q in other.coeffs.items()}
+        da, a_int = self._integer_coeffs()
+        db, b_int = other._integer_coeffs()
         acc: dict[int, int] = {}
         mul = self.table.basis_mul
         for ca, na in a_int.items():
@@ -290,19 +318,27 @@ class SliceRingElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def _integer_coeffs(self) -> tuple[int, dict[int, int]]:
+        """A common denominator and the coefficients scaled by it."""
+        den = 1
+        for q in self.coeffs.values():
+            den = den * q.denominator // gcd(den, q.denominator)
+        return den, {c: q.numerator * (den // q.denominator) for c, q in self.coeffs.items()}
+
     def mark(self, cls: int) -> Fraction:
         row = self.table.mark_matrix()[cls]
-        total = Fraction(0)
-        for c, q in self.coeffs.items():
-            total += q * row[c]
-        return total
+        den, ints = self._integer_coeffs()
+        return Fraction(sum(n * row[c] for c, n in ints.items()), den)
 
     def mark_vector(self) -> tuple[Fraction, ...]:
-        matrix = self.table.mark_matrix()
-        return tuple(
-            sum((q * matrix[r][c] for c, q in self.coeffs.items()), Fraction(0))
-            for r in range(self.table.size)
-        )
+        columns = self.table.mark_columns()
+        den, ints = self._integer_coeffs()
+        acc = [0] * self.table.size
+        for c, n in ints.items():
+            rows, marks = columns[c]
+            for r, m in zip(rows, marks):
+                acc[r] += n * m
+        return tuple(Fraction(v, den) for v in acc)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -311,12 +347,6 @@ class SliceRingElement:
         for c in sorted(self.coeffs):
             bits.append(f"{self.coeffs[c]}*{self.table.label(c)}")
         return " + ".join(bits)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def morphism_to_ring(f: gsets.GSetMorphism, table: SliceClassTable) -> SliceRingElement:
@@ -334,10 +364,6 @@ def morphism_to_ring(f: gsets.GSetMorphism, table: SliceClassTable) -> SliceRing
 def fraction_str(q: Fraction) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def slice_class_json(table: SliceClassTable, cls: int) -> dict:
@@ -371,8 +397,3 @@ def mark_matrix_csv(table: SliceClassTable) -> str:
         writer.writerow([labels[r]] + [str(v) for v in matrix[r]])
     return out.getvalue()
 
-
-def element_to_text(elem: SliceRingElement) -> str:
-    if elem.is_zero():
-        return "0"
-    return json.dumps(element_to_json(elem), indent=2, sort_keys=True)

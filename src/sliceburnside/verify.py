@@ -154,7 +154,7 @@ def check_idempotents() -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# 2. multiplication against the G-set oracle
+# 2. marks and multiplication against the G-set oracle
 
 
 def check_multiplication_oracle() -> CheckResult:
@@ -164,6 +164,10 @@ def check_multiplication_oracle() -> CheckResult:
     rng = random.Random(20170502)
     for g in corpus().groups:
         table = slice_classes(g)
+        projs = [table.projection(c) for c in range(table.size)]
+        oracle_marks = [[gsets.hom_count(a, b) for b in projs] for a in projs]
+        if table.mark_matrix() != oracle_marks:
+            failures.append(f"{g.label}: mark matrix disagrees with hom_count")
         if g.order <= 16:
             pairs = [(a, b) for a in range(table.size) for b in range(a, table.size)]
         else:
@@ -182,7 +186,10 @@ def check_multiplication_oracle() -> CheckResult:
                 failures.append(f"{g.label}: classes {a}*{b} disagree with the oracle")
                 break
             pairs_checked += 1
-    return _result("multiplication-oracle", t0, failures, f"{pairs_checked} products")
+    return _result(
+        "multiplication-oracle", t0, failures,
+        f"{len(corpus().groups)} mark matrices, {pairs_checked} products",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,22 @@ def test_usage_errors_exit_two(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bgroups", "--prime", "4", "--max-order", "16"),
+        ("bgroups", "--prime", "1", "--max-order", "16"),
+        ("bgroups", "--prime", "2", "--max-order", "0"),
+        ("check-family", "--family", "J1", "--prime", "6", "--bound", "8"),
+    ],
+)
+def test_bad_universe_arguments_exit_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "universe" in err
+
+
 def test_output_is_deterministic(capsys):
     a = run_cli(capsys, "idempotents", "dihedral:8")
     b = run_cli(capsys, "idempotents", "dihedral:8")
