@@ -1,8 +1,13 @@
 """Elementary biset operations as linear maps between slice rings.
 
-Each operation has a closed-form path on the basis and an independent
-G-set-oracle path; the public result is the closed form, except for
-restriction, whose public result is the oracle's orbit decomposition.
+All five operations run through one slice push: a basis class (T, S) is
+sent to its basis image, the images are extended linearly, and they are
+cached on the witness record (embedding, quotient or isomorphism), so they
+live exactly as long as it does.  Induction, inflation, deflation and
+transport send (T, S) to the class of (f(T), f(S)) for the witness's member
+map f, and the G-set oracle (`gsets.*_morphism`) checks them.  Restriction
+has no single-slice image: its production path is the oracle's orbit
+decomposition over the subgroup, checked by the double-coset closed form.
 Enabling oracle checking (globally or per call) compares the two paths on
 every invocation and raises on disagreement.
 """
@@ -32,221 +37,56 @@ def oracle_checking() -> bool:
     return _ORACLE_CHECK
 
 
-_BASIS_IMAGE_CACHE: dict[tuple, dict] = {}
-
-
-def _basis_images(key, classes, compute):
-    hit = _BASIS_IMAGE_CACHE.get(key)
-    if hit is None:
-        hit = {}
-        _BASIS_IMAGE_CACHE[key] = hit
-    for cls in classes:
-        if cls not in hit:
-            hit[cls] = compute(cls)
-    return hit
-
-
-def _push_linear(elem: SliceRingElement, out_table: SliceClassTable, images) -> SliceRingElement:
-    out = out_table.zero()
-    for cls, q in elem.coeffs.items():
-        img = images[cls]
-        if isinstance(img, int):
-            out = out + out_table.basis_element(img).scaled(q)
-        else:
-            out = out + img.scaled(q)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Induction
-
-
 def induce(elem: SliceRingElement, emb: GroupEmbedding, check: bool = False) -> SliceRingElement:
     """Induction along a subgroup embedding: a slice of H is a slice of G."""
     if elem.table.group is not emb.source:
         raise GroupError("element is not over the embedding's source group")
-    table_h = elem.table
-    table_g = slice_classes(emb.target)
-
-    def compute(cls: int) -> int:
-        big, small = table_h.rep_subgroups(cls)
-        return table_g.class_index(
-            emb.image_members(big.members), emb.image_members(small.members)
-        )
-
-    images = _basis_images(
-        ("ind", id(table_h), id(table_g), tuple(emb.images)),
-        elem.coeffs.keys(),
-        compute,
+    return _push(
+        "induction", elem, emb, emb.target,
+        _slice_image(emb.image_members), _orbit_image(gsets.induce_morphism, emb), check,
     )
-    out = _push_linear(elem, table_g, images)
-    if check or _ORACLE_CHECK:
-        oracle = _oracle_apply(elem, table_g, lambda f: gsets.induce_morphism(f, emb))
-        if oracle != out:
-            raise GroupError("induction: formula and oracle disagree")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Restriction
 
 
 def restrict(elem: SliceRingElement, emb: GroupEmbedding, check: bool = False) -> SliceRingElement:
     """Restriction to a subgroup, by orbit decomposition over the subgroup."""
     if elem.table.group is not emb.target:
         raise GroupError("element is not over the embedding's target group")
-    table_g = elem.table
-    table_h = slice_classes(emb.source)
-
-    def compute(cls: int) -> SliceRingElement:
-        f = gsets.restrict_morphism(table_g.projection(cls), emb)
-        return morphism_to_ring(f, table_h)
-
-    images = _basis_images(
-        ("res", id(table_g), id(table_h), tuple(emb.images)),
-        elem.coeffs.keys(),
-        compute,
+    return _push(
+        "restriction", elem, emb, emb.source,
+        _orbit_image(gsets.restrict_morphism, emb),
+        lambda table, out_table, cls: _restrict_basis_closed_form(table, out_table, emb, cls),
+        check,
     )
-    out = _push_linear(elem, table_h, images)
-    if check or _ORACLE_CHECK:
-        formula = _push_linear(
-            elem,
-            table_h,
-            {
-                cls: _restrict_basis_closed_form(table_g, table_h, emb, cls)
-                for cls in elem.coeffs
-            },
-        )
-        if formula != out:
-            raise GroupError("restriction: closed form and oracle disagree")
-    return out
-
-
-def _restrict_basis_closed_form(
-    table_g: SliceClassTable,
-    table_h: SliceClassTable,
-    emb: GroupEmbedding,
-    cls: int,
-) -> SliceRingElement:
-    # double-coset expansion indexed by H\G/S, validated against the oracle
-    g = table_g.group
-    big, small = table_g.rep_subgroups(cls)
-    h_members = tuple(sorted(emb.images))
-    h_mask = 0
-    for x in h_members:
-        h_mask |= 1 << x
-    back = {y: i for i, y in enumerate(emb.images)}
-    pairs = []
-    for x in double_cosets(g, h_members, small.members):
-        t_conj = {g.conj(x, t) for t in big.members}
-        s_conj = {g.conj(x, s) for s in small.members}
-        t_mem = tuple(sorted(back[y] for y in t_conj if (h_mask >> y) & 1))
-        s_mem = tuple(sorted(back[y] for y in s_conj if (h_mask >> y) & 1))
-        pairs.append((t_mem, s_mem))
-    return table_h.element_from_pairs(pairs)
-
-
-# ---------------------------------------------------------------------------
-# Inflation
 
 
 def inflate(elem: SliceRingElement, quot: GroupQuotient, check: bool = False) -> SliceRingElement:
     """Inflation along a quotient map: slices lift to their full preimages."""
     if elem.table.group is not quot.group:
         raise GroupError("element is not over the quotient group")
-    table_q = elem.table
-    table_g = slice_classes(quot.source)
-
-    def compute(cls: int) -> int:
-        big, small = table_q.rep_subgroups(cls)
-        return table_g.class_index(
-            quot.preimage_members(big.members),
-            quot.preimage_members(small.members),
-        )
-
-    images = _basis_images(
-        ("inf", id(table_q), id(table_g), tuple(quot.projection)),
-        elem.coeffs.keys(),
-        compute,
+    return _push(
+        "inflation", elem, quot, quot.source,
+        _slice_image(quot.preimage_members), _orbit_image(gsets.inflate_morphism, quot), check,
     )
-    out = _push_linear(elem, table_g, images)
-    if check or _ORACLE_CHECK:
-        oracle = _oracle_apply(elem, table_g, lambda f: gsets.inflate_morphism(f, quot))
-        if oracle != out:
-            raise GroupError("inflation: formula and oracle disagree")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Deflation
 
 
 def deflate(elem: SliceRingElement, quot: GroupQuotient, check: bool = False) -> SliceRingElement:
     """Deflation mod a normal subgroup: a slice maps to its image slice."""
     if elem.table.group is not quot.source:
         raise GroupError("element is not over the quotient's source group")
-    table_g = elem.table
-    table_q = slice_classes(quot.group)
-
-    def compute(cls: int) -> int:
-        big, small = table_g.rep_subgroups(cls)
-        return table_q.class_index(
-            quot.image_members(big.members), quot.image_members(small.members)
-        )
-
-    images = _basis_images(
-        ("def", id(table_g), id(table_q), tuple(quot.projection)),
-        elem.coeffs.keys(),
-        compute,
+    return _push(
+        "deflation", elem, quot, quot.group,
+        _slice_image(quot.image_members), _orbit_image(gsets.deflate_morphism, quot), check,
     )
-    out = _push_linear(elem, table_q, images)
-    if check or _ORACLE_CHECK:
-        oracle = _oracle_apply(elem, table_q, lambda f: gsets.deflate_morphism(f, quot))
-        if oracle != out:
-            raise GroupError("deflation: formula and oracle disagree")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Transport along an isomorphism
 
 
 def transport(elem: SliceRingElement, iso: GroupIsomorphism, check: bool = False) -> SliceRingElement:
     """Relabel an element along a verified isomorphism."""
     if elem.table.group is not iso.source:
         raise GroupError("element is not over the isomorphism's source")
-    table_g = elem.table
-    table_h = slice_classes(iso.target)
-
-    def compute(cls: int) -> int:
-        big, small = table_g.rep_subgroups(cls)
-        return table_h.class_index(
-            iso.image_members(big.members), iso.image_members(small.members)
-        )
-
-    images = _basis_images(
-        ("iso", id(table_g), id(table_h), tuple(iso.images)),
-        elem.coeffs.keys(),
-        compute,
+    return _push(
+        "transport", elem, iso, iso.target,
+        _slice_image(iso.image_members), _orbit_image(gsets.transport_morphism, iso), check,
     )
-    out = _push_linear(elem, table_h, images)
-    if check or _ORACLE_CHECK:
-        oracle = _oracle_apply(elem, table_h, lambda f: gsets.transport_morphism(f, iso))
-        if oracle != out:
-            raise GroupError("transport: formula and oracle disagree")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Oracle plumbing
-
-
-def _oracle_apply(elem: SliceRingElement, out_table: SliceClassTable, mapper) -> SliceRingElement:
-    out = out_table.zero()
-    for cls, q in elem.coeffs.items():
-        f = mapper(elem.table.projection(cls))
-        out = out + morphism_to_ring(f, out_table).scaled(q)
-    return out
 
 
 def elementary_apply(op: str, elem: SliceRingElement, witness, check: bool = False) -> SliceRingElement:
@@ -263,3 +103,70 @@ def elementary_apply(op: str, elem: SliceRingElement, witness, check: bool = Fal
     except KeyError:
         raise GroupError(f"unknown elementary operation {op!r}") from None
     return fn(elem, witness, check=check)
+
+
+# ---------------------------------------------------------------------------
+# The slice push
+#
+# A basis image maps (source table, target table, class) to a
+# class -> multiplicity dict over the target table.
+
+
+def _push(name, elem, witness, out_group, image, check_image, check) -> SliceRingElement:
+    """Push `elem` along `witness` into the slice ring of `out_group`."""
+    out_table = slice_classes(out_group)
+    cache = witness.basis_images.setdefault(name, {})
+    for cls in elem.coeffs:
+        if cls not in cache:
+            cache[cls] = image(elem.table, out_table, cls)
+    out = _extend(elem, out_table, cache.__getitem__)
+    if check or _ORACLE_CHECK:
+        other = _extend(elem, out_table, lambda cls: check_image(elem.table, out_table, cls))
+        if other != out:
+            raise GroupError(f"{name}: closed form and oracle disagree")
+    return out
+
+
+def _extend(elem: SliceRingElement, out_table: SliceClassTable, image) -> SliceRingElement:
+    acc: dict = {}
+    for cls, q in elem.coeffs.items():
+        for c, m in image(cls).items():
+            acc[c] = acc.get(c, 0) + q * m
+    return SliceRingElement(out_table, acc)
+
+
+def _slice_image(member_map):
+    """(T, S) goes to the single class of (member_map(T), member_map(S))."""
+
+    def image(table: SliceClassTable, out_table: SliceClassTable, cls: int) -> dict:
+        big, small = table.rep_subgroups(cls)
+        return {out_table.class_index(member_map(big.members), member_map(small.members)): 1}
+
+    return image
+
+
+def _orbit_image(morphism_map, witness):
+    """The G-set path: map the class's projection, decompose into orbits."""
+
+    def image(table: SliceClassTable, out_table: SliceClassTable, cls: int) -> dict:
+        f = morphism_map(table.projection(cls), witness)
+        return morphism_to_ring(f, out_table).coeffs
+
+    return image
+
+
+def _restrict_basis_closed_form(
+    table_g: SliceClassTable,
+    table_h: SliceClassTable,
+    emb: GroupEmbedding,
+    cls: int,
+) -> dict:
+    # double-coset expansion indexed by H\G/S, validated against the oracle
+    g = table_g.group
+    big, small = table_g.rep_subgroups(cls)
+    pairs = []
+    for x in double_cosets(g, sorted(emb.images), small.members):
+        t_mem = emb.preimage_members({g.conj(x, t) for t in big.members})
+        s_mem = emb.preimage_members({g.conj(x, s) for s in small.members})
+        pairs.append((t_mem, s_mem))
+    return table_h.element_from_pairs(pairs).coeffs

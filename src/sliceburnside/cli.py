@@ -178,8 +178,7 @@ def _cmd_mconst(args) -> int:
     m = deflation_constant(g, s_members, n_members)
     circ = supplement_moebius_sum(g, s_members, n_members)
     emb = subgroup_as_group(Subgroup.from_members(g, s_members))
-    back = {y: i for i, y in enumerate(emb.images)}
-    s_cap_n = tuple(sorted(back[x] for x in s_members if x in set(n_members)))
+    s_cap_n = emb.preimage_members(n_members)
     classical = classical_deflation_constant(emb.source, s_cap_n)
     payload = {
         "m": fraction_str(m),
@@ -262,9 +261,8 @@ def _cmd_closure(args) -> int:
     t_members, s_members = parse_slice(slice_text, group)
     if len(t_members) != group.order:
         emb = subgroup_as_group(Subgroup.from_members(group, t_members))
-        back = {y: i for i, y in enumerate(emb.images)}
         group = emb.source
-        s_members = tuple(sorted(back[x] for x in s_members))
+        s_members = emb.preimage_members(s_members)
     universe = GroupUniverse(args.prime, args.bound)
     members = bounded_closure(universe, group, s_members)
     payload = sorted(universe.describe_class(gi, cls) for gi, cls in members)

@@ -1,8 +1,8 @@
 """Deflation constants of the slice ring, B-groups and T-slices.
 
-The ground-truth computation always runs over the full subgroup lattice;
-a Frattini-quotient shortcut is available behind a flag and is cross-checked
-against the direct path in the test suite.
+Every constant is computed directly over the full subgroup lattice.  The
+supplement sum also has a Frattini-quotient form, which the verification
+suite checks against the direct one.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .groups import (
     is_normal,
     normalizer,
     quotient,
+    set_product,
     slice_normalizer,
     subgroup_as_group,
 )
@@ -62,9 +63,7 @@ def classical_deflation_constant(group: FiniteGroup, n_members) -> Fraction:
     return Fraction(total, group.order)
 
 
-def deflation_constant(
-    group: FiniteGroup, s_members, n_members, frattini_shortcut: bool = False
-) -> Fraction:
+def deflation_constant(group: FiniteGroup, s_members, n_members) -> Fraction:
     """The scalar by which deflation mod N acts on the idempotent of the
     slice (G, S).
 
@@ -74,36 +73,11 @@ def deflation_constant(
     """
     if not is_normal(group, n_members):
         raise GroupError("deflation constant needs a normal subgroup")
-    lat = all_subgroups(group)
-    s = lat.index_of(s_members)
-    n = lat.index_of(n_members)
-    sn_members = _product_members(group, s_members, n_members)
+    sn_members = set_product(group, s_members, n_members)
     norm_sn = len(normalizer(group, sn_members))
     norm_s = len(normalizer(group, s_members))
     prefactor = Fraction(norm_sn, len(sn_members) * norm_s)
-
-    if frattini_shortcut:
-        s_in = subgroup_as_group(Subgroup.from_members(group, s_members))
-        s_cap_n = [
-            i for i, x in enumerate(s_in.images) if x in set(n_members)
-        ]
-        inner = (
-            len(s_members)
-            * classical_deflation_constant_frattini(s_in.source, s_cap_n)
-            * supplement_moebius_sum_frattini(group, s_members, n_members)
-        )
-        return prefactor * inner
-
-    # factored double sum, entirely inside this group's lattice
-    s_size, n_mask = len(s_members), lat.masks[n]
-    n_size = len(lat.subgroups[n])
-    s_ratio = s_size // _popcount(lat.masks[s] & n_mask)
-    lower = 0
-    for u in lat.below[s]:
-        # U*N = S*N  <=>  |U| / |U & N| == |S| / |S & N|   (U <= S)
-        u_size = len(lat.subgroups[u])
-        if u_size == s_ratio * _popcount(lat.masks[u] & n_mask):
-            lower += u_size * lat.moebius(u, s)
+    lower = _lower_moebius_sum(group, s_members, n_members)
     upper = supplement_moebius_sum(group, s_members, n_members)
     return prefactor * lower * upper
 
@@ -111,27 +85,24 @@ def deflation_constant(
 def deflation_constant_is_nonzero(group: FiniteGroup, s_members, n_members) -> bool:
     """Fast zero test: the prefactor of normalizer indices is positive, so
     the constant vanishes exactly when one of the two Moebius sums does."""
-    lat = all_subgroups(group)
-    s = lat.index_of(s_members)
-    n = lat.index_of(n_members)
-    n_mask = lat.masks[n]
-    s_ratio = len(lat.subgroups[s]) // _popcount(lat.masks[s] & n_mask)
-    lower = 0
-    for u in lat.below[s]:
-        u_size = len(lat.subgroups[u])
-        if u_size == s_ratio * _popcount(lat.masks[u] & n_mask):
-            lower += u_size * lat.moebius(u, s)
-    if lower == 0:
+    if _lower_moebius_sum(group, s_members, n_members) == 0:
         return False
     return supplement_moebius_sum(group, s_members, n_members) != 0
 
 
-def classical_deflation_constant_frattini(group: FiniteGroup, n_members) -> Fraction:
-    """Classical constant computed in the Frattini quotient."""
-    phi = frattini(group)
-    q = quotient(group, phi.members)
-    n_img = q.image_members(_product_members(group, n_members, phi.members))
-    return classical_deflation_constant(q.group, n_img)
+def _lower_moebius_sum(group: FiniteGroup, s_members, n_members) -> int:
+    # sum of |U| moebius(U, S) over U <= S with U*N = S*N
+    lat = all_subgroups(group)
+    s = lat.index_of(s_members)
+    n_mask = lat.masks[lat.index_of(n_members)]
+    s_ratio = len(lat.subgroups[s]) // _popcount(lat.masks[s] & n_mask)
+    lower = 0
+    for u in lat.below[s]:
+        # U*N = S*N  <=>  |U| / |U & N| == |S| / |S & N|   (U <= S)
+        u_size = len(lat.subgroups[u])
+        if u_size == s_ratio * _popcount(lat.masks[u] & n_mask):
+            lower += u_size * lat.moebius(u, s)
+    return lower
 
 
 def supplement_moebius_sum_frattini(group: FiniteGroup, s_members, n_members) -> int:
@@ -139,18 +110,9 @@ def supplement_moebius_sum_frattini(group: FiniteGroup, s_members, n_members) ->
     value because moebius(V, G) vanishes unless V contains the Frattini)."""
     phi = frattini(group)
     q = quotient(group, phi.members)
-    s_img = q.image_members(_product_members(group, s_members, phi.members))
-    n_img = q.image_members(_product_members(group, n_members, phi.members))
+    s_img = q.image_members(set_product(group, s_members, phi.members))
+    n_img = q.image_members(set_product(group, n_members, phi.members))
     return supplement_moebius_sum(q.group, s_img, n_img)
-
-
-def _product_members(group: FiniteGroup, a_members, b_members) -> tuple[int, ...]:
-    out = set()
-    for a in a_members:
-        row = group._mul[a]
-        for b in b_members:
-            out.add(row[b])
-    return tuple(sorted(out))
 
 
 def deflation_idempotent_scalar(
@@ -167,14 +129,14 @@ def deflation_idempotent_scalar(
         raise GroupError("deflation scalar needs a normal subgroup")
     t_members = tuple(sorted(set(t_members)))
     s_members = tuple(sorted(set(s_members)))
+    if not set(s_members) <= set(t_members):
+        raise GroupError("slice bottom must live inside the top group")
     n_set = set(n_members)
     emb = subgroup_as_group(Subgroup.from_members(group, t_members))
-    back = {y: i for i, y in enumerate(emb.images)}
-    s_in_t = tuple(sorted(back[x] for x in s_members))
-    t_cap_n = tuple(sorted(back[x] for x in t_members if x in n_set))
-    m_inner = deflation_constant(emb.source, s_in_t, t_cap_n)
-    tn = _product_members(group, t_members, n_members)
-    sn = _product_members(group, s_members, n_members)
+    t_cap_n = emb.preimage_members(n_set)
+    m_inner = deflation_constant(emb.source, emb.preimage_members(s_members), t_cap_n)
+    tn = set_product(group, t_members, n_members)
+    sn = set_product(group, s_members, n_members)
     s_set, sn_set = set(s_members), set(sn)
     nt_s = sum(
         1 for t in t_members if {group.conj(t, x) for x in s_members} == s_set
@@ -272,9 +234,10 @@ def is_t_slice(t_group: FiniteGroup, s_members) -> bool:
 
 def is_t_slice_of(group: FiniteGroup, t_members, s_members) -> bool:
     """T-slice test for a slice (T, S) of an ambient group."""
+    if not set(s_members) <= set(t_members):
+        raise GroupError("slice bottom must live inside the top group")
     emb = subgroup_as_group(Subgroup.from_members(group, t_members))
-    back = {y: i for i, y in enumerate(emb.images)}
-    return is_t_slice(emb.source, tuple(sorted(back[x] for x in s_members)))
+    return is_t_slice(emb.source, emb.preimage_members(s_members))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +281,7 @@ def deflation_vanishes_predicted(group: FiniteGroup, s_members, n_members) -> bo
     s_cap_n = tuple(sorted(set(s_members) & set(n_members)))
     s_noncyclic = not is_cyclic_members(group, s_members)
     first = s_noncyclic and quotient_is_cyclic(group, s_members, s_cap_n)
-    sn = _product_members(group, s_members, n_members)
+    sn = set_product(group, s_members, n_members)
     second = len(s_members) != group.order and len(sn) == group.order
     return first or second
 

@@ -1,14 +1,15 @@
 """Small finite groups as explicit multiplication tables over element indices.
 
 Groups are immutable after construction and safe to share between threads.
-All derived structure (generators, subgroup lattice, automorphisms) is cached
-on the group object; caches are filled before sharing in normal use.
+All derived structure (generators, subgroup lattice, automorphisms, the
+standalone groups of its subgroups) is cached on the group object; caches
+are filled before sharing in normal use.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 DEFAULT_ORDER_CAP = 256
 
@@ -50,6 +51,7 @@ class FiniteGroup:
         self._orders: tuple[int, ...] | None = None
         self._lattice = None
         self._slice_table = None
+        self._subgroup_groups: dict[int, GroupEmbedding] = {}
         self._automorphisms: list[tuple[int, ...]] | None = None
 
     def _find_identity(self) -> int:
@@ -230,14 +232,6 @@ def subgroup_generated(group: FiniteGroup, elems) -> Subgroup:
     return Subgroup(group, close_under_product(group, list(elems)))
 
 
-def trivial_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group, (group.identity,))
-
-
-def full_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group, tuple(range(group.order)))
-
-
 def set_product(group: FiniteGroup, a_members, b_members) -> tuple[int, ...]:
     """The product set A*B = {a*b}; a subgroup when one factor is normal."""
     out = set()
@@ -326,6 +320,13 @@ def _members_of(mask: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # Morphism witnesses between groups
+#
+# Each witness owns the caches derived from it (the basis images that
+# `bisetops` pushes along it), so they are freed with the witness.
+
+
+def _cache_field():
+    return field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -335,12 +336,21 @@ class GroupEmbedding:
     source: FiniteGroup
     target: FiniteGroup
     images: tuple[int, ...]
+    basis_images: dict = _cache_field()
+    _positions: dict = _cache_field()
 
     def __call__(self, x: int) -> int:
         return self.images[x]
 
     def image_members(self, members) -> tuple[int, ...]:
         return tuple(sorted(self.images[x] for x in members))
+
+    def preimage_members(self, members) -> tuple[int, ...]:
+        """Sorted source indices of the members that lie in the image."""
+        pos = self._positions
+        if not pos:
+            pos.update((y, i) for i, y in enumerate(self.images))
+        return tuple(sorted(pos[y] for y in members if y in pos))
 
     def check(self) -> None:
         if len(set(self.images)) != self.source.order:
@@ -361,6 +371,7 @@ class GroupQuotient:
     group: FiniteGroup
     projection: tuple[int, ...]
     kernel: tuple[int, ...]
+    basis_images: dict = _cache_field()
 
     def __call__(self, x: int) -> int:
         return self.projection[x]
@@ -389,6 +400,7 @@ class GroupIsomorphism:
     source: FiniteGroup
     target: FiniteGroup
     images: tuple[int, ...]
+    basis_images: dict = _cache_field()
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -433,13 +445,12 @@ def quotient(group: FiniteGroup, n_members) -> GroupQuotient:
     return GroupQuotient(group, q, tuple(proj), tuple(sorted(n_members)))
 
 
-_SUBGROUP_GROUP_CACHE: dict[tuple[int, int], GroupEmbedding] = {}
-
-
 def subgroup_as_group(sub: Subgroup) -> GroupEmbedding:
-    """The subgroup as a standalone group, with its inclusion embedding."""
-    key = (id(sub.parent), sub.mask)
-    hit = _SUBGROUP_GROUP_CACHE.get(key)
+    """The subgroup as a standalone group, with its inclusion embedding.
+    Cached on the parent group."""
+    cache = sub.parent._subgroup_groups
+    mask = sub.mask
+    hit = cache.get(mask)
     if hit is not None:
         return hit
     mem = sub.members
@@ -447,7 +458,7 @@ def subgroup_as_group(sub: Subgroup) -> GroupEmbedding:
     table = [[pos[sub.parent.mul(a, b)] for b in mem] for a in mem]
     h = FiniteGroup(table, label=f"{sub.parent.label}|{len(mem)}")
     emb = GroupEmbedding(h, sub.parent, mem)
-    _SUBGROUP_GROUP_CACHE[key] = emb
+    cache[mask] = emb
     return emb
 
 
@@ -487,7 +498,6 @@ class SubgroupLattice:
         self.normal = tuple(
             i for i in range(n) if all(row[i] == i for row in self.conj_table)
         )
-        self._normalizers: dict[int, int] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -561,20 +571,6 @@ class SubgroupLattice:
         except KeyError:
             raise GroupError("moebius requires contained subgroup pair") from None
 
-    def conjugate_index(self, g: int, i: int) -> int:
-        return self.conj_table[g][i]
-
-    def normalizer_index(self, i: int) -> int:
-        hit = self._normalizers.get(i)
-        if hit is None:
-            sub = normalizer(self.group, self.subgroups[i].members)
-            hit = self._index[sub.mask]
-            self._normalizers[i] = hit
-        return hit
-
-    def is_normal_index(self, i: int) -> bool:
-        return i in set(self.normal)
-
     def join(self, i: int, j: int) -> int:
         mi, mj = self.masks[i], self.masks[j]
         if mi & mj == mi:
@@ -586,16 +582,6 @@ class SubgroupLattice:
             self.subgroups[i].members + self.subgroups[j].members,
         )
         return self._index[_mask_of(gen)]
-
-    def meet(self, i: int, j: int) -> int:
-        return self._index[self.masks[i] & self.masks[j]]
-
-    def product_index(self, i: int, j: int) -> int:
-        """Index of the product set subgroup H*N (one factor must be normal)."""
-        prod = set_product(
-            self.group, self.subgroups[i].members, self.subgroups[j].members
-        )
-        return self.index_of(prod)
 
     def maximal_indices(self) -> tuple[int, ...]:
         full = self._index[_mask_of(range(self.group.order))]

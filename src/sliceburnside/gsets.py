@@ -15,7 +15,6 @@ from .groups import (
     GroupIsomorphism,
     GroupQuotient,
     GroupError,
-    Subgroup,
 )
 
 
@@ -458,27 +457,3 @@ def transport_morphism(f: GSetMorphism, iso: GroupIsomorphism) -> GSetMorphism:
     return GSetMorphism(
         transport_gset(f.source, iso), transport_gset(f.target, iso), f.mapping
     )
-
-
-def subgroup_of_stabilizer(x: GSet, point: int) -> Subgroup:
-    return Subgroup(x.group, x.stabilizer_members(point))
-
-
-def elementary_biset_apply(op: str, f: GSetMorphism, witness) -> GSetMorphism:
-    """Apply one of the five elementary operations to a morphism.
-
-    `op` is one of ind/res/inf/def/iso; the witness is the matching
-    embedding, quotient or isomorphism record.
-    """
-    table = {
-        "ind": induce_morphism,
-        "res": restrict_morphism,
-        "inf": inflate_morphism,
-        "def": deflate_morphism,
-        "iso": transport_morphism,
-    }
-    try:
-        fn = table[op]
-    except KeyError:
-        raise GroupError(f"unknown elementary operation {op!r}") from None
-    return fn(f, witness)

@@ -29,8 +29,8 @@ from .constants import (
     minimal_normal_subgroups,
     nontrivial_normal_subgroups,
     supplement_moebius_sum,
+    supplement_moebius_sum_frattini,
 )
-from .constants import supplement_moebius_sum_frattini
 from .groups import (
     FiniteGroup,
     GroupIsomorphism,
@@ -41,8 +41,10 @@ from .groups import (
     elementary_abelian,
     group_from_spec,
     is_isomorphic,
+    normalizer,
     quaternion_group,
     quotient,
+    set_product,
     slice_normalizer,
     subgroup_as_group,
 )
@@ -321,7 +323,7 @@ def check_constants() -> CheckResult:
                     lhs = deflation_constant(g, s, m_members)
                     step = deflation_constant(g, s, lat.subgroups[n_idx].members)
                     sn_members = q.image_members(
-                        _set_product(g, s, lat.subgroups[n_idx].members)
+                        set_product(g, s, lat.subgroups[n_idx].members)
                     )
                     rhs = step * deflation_constant(q.group, sn_members, m_in_q)
                     if lhs != rhs:
@@ -336,12 +338,11 @@ def check_constants() -> CheckResult:
             n_members = lat.subgroups[n_idx].members
             for s in s_reps:
                 emb = subgroup_as_group(Subgroup.from_members(g, s))
-                back = {y: i for i, y in enumerate(emb.images)}
-                s_cap_n = tuple(sorted(back[x] for x in s if x in set(n_members)))
-                sn = _set_product(g, s, n_members)
+                s_cap_n = emb.preimage_members(n_members)
+                sn = set_product(g, s, n_members)
                 ratio = Fraction(
-                    len(normalizer_members(g, sn)) // len(sn),
-                    len(normalizer_members(g, s)) // len(s),
+                    len(normalizer(g, sn)) // len(sn),
+                    len(normalizer(g, s)) // len(s),
                 )
                 lhs = deflation_constant(g, s, n_members)
                 rhs = (
@@ -392,7 +393,7 @@ def check_constants() -> CheckResult:
                 q = quotient(e, s_members)
                 for n_idx in lat.normal[:: (1 if rank <= 3 else 9)]:
                     n_members = lat.subgroups[n_idx].members
-                    ns = q.image_members(_set_product(e, n_members, s_members))
+                    ns = q.image_members(set_product(e, n_members, s_members))
                     if supplement_moebius_sum(e, s_members, n_members) != (
                         supplement_moebius_sum(q.group, (q.group.identity,), ns)
                     ):
@@ -415,21 +416,6 @@ def check_constants() -> CheckResult:
                     break
                 configs += 1
     return _result("deflation-constants", t0, failures, f"{configs} identities")
-
-
-def normalizer_members(group: FiniteGroup, members) -> tuple[int, ...]:
-    from .groups import normalizer
-
-    return normalizer(group, members).members
-
-
-def _set_product(group: FiniteGroup, a, b) -> tuple[int, ...]:
-    out = set()
-    for x in a:
-        row = group._mul[x]
-        for y in b:
-            out.add(row[y])
-    return tuple(sorted(out))
 
 
 def _rank_of(p: int, size: int) -> int:

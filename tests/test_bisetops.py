@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -255,6 +257,48 @@ def test_elementary_apply_dispatch():
     assert out == t.one()
     with pytest.raises(GroupError):
         bisetops.elementary_apply("nope", th.one(), emb)
+
+    d8 = group_from_spec("dihedral:8")
+    lat = all_subgroups(d8)
+    sub = subgroup_as_group(next(s for s in lat.subgroups if len(s) == 4))
+    q = quotient(d8, lat.subgroups[lat.normal[1]].members)
+    iso = GroupIsomorphism(d8, d8, automorphisms(d8)[-1])
+    t8 = slice_classes(d8)
+    xs = [t8.idempotent(c).scaled(c + 1) for c in range(t8.size)]
+    elem = xs[0] + xs[3] - xs[-1]
+    cases = [
+        ("ind", slice_classes(sub.source).idempotent(1), sub, bisetops.induce),
+        ("res", elem, sub, bisetops.restrict),
+        ("inf", slice_classes(q.group).idempotent(0), q, bisetops.inflate),
+        ("def", elem, q, bisetops.deflate),
+        ("iso", elem, iso, bisetops.transport),
+    ]
+    for op, x, witness, fn in cases:
+        direct = fn(x, witness)
+        assert not direct.is_zero()
+        assert bisetops.elementary_apply(op, x, witness) == direct
+        assert bisetops.elementary_apply(op, x, witness, check=True) == direct
+
+
+def test_operations_free_their_groups_and_caches():
+    # basis images and subgroup embeddings are cached on the objects they
+    # describe, so dropping the group frees everything built from it
+    def build():
+        g = group_from_spec("dihedral:8")
+        table = slice_classes(g)
+        lat = table.lattice
+        emb = subgroup_as_group(lat.subgroups[lat.class_reps[2]])
+        q = quotient(g, lat.subgroups[lat.normal[1]].members)
+        iso = GroupIsomorphism(g, g, automorphisms(g)[-1])
+        elem = table.idempotent(0) + table.one()
+        bisetops.induce(bisetops.restrict(elem, emb, check=True), emb, check=True)
+        bisetops.inflate(bisetops.deflate(elem, q, check=True), q, check=True)
+        bisetops.transport(elem, iso, check=True)
+        return [weakref.ref(x) for x in (g, table, emb.source, q.group)]
+
+    refs = build()
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 def test_oracle_checking_flag_roundtrip():
