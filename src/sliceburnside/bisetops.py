@@ -5,11 +5,11 @@ sent to its basis image, the images are extended linearly, and they are
 cached on the witness record (embedding, quotient or isomorphism), so they
 live exactly as long as it does.  Induction, inflation, deflation and
 transport send (T, S) to the class of (f(T), f(S)) for the witness's member
-map f, and the G-set oracle (`gsets.*_morphism`) checks them.  Restriction
-has no single-slice image: its production path is the oracle's orbit
-decomposition over the subgroup, checked by the double-coset closed form.
-Enabling oracle checking (globally or per call) compares the two paths on
-every invocation and raises on disagreement.
+map f.  Restriction to H is Mackey's formula on lattice masks: (T, S) goes
+to the sum over x in H\\G/S of (H & xTx^-1, H & xSx^-1).  The G-set module
+`gsets` is only the oracle: enabling oracle checking (globally or per call)
+compares each closed form with the orbit decomposition of the G-set image
+(`gsets.*_morphism`) on every invocation and raises on disagreement.
 """
 
 from __future__ import annotations
@@ -43,19 +43,18 @@ def induce(elem: SliceRingElement, emb: GroupEmbedding, check: bool = False) -> 
         raise GroupError("element is not over the embedding's source group")
     return _push(
         "induction", elem, emb, emb.target,
-        _slice_image(emb.image_members), _orbit_image(gsets.induce_morphism, emb), check,
+        _slice_image(emb.image_members), gsets.induce_morphism, check,
     )
 
 
 def restrict(elem: SliceRingElement, emb: GroupEmbedding, check: bool = False) -> SliceRingElement:
-    """Restriction to a subgroup, by orbit decomposition over the subgroup."""
+    """Restriction to a subgroup H, by Mackey's formula: (T, S) goes to the
+    sum over x in H\\G/S of (H & xTx^-1, H & xSx^-1)."""
     if elem.table.group is not emb.target:
         raise GroupError("element is not over the embedding's target group")
     return _push(
         "restriction", elem, emb, emb.source,
-        _orbit_image(gsets.restrict_morphism, emb),
-        lambda table, out_table, cls: _restrict_basis_closed_form(table, out_table, emb, cls),
-        check,
+        _mackey_image(emb), gsets.restrict_morphism, check,
     )
 
 
@@ -65,7 +64,7 @@ def inflate(elem: SliceRingElement, quot: GroupQuotient, check: bool = False) ->
         raise GroupError("element is not over the quotient group")
     return _push(
         "inflation", elem, quot, quot.source,
-        _slice_image(quot.preimage_members), _orbit_image(gsets.inflate_morphism, quot), check,
+        _slice_image(quot.preimage_members), gsets.inflate_morphism, check,
     )
 
 
@@ -75,7 +74,7 @@ def deflate(elem: SliceRingElement, quot: GroupQuotient, check: bool = False) ->
         raise GroupError("element is not over the quotient's source group")
     return _push(
         "deflation", elem, quot, quot.group,
-        _slice_image(quot.image_members), _orbit_image(gsets.deflate_morphism, quot), check,
+        _slice_image(quot.image_members), gsets.deflate_morphism, check,
     )
 
 
@@ -85,7 +84,7 @@ def transport(elem: SliceRingElement, iso: GroupIsomorphism, check: bool = False
         raise GroupError("element is not over the isomorphism's source")
     return _push(
         "transport", elem, iso, iso.target,
-        _slice_image(iso.image_members), _orbit_image(gsets.transport_morphism, iso), check,
+        _slice_image(iso.image_members), gsets.transport_morphism, check,
     )
 
 
@@ -112,8 +111,9 @@ def elementary_apply(op: str, elem: SliceRingElement, witness, check: bool = Fal
 # class -> multiplicity dict over the target table.
 
 
-def _push(name, elem, witness, out_group, image, check_image, check) -> SliceRingElement:
-    """Push `elem` along `witness` into the slice ring of `out_group`."""
+def _push(name, elem, witness, out_group, image, morphism_map, check) -> SliceRingElement:
+    """Push `elem` along `witness` into the slice ring of `out_group`;
+    with checking on, compare against the G-set image under `morphism_map`."""
     out_table = slice_classes(out_group)
     cache = witness.basis_images.setdefault(name, {})
     for cls in elem.coeffs:
@@ -121,7 +121,10 @@ def _push(name, elem, witness, out_group, image, check_image, check) -> SliceRin
             cache[cls] = image(elem.table, out_table, cls)
     out = _extend(elem, out_table, cache.__getitem__)
     if check or _ORACLE_CHECK:
-        other = _extend(elem, out_table, lambda cls: check_image(elem.table, out_table, cls))
+        # the G-set path: map the class's projection, decompose into orbits
+        other = _extend(elem, out_table, lambda cls: morphism_to_ring(
+            morphism_map(elem.table.projection(cls), witness), out_table
+        ).coeffs)
         if other != out:
             raise GroupError(f"{name}: closed form and oracle disagree")
     return out
@@ -145,28 +148,23 @@ def _slice_image(member_map):
     return image
 
 
-def _orbit_image(morphism_map, witness):
-    """The G-set path: map the class's projection, decompose into orbits."""
+def _mackey_image(emb: GroupEmbedding):
+    """(T, S) goes to the classes of (H & xTx^-1, H & xSx^-1), x in H\\G/S."""
 
     def image(table: SliceClassTable, out_table: SliceClassTable, cls: int) -> dict:
-        f = morphism_map(table.projection(cls), witness)
-        return morphism_to_ring(f, out_table).coeffs
+        lat = table.lattice
+        masks, index = lat.masks, lat._index
+        t, s = table.reps[cls]
+        h = masks[lat.index_of(emb.images)]
+        out: dict = {}
+        for x in double_cosets(table.group, emb.images, lat.subgroups[s].members):
+            row = lat.conj_table[x]
+            c = out_table.class_of[
+                emb.preimage_index(index[h & masks[row[t]]]),
+                emb.preimage_index(index[h & masks[row[s]]]),
+            ]
+            out[c] = out.get(c, 0) + 1
+        return out
 
     return image
 
-
-def _restrict_basis_closed_form(
-    table_g: SliceClassTable,
-    table_h: SliceClassTable,
-    emb: GroupEmbedding,
-    cls: int,
-) -> dict:
-    # double-coset expansion indexed by H\G/S, validated against the oracle
-    g = table_g.group
-    big, small = table_g.rep_subgroups(cls)
-    pairs = []
-    for x in double_cosets(g, sorted(emb.images), small.members):
-        t_mem = emb.preimage_members({g.conj(x, t) for t in big.members})
-        s_mem = emb.preimage_members({g.conj(x, s) for s in small.members})
-        pairs.append((t_mem, s_mem))
-    return table_h.element_from_pairs(pairs).coeffs

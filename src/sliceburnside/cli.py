@@ -214,8 +214,16 @@ def _cmd_tslices(args) -> int:
     return 0
 
 
+def _universe(args, bound: int) -> GroupUniverse:
+    """The universe of p-groups up to `bound`, refused before any group is
+    built when `bound` exceeds `--order-cap`."""
+    if bound > args.order_cap:
+        raise GroupError(f"universe bound {bound} exceeds --order-cap {args.order_cap}")
+    return GroupUniverse(args.prime, bound)
+
+
 def _cmd_bgroups(args) -> int:
-    universe = GroupUniverse(args.prime, args.max_order)
+    universe = _universe(args, args.max_order)
     found = [g.label for g in universe.groups if is_b_group(g)]
     if args.format == "json":
         _print_json(found)
@@ -237,7 +245,7 @@ def _cmd_ideal_dim(args) -> int:
 
 
 def _cmd_minimal_groups(args) -> int:
-    universe = GroupUniverse(args.prime, args.bound)
+    universe = _universe(args, args.bound)
     mins = minimal_groups(family_by_id(args.family), universe)
     labels = [g.label for g in mins]
     if args.format == "json":
@@ -263,7 +271,7 @@ def _cmd_closure(args) -> int:
         emb = subgroup_as_group(Subgroup.from_members(group, t_members))
         group = emb.source
         s_members = emb.preimage_members(s_members)
-    universe = GroupUniverse(args.prime, args.bound)
+    universe = _universe(args, args.bound)
     members = bounded_closure(universe, group, s_members)
     payload = sorted(universe.describe_class(gi, cls) for gi, cls in members)
     if args.format == "json":
@@ -281,7 +289,7 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_check_family(args) -> int:
-    universe = GroupUniverse(args.prime, args.bound)
+    universe = _universe(args, args.bound)
     report = check_conditions(family_by_id(args.family), universe)
     if args.format == "json":
         _print_json(report.to_json())

@@ -20,18 +20,13 @@ from .groups import (
     normalizer,
     quotient,
     set_product,
-    slice_normalizer,
     subgroup_as_group,
 )
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _joins_to_full(lat, v: int, n: int, full_size: int) -> bool:
     # V*N = G  <=>  |V||N| == |G| * |V & N|   (N normal, so V*N is a subgroup)
-    inter = _popcount(lat.masks[v] & lat.masks[n])
+    inter = (lat.masks[v] & lat.masks[n]).bit_count()
     return len(lat.subgroups[v]) * len(lat.subgroups[n]) == full_size * inter
 
 
@@ -95,12 +90,12 @@ def _lower_moebius_sum(group: FiniteGroup, s_members, n_members) -> int:
     lat = all_subgroups(group)
     s = lat.index_of(s_members)
     n_mask = lat.masks[lat.index_of(n_members)]
-    s_ratio = len(lat.subgroups[s]) // _popcount(lat.masks[s] & n_mask)
+    s_ratio = len(lat.subgroups[s]) // (lat.masks[s] & n_mask).bit_count()
     lower = 0
     for u in lat.below[s]:
         # U*N = S*N  <=>  |U| / |U & N| == |S| / |S & N|   (U <= S)
         u_size = len(lat.subgroups[u])
-        if u_size == s_ratio * _popcount(lat.masks[u] & n_mask):
+        if u_size == s_ratio * (lat.masks[u] & n_mask).bit_count():
             lower += u_size * lat.moebius(u, s)
     return lower
 
@@ -123,28 +118,26 @@ def deflation_idempotent_scalar(
     Combines the constant of (T, S) inside T with a ratio of slice-normalizer
     sizes.  Derived by factoring the idempotent through induction from T and
     commuting deflation past it; the |T n N| / |N| factor comes from reading
-    the normalizer of the image slice inside TN/N.
+    the normalizer of the image slice inside TN/N.  The normalizer sizes are
+    counted on the rows of the lattice's conjugation table.
     """
     if not is_normal(group, n_members):
         raise GroupError("deflation scalar needs a normal subgroup")
-    t_members = tuple(sorted(set(t_members)))
-    s_members = tuple(sorted(set(s_members)))
-    if not set(s_members) <= set(t_members):
+    lat = all_subgroups(group)
+    t, s = lat.index_of(t_members), lat.index_of(s_members)
+    if not lat.contains_pair(s, t):
         raise GroupError("slice bottom must live inside the top group")
-    n_set = set(n_members)
-    emb = subgroup_as_group(Subgroup.from_members(group, t_members))
-    t_cap_n = emb.preimage_members(n_set)
+    tn = lat.index_of(set_product(group, t_members, n_members))
+    sn = lat.index_of(set_product(group, s_members, n_members))
+    emb = subgroup_as_group(lat.subgroups[t])
+    t_cap_n = emb.preimage_members(n_members)
     m_inner = deflation_constant(emb.source, emb.preimage_members(s_members), t_cap_n)
-    tn = set_product(group, t_members, n_members)
-    sn = set_product(group, s_members, n_members)
-    s_set, sn_set = set(s_members), set(sn)
-    nt_s = sum(
-        1 for t in t_members if {group.conj(t, x) for x in s_members} == s_set
-    )
-    nt_sn = sum(1 for t in t_members if {group.conj(t, x) for x in sn} == sn_set)
-    ng_ts = len(slice_normalizer(group, t_members, s_members))
-    ng_tnsn = len(slice_normalizer(group, tn, sn))
-    ratio = Fraction(nt_s * ng_tnsn * len(t_cap_n), ng_ts * nt_sn * len(n_set))
+    rows = lat.conj_table
+    nt_s = sum(1 for x in emb.images if rows[x][s] == s)
+    nt_sn = sum(1 for x in emb.images if rows[x][sn] == sn)
+    ng_ts = sum(1 for row in rows if row[t] == t and row[s] == s)
+    ng_tnsn = sum(1 for row in rows if row[tn] == tn and row[sn] == sn)
+    ratio = Fraction(nt_s * ng_tnsn * len(t_cap_n), ng_ts * nt_sn * len(set(n_members)))
     return ratio * m_inner
 
 
@@ -177,7 +170,7 @@ def complement_count(group: FiniteGroup, n_members) -> int:
     n = lat.index_of(n_members)
     count = 0
     for x in range(len(lat.subgroups)):
-        if _popcount(lat.masks[x] & lat.masks[n]) != 1:
+        if (lat.masks[x] & lat.masks[n]).bit_count() != 1:
             continue
         if _joins_to_full(lat, x, n, group.order):
             count += 1

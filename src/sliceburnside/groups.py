@@ -192,10 +192,7 @@ class Subgroup:
 
     @property
     def mask(self) -> int:
-        m = 0
-        for x in self.members:
-            m |= 1 << x
-        return m
+        return _mask_of(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -243,33 +240,22 @@ def set_product(group: FiniteGroup, a_members, b_members) -> tuple[int, ...]:
 
 
 def normalizer(group: FiniteGroup, members) -> Subgroup:
-    mask = _mask_of(members)
-    keep = []
-    for g in range(group.order):
-        m = 0
-        for x in members:
-            m |= 1 << group.conj(g, x)
-        if m == mask:
-            keep.append(g)
-    return Subgroup(group, tuple(keep))
+    """N_G(H), read from the lattice's conjugation table.  Raises
+    `GroupError` when `members` is not a subgroup."""
+    lat = all_subgroups(group)
+    i = lat.index_of(members)
+    return Subgroup(group, tuple(g for g, row in enumerate(lat.conj_table) if row[i] == i))
 
 
 def slice_normalizer(group: FiniteGroup, t_members, s_members) -> tuple[int, ...]:
-    """Elements normalizing both members sets simultaneously."""
-    tm, sm = _mask_of(t_members), _mask_of(s_members)
-    keep = []
-    for g in range(group.order):
-        a = 0
-        for x in t_members:
-            a |= 1 << group.conj(g, x)
-        if a != tm:
-            continue
-        b = 0
-        for x in s_members:
-            b |= 1 << group.conj(g, x)
-        if b == sm:
-            keep.append(g)
-    return tuple(keep)
+    """Elements normalizing both subgroups simultaneously, read from the
+    lattice's conjugation table.  Raises `GroupError` when either member set
+    is not a subgroup."""
+    lat = all_subgroups(group)
+    t, s = lat.index_of(t_members), lat.index_of(s_members)
+    return tuple(
+        g for g, row in enumerate(lat.conj_table) if row[t] == t and row[s] == s
+    )
 
 
 def is_normal(group: FiniteGroup, members) -> bool:
@@ -338,6 +324,7 @@ class GroupEmbedding:
     images: tuple[int, ...]
     basis_images: dict = _cache_field()
     _positions: dict = _cache_field()
+    _subgroup_positions: dict = _cache_field()
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -351,6 +338,18 @@ class GroupEmbedding:
         if not pos:
             pos.update((y, i) for i, y in enumerate(self.images))
         return tuple(sorted(pos[y] for y in members if y in pos))
+
+    def preimage_index(self, i: int) -> int:
+        """Source-lattice index of the subgroup with target-lattice index
+        `i`, which must lie in the image."""
+        pos = self._subgroup_positions
+        if not pos:
+            index = all_subgroups(self.target)._index
+            pos.update(
+                (index[_mask_of(self.images[x] for x in sub.members)], j)
+                for j, sub in enumerate(all_subgroups(self.source).subgroups)
+            )
+        return pos[i]
 
     def check(self) -> None:
         if len(set(self.images)) != self.source.order:

@@ -1,10 +1,11 @@
 import gc
+import inspect
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from sliceburnside import bisetops
+from sliceburnside import bisetops, gsets
 from sliceburnside.constants import deflation_idempotent_scalar
 from sliceburnside.groups import (
     GroupError,
@@ -17,7 +18,7 @@ from sliceburnside.groups import (
     slice_normalizer,
     subgroup_as_group,
 )
-from sliceburnside.ring import morphism_to_ring, slice_classes
+from sliceburnside.ring import SliceClassTable, SliceRingElement, morphism_to_ring, slice_classes
 
 
 def _full_embedding(g):
@@ -278,6 +279,39 @@ def test_elementary_apply_dispatch():
         assert not direct.is_zero()
         assert bisetops.elementary_apply(op, x, witness) == direct
         assert bisetops.elementary_apply(op, x, witness, check=True) == direct
+
+
+def test_operations_run_without_the_gset_oracle(monkeypatch):
+    # every production path is a closed form: with checking off nothing
+    # reaches the G-set layer, with checking on the broken oracle is hit
+    def refuse(*args, **kwargs):
+        raise AssertionError("the G-set oracle was called")
+
+    for name, fn in vars(gsets).items():
+        if inspect.isfunction(fn) and fn.__module__ == gsets.__name__:
+            monkeypatch.setattr(gsets, name, refuse)
+    monkeypatch.setattr(SliceClassTable, "projection", refuse)
+
+    def every_class(group):
+        table = slice_classes(group)
+        return SliceRingElement(table, {c: Fraction(c + 1) for c in range(table.size)})
+
+    d8 = group_from_spec("dihedral:8")
+    lat = all_subgroups(d8)
+    sub = subgroup_as_group(lat.subgroups[lat.class_reps[3]])
+    q = quotient(d8, lat.subgroups[lat.normal[1]].members)
+    iso = GroupIsomorphism(d8, d8, automorphisms(d8)[-1])
+    cases = [
+        (bisetops.induce, every_class(sub.source), sub),
+        (bisetops.restrict, every_class(d8), sub),
+        (bisetops.inflate, every_class(q.group), q),
+        (bisetops.deflate, every_class(d8), q),
+        (bisetops.transport, every_class(d8), iso),
+    ]
+    for fn, x, witness in cases:
+        assert not fn(x, witness).is_zero()
+        with pytest.raises(AssertionError, match="G-set oracle"):
+            fn(x, witness, check=True)
 
 
 def test_operations_free_their_groups_and_caches():

@@ -171,6 +171,27 @@ def test_bad_universe_arguments_exit_two(capsys, argv):
     assert "universe" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bgroups", "--prime", "2", "--max-order", "512"),
+        ("--order-cap", "8", "bgroups", "--prime", "2", "--max-order", "16"),
+        ("--order-cap", "8", "minimal-groups", "--family", "J1", "--prime", "2", "--bound", "16"),
+        ("--order-cap", "8", "closure", "--seed", "cyclic:2:S=g0", "--prime", "2", "--bound", "16"),
+        ("--order-cap", "8", "check-family", "--family", "J1", "--prime", "2", "--bound", "16"),
+    ],
+)
+def test_universe_bound_above_order_cap_exits_two(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the universe was built past the order cap")
+
+    monkeypatch.setattr("sliceburnside.cli.GroupUniverse", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--order-cap" in err
+
+
 def test_output_is_deterministic(capsys):
     a = run_cli(capsys, "idempotents", "dihedral:8")
     b = run_cli(capsys, "idempotents", "dihedral:8")

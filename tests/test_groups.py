@@ -1,5 +1,6 @@
 import pytest
 
+from sliceburnside import verify
 from sliceburnside.groups import (
     GroupError,
     OrderCapError,
@@ -21,6 +22,7 @@ from sliceburnside.groups import (
     normalizer,
     quaternion_group,
     quotient,
+    slice_normalizer,
     subgroup_as_group,
     subgroup_generated,
 )
@@ -240,6 +242,16 @@ def test_double_cosets_partition_group():
     assert len(double_cosets(d8, range(8), range(8))) == 1
 
 
+def _normalizing_elements(group, members):
+    # brute force: conjugate the member set element by element
+    target = frozenset(members)
+    return {
+        g
+        for g in group.elements()
+        if frozenset(group.mul(group.mul(g, x), group.inv(g)) for x in members) == target
+    }
+
+
 def test_normalizer_and_conjugation():
     d8 = group_from_spec("dihedral:8")
     lat = all_subgroups(d8)
@@ -252,6 +264,26 @@ def test_normalizer_and_conjugation():
         conj = refl.conjugate(g)
         conj.check()
         assert (frozenset(conj.members) == frozenset(refl.members)) == (g in set(norm.members))
+    # the conjugation-table normalizers against brute force, every subgroup
+    # pair of every corpus group
+    for group in verify.corpus().groups:
+        subs = all_subgroups(group).subgroups
+        fixes = [_normalizing_elements(group, s.members) for s in subs]
+        for s, fix_s in zip(subs, fixes):
+            assert set(normalizer(group, s.members).members) == fix_s
+            for t, fix_t in zip(subs, fixes):
+                assert set(slice_normalizer(group, t.members, s.members)) == fix_t & fix_s
+
+
+def test_normalizers_reject_non_subgroups():
+    d8 = group_from_spec("dihedral:8")
+    not_a_subgroup = (0, 1, 2)
+    with pytest.raises(GroupError):
+        normalizer(d8, not_a_subgroup)
+    with pytest.raises(GroupError):
+        slice_normalizer(d8, tuple(range(8)), not_a_subgroup)
+    with pytest.raises(GroupError):
+        slice_normalizer(d8, not_a_subgroup, (d8.identity,))
 
 
 def test_subgroup_generated():
