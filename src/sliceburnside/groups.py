@@ -49,6 +49,7 @@ class FiniteGroup:
         # lazy caches
         self._gens: tuple[int, ...] | None = None
         self._orders: tuple[int, ...] | None = None
+        self._keys: tuple[tuple[int, int], ...] | None = None
         self._lattice = None
         self._slice_table = None
         self._subgroup_groups: dict[int, GroupEmbedding] = {}
@@ -116,6 +117,17 @@ class FiniteGroup:
                 out.append(k)
             self._orders = tuple(out)
         return self._orders
+
+    def _element_keys(self) -> tuple[tuple[int, int], ...]:
+        """(element order, centraliser size) of each element; every
+        isomorphism preserves them."""
+        if self._keys is None:
+            m, n = self._mul, self.order
+            self._keys = tuple(
+                (k, sum(m[x][y] == m[y][x] for y in range(n)))
+                for x, k in enumerate(self._element_orders())
+            )
+        return self._keys
 
     def exponent(self) -> int:
         ex = 1
@@ -677,12 +689,12 @@ def brute_force_subgroups(group: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 def _invariant_profile(group: FiniteGroup):
-    return (
-        group.order,
-        tuple(sorted(group._element_orders())),
-        group.is_abelian(),
-        len(group.center_members()),
-    )
+    return group.order, tuple(sorted(group._element_keys()))
+
+
+def _commutator(group: FiniteGroup, a: int, b: int) -> int:
+    m, inv = group._mul, group._inv
+    return m[m[m[a][b]][inv[a]]][inv[b]]
 
 
 def _hom_from_generator_images(
@@ -717,38 +729,31 @@ def _hom_from_generator_images(
     return tuple(img)
 
 
-def _iso_search(
-    g: FiniteGroup,
-    h: FiniteGroup,
-    collect_all: bool,
-    constraint=None,
-) -> list[tuple[int, ...]]:
+def _iso_search(g: FiniteGroup, h: FiniteGroup, collect_all: bool) -> list[tuple[int, ...]]:
+    """Isomorphisms g -> h as image tuples, depth first over generator
+    images in index order.  Candidates are pruned only by conditions every
+    isomorphism meets (element keys, commutators with earlier generators),
+    so the leaves found and their order do not depend on the pruning."""
     gens = g.generators()
     if not gens:
-        if g.order == h.order == 1:
-            candidate = (h.identity,)
-            if constraint is None or constraint(candidate):
-                return [candidate]
-        return []
-    g_orders = g._element_orders()
-    h_orders = h._element_orders()
-    by_order: dict[int, list[int]] = {}
-    for y in range(h.order):
-        by_order.setdefault(h_orders[y], []).append(y)
+        return [(h.identity,)] if h.order == 1 else []
+    g_keys = g._element_keys()
+    by_key: dict[tuple[int, int], list[int]] = {}
+    for y, key in enumerate(h._element_keys()):
+        by_key.setdefault(key, []).append(y)
     results: list[tuple[int, ...]] = []
 
-    def extend(level: int, images: list[int]):
+    def extend(level: int, images: list[int], img: tuple[int, ...]):
+        # img maps <gens[:level]>; at the last level that is all of g
         if level == len(gens):
-            full = _hom_from_generator_images(g, h, gens, images)
-            if full is None or -1 in full:
-                return
-            if len(set(full)) != g.order:
-                return
-            if constraint is not None and not constraint(full):
-                return
-            results.append(full)
+            results.append(img)
             return
-        for y in by_order.get(g_orders[gens[level]], []):
+        x = gens[level]
+        checks = [(images[i], img[_commutator(g, gens[i], x)]) for i in range(level)]
+        checks = [(a, c) for a, c in checks if c != -1]
+        for y in by_key.get(g_keys[x], []):
+            if any(_commutator(h, a, y) != c for a, c in checks):
+                continue
             partial = _hom_from_generator_images(
                 g, h, gens[: level + 1], images + [y]
             )
@@ -758,11 +763,11 @@ def _iso_search(
             vals = [v for v in partial if v != -1]
             if len(vals) != len(set(vals)):
                 continue
-            extend(level + 1, images + [y])
+            extend(level + 1, images + [y], partial)
             if results and not collect_all:
                 return
 
-    extend(0, [])
+    extend(0, [], ())
     return results
 
 

@@ -190,7 +190,7 @@ def _abelian_of_type(p: int, partition) -> FiniteGroup:
 class GroupUniverse:
     """A finite stand-in for the category of p-groups up to an order bound."""
 
-    def __init__(self, prime: int, bound: int, canon_bound: int | None = None):
+    def __init__(self, prime: int, bound: int):
         if not _is_prime(prime):
             raise GroupError(f"universe prime must be prime, got {prime}")
         if bound < 1:
@@ -198,7 +198,7 @@ class GroupUniverse:
         self.prime = prime
         self.bound = bound
         # membership tests during closure happen at or below this order
-        self.canon_bound = canon_bound if canon_bound is not None else prime**3
+        self.canon_bound = prime**3
         self.groups = constructor_known_p_groups(prime, bound)
         self.lattices = [all_subgroups(g) for g in self.groups]
         self._canon: list[tuple[int, ...]] = [

@@ -1,34 +1,34 @@
-"""Exact rank computation over the rationals (tiny matrices only)."""
+"""Exact rank computation over the rationals for integer matrices."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import index
 
 
 def rational_rank(rows) -> int:
-    """Rank of a matrix given as an iterable of rows of ints/Fractions."""
-    matrix = [[Fraction(v) for v in row] for row in rows]
+    """Rank over the rationals of a matrix given as rows of ints, by
+    fraction-free (Bareiss) elimination; a non-integer entry raises
+    `TypeError`."""
+    matrix = [[index(v) for v in row] for row in rows]
     if not matrix:
         return 0
-    ncols = len(matrix[0])
-    rank = 0
-    col = 0
-    while rank < len(matrix) and col < ncols:
+    rank, prev = 0, 1
+    for col in range(len(matrix[0])):
         pivot = next(
             (r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None
         )
         if pivot is None:
-            col += 1
             continue
         matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
         prow = matrix[rank]
-        inv = 1 / prow[col]
+        p = prow[col]
+        # each entry stays a minor of the original matrix, so the division
+        # by the previous pivot is exact
         for r in range(rank + 1, len(matrix)):
-            factor = matrix[r][col] * inv
-            if factor:
-                row = matrix[r]
-                for c in range(col, ncols):
-                    row[c] -= factor * prow[c]
+            f = matrix[r][col]
+            matrix[r] = [(p * a - f * b) // prev for a, b in zip(matrix[r], prow)]
+        prev = p
         rank += 1
-        col += 1
+        if rank == len(matrix):
+            break
     return rank

@@ -1,7 +1,12 @@
-import pytest
+from itertools import product
 
-from sliceburnside import verify
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sliceburnside import groups, verify
 from sliceburnside.groups import (
+    FiniteGroup,
     GroupError,
     OrderCapError,
     SpecParseError,
@@ -26,6 +31,8 @@ from sliceburnside.groups import (
     subgroup_as_group,
     subgroup_generated,
 )
+
+from test_marks import small_perm_groups
 
 SMALL_SPECS = [
     "cyclic:1",
@@ -327,6 +334,101 @@ def test_automorphism_counts(spec, count):
 
 def test_quaternion_automorphism_count():
     assert len(automorphisms(quaternion_group())) == 24
+
+
+def reference_isomorphisms(g, h):
+    """Every isomorphism g -> h, by trying each tuple of generator images in
+    lexicographic order over the elements of h of the same order and keeping
+    the bijective homomorphisms."""
+    gens = g.generators()
+    candidates = [
+        [y for y in h.elements() if h.element_order(y) == g.element_order(x)]
+        for x in gens
+    ]
+    for images in product(*candidates):
+        img = {g.identity: h.identity}
+        queue = [g.identity]
+        while queue:
+            a = queue.pop()
+            for x, y in zip(gens, images):
+                b = g.mul(a, x)
+                if b not in img:
+                    img[b] = h.mul(img[a], y)
+                    queue.append(b)
+        full = tuple(img[x] for x in g.elements())
+        if len(set(full)) == h.order == g.order and all(
+            full[g.mul(a, b)] == h.mul(full[a], full[b])
+            for a in g.elements()
+            for b in g.elements()
+        ):
+            yield full
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "elab:2^3",
+        "dihedral:8",
+        "Q8",
+        "heis:2",
+        "mod:3",
+        "heis:3",
+        "dihedral:16",
+        "perm:(0 1 2 3),(0 1)",
+    ],
+)
+def test_automorphisms_equal_the_reference_enumeration(spec):
+    g = quaternion_group() if spec == "Q8" else group_from_spec(spec)
+    assert automorphisms(g) == list(reference_isomorphisms(g, g))
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [("mod:2", "heis:2"), ("dihedral:8 * cyclic:2", "cyclic:2 * dihedral:8")],
+)
+def test_isomorphism_witness_is_the_reference_first_hit(a, b):
+    g, h = group_from_spec(a), group_from_spec(b)
+    assert find_isomorphism(g, h).images == next(reference_isomorphisms(g, h))
+
+
+def relabelled(group, perm):
+    table = [[0] * group.order for _ in group.elements()]
+    for a in group.elements():
+        for b in group.elements():
+            table[perm[a]][perm[b]] = perm[group.mul(a, b)]
+    return FiniteGroup(table)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group=small_perm_groups(), data=st.data())
+def test_relabelled_copy_is_found_isomorphic(group, data):
+    perm = data.draw(st.permutations(range(group.order)))
+    copy = relabelled(group, perm)
+    assert groups._invariant_profile(copy) == groups._invariant_profile(group)
+    assert len(automorphisms(copy)) == len(automorphisms(group))
+    iso = find_isomorphism(group, copy)
+    assert iso is not None
+    iso.check()
+
+
+def test_isomorphism_search_does_not_blow_up(monkeypatch):
+    # generator 9 of H27 x C3 is the commutator of generators 3 and 27: a
+    # search that tries every order-3 image for it makes over a million
+    # extensions before the commutator rules the wrong ones out
+    calls = []
+    extend = groups._hom_from_generator_images
+
+    def counted(*args):
+        calls.append(None)
+        return extend(*args)
+
+    monkeypatch.setattr(groups, "_hom_from_generator_images", counted)
+    iso = find_isomorphism(
+        group_from_spec("heis:3 * cyclic:3"), group_from_spec("cyclic:3 * heis:3")
+    )
+    assert iso is not None
+    iso.check()
+    assert len(calls) < 20000
 
 
 def test_lagrange_violation_detected():
