@@ -9,7 +9,6 @@ over an explicit finite universe; reports and results are universe-bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .groups import (
     FiniteGroup,
@@ -210,11 +209,13 @@ class GroupUniverse:
             for cls, rep in enumerate(canon):
                 orbit.setdefault(rep, []).append(cls)
             self._orbit.append({k: tuple(v) for k, v in orbit.items()})
+        # maps and closure moves, each filled on first use
         self._quotient_maps: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-        self._quotient_slices: dict[tuple[int, int, int], tuple[int, int]] = {}
         self._product_maps: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-        self._product_slices: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-        self._deflation_cache: dict[tuple[int, int, int], Fraction] = {}
+        self._quotient_moves: dict[tuple[int, int], tuple] = {}
+        self._product_moves: dict[tuple[int, int], tuple] = {}
+        self._deflates: dict[tuple[int, int, int], bool] = {}
+        self._surjection_sources: dict[tuple[int, int], list[tuple[int, int]]] | None = None
 
     # -- canonicalization ----------------------------------------------------
 
@@ -288,7 +289,7 @@ class GroupUniverse:
         idx = lat.index_of(iso.image_members(s_members))
         return gi, self.canonical_class(gi, lat.class_of[idx])
 
-    # -- cached quotient / product slice maps -----------------------------------
+    # -- quotient / product element maps ------------------------------------------
 
     def quotient_map(self, gi: int, n_idx: int) -> tuple[int, tuple[int, ...]]:
         """(target group index, composed element map) for G_gi / N."""
@@ -307,21 +308,6 @@ class GroupUniverse:
             self._quotient_maps[key] = hit
         return hit
 
-    def quotient_slice(self, gi: int, s_cls: int, n_idx: int) -> tuple[int, int]:
-        """Canonical class of the image slice of (G, S) under G -> G/N."""
-        key = (gi, s_cls, n_idx)
-        hit = self._quotient_slices.get(key)
-        if hit is None:
-            qi, comp = self.quotient_map(gi, n_idx)
-            lat = self.lattices[gi]
-            s_members = lat.subgroups[lat.class_reps[s_cls]].members
-            image = tuple(sorted({comp[x] for x in s_members}))
-            qlat = self.lattices[qi]
-            cls = qlat.class_of[qlat.index_of(image)]
-            hit = (qi, self.canonical_class(qi, cls))
-            self._quotient_slices[key] = hit
-        return hit
-
     def product_map(self, bi: int, ti: int) -> tuple[int, tuple[int, ...]]:
         """(target group index, composed element map) for G_bi x G_ti."""
         key = (bi, ti)
@@ -336,51 +322,80 @@ class GroupUniverse:
             self._product_maps[key] = hit
         return hit
 
-    def product_slice(self, bi: int, a_cls: int, ti: int, s_cls: int) -> tuple[int, int]:
-        """Canonical class of (B x T, A x S) inside the universe."""
-        key = (bi, a_cls, ti, s_cls)
-        hit = self._product_slices.get(key)
-        if hit is None:
-            pi, images = self.product_map(bi, ti)
-            t_order = self.groups[ti].order
-            lat_b, lat_t = self.lattices[bi], self.lattices[ti]
-            a_members = lat_b.subgroups[lat_b.class_reps[a_cls]].members
-            s_members = lat_t.subgroups[lat_t.class_reps[s_cls]].members
-            members = tuple(
-                sorted(images[a * t_order + s] for a in a_members for s in s_members)
-            )
-            plat = self.lattices[pi]
-            cls = plat.class_of[plat.index_of(members)]
-            hit = (pi, self.canonical_class(pi, cls))
-            self._product_slices[key] = hit
-        return hit
+    # -- closure moves -------------------------------------------------------------
 
-    # -- cached deflation constants ----------------------------------------------
-
-    def deflation(self, gi: int, s_cls: int, n_idx: int) -> Fraction:
-        key = (gi, s_cls, n_idx)
-        hit = self._deflation_cache.get(key)
+    def quotient_moves(self, gi: int, cls: int) -> tuple[tuple[int, tuple[int, int]], ...]:
+        """(N, canonical image slice) of the slice (G, S) of class `cls` under
+        G -> G/N, for every nontrivial normal subgroup N of G = G_gi."""
+        key = (gi, cls)
+        hit = self._quotient_moves.get(key)
         if hit is None:
             lat = self.lattices[gi]
-            hit = deflation_constant(
-                self.groups[gi],
-                lat.subgroups[lat.class_reps[s_cls]].members,
-                lat.subgroups[n_idx].members,
-            )
-            self._deflation_cache[key] = hit
+            s_members = lat.subgroups[lat.class_reps[cls]].members
+            moves = []
+            # subgroups are sorted by order, so the trivial one comes first
+            for n_idx in lat.normal[1:]:
+                qi, comp = self.quotient_map(gi, n_idx)
+                qlat = self.lattices[qi]
+                image = qlat.class_of[qlat.index_of({comp[x] for x in s_members})]
+                moves.append((n_idx, (qi, self.canonical_class(qi, image))))
+            hit = self._quotient_moves[key] = tuple(moves)
         return hit
 
-    def deflation_nonzero(self, gi: int, s_cls: int, n_idx: int) -> bool:
-        key = (gi, s_cls, n_idx)
-        hit = self._deflation_cache.get(key)
-        if hit is not None:
-            return hit != 0
-        lat = self.lattices[gi]
-        return deflation_constant_is_nonzero(
-            self.groups[gi],
-            lat.subgroups[lat.class_reps[s_cls]].members,
-            lat.subgroups[n_idx].members,
-        )
+    def product_moves(self, ti: int, s_cls: int) -> tuple[tuple[int, int, tuple[int, int]], ...]:
+        """(B, A, canonical class of (B x T, A x S)) for the slice (T, S) of
+        class `s_cls` of T = G_ti and every universe slice (B, A) with
+        |B||T| within the bound, in universe order."""
+        key = (ti, s_cls)
+        hit = self._product_moves.get(key)
+        if hit is None:
+            t_order = self.groups[ti].order
+            lat_t = self.lattices[ti]
+            s_members = lat_t.subgroups[lat_t.class_reps[s_cls]].members
+            moves = []
+            for bi, b_group in enumerate(self.groups):
+                if b_group.order * t_order > self.bound:
+                    continue
+                pi, images = self.product_map(bi, ti)
+                lat_b, plat = self.lattices[bi], self.lattices[pi]
+                for a_cls, a_rep in enumerate(lat_b.class_reps):
+                    idx = plat.index_of(
+                        images[a * t_order + s]
+                        for a in lat_b.subgroups[a_rep].members
+                        for s in s_members
+                    )
+                    pcls = self.canonical_class(pi, plat.class_of[idx])
+                    moves.append((bi, a_cls, (pi, pcls)))
+            hit = self._product_moves[key] = tuple(moves)
+        return hit
+
+    def deflates(self, gi: int, cls: int, n_idx: int) -> bool:
+        """Whether deflating the slice (G, S) of class `cls` by the normal
+        subgroup N of G = G_gi has a nonzero constant."""
+        key = (gi, cls, n_idx)
+        hit = self._deflates.get(key)
+        if hit is None:
+            lat = self.lattices[gi]
+            hit = self._deflates[key] = deflation_constant_is_nonzero(
+                self.groups[gi],
+                lat.subgroups[lat.class_reps[cls]].members,
+                lat.subgroups[n_idx].members,
+            )
+        return hit
+
+    def surjection_sources(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """Canonical slices that surject onto each canonical slice, keyed by
+        the target: a member target forces its sources into an ideal."""
+        if self._surjection_sources is None:
+            sources: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            for gi, canon in enumerate(self._canon):
+                for cls, canon_cls in enumerate(canon):
+                    src = (gi, canon_cls)
+                    for _, tgt in self.quotient_moves(gi, cls):
+                        if tgt != src:
+                            sources.setdefault(tgt, []).append(src)
+            self._surjection_sources = sources
+        return self._surjection_sources
 
     # -- inventory -----------------------------------------------------------------
 
@@ -465,25 +480,18 @@ def check_conditions(family: SliceFamily, universe: GroupUniverse) -> ConditionR
     product order stays within the bound.  Violations carry witnesses.
     """
     report = ConditionReport(family.id, universe.prime, universe.bound)
-    member_cache: dict[tuple[int, int], bool] = {}
-
-    def is_member(gi: int, cls: int) -> bool:
-        key = (gi, cls)
-        hit = member_cache.get(key)
-        if hit is None:
-            g = universe.groups[gi]
-            lat = universe.lattices[gi]
-            s = lat.subgroups[lat.class_reps[cls]]
-            hit = family(g, tuple(range(g.order)), s.members)
-            member_cache[key] = hit
-        return hit
+    member: dict[tuple[int, int], bool] = {}
+    for gi, g in enumerate(universe.groups):
+        lat = universe.lattices[gi]
+        full = tuple(range(g.order))
+        for cls, rep in enumerate(lat.class_reps):
+            member[gi, cls] = family(g, full, lat.subgroups[rep].members)
+    report.slices_checked = len(member)
 
     # isomorphism invariance: classes merged by automorphisms must agree
     for gi, g in enumerate(universe.groups):
-        lat = universe.lattices[gi]
-        for canon_cls, orbit in universe._orbit[gi].items():
-            values = {is_member(gi, c) for c in orbit}
-            if len(values) > 1:
+        for orbit in universe._orbit[gi].values():
+            if len({member[gi, c] for c in orbit}) > 1:
                 report.iso_violations.append(
                     {
                         "group": g.label,
@@ -491,60 +499,48 @@ def check_conditions(family: SliceFamily, universe: GroupUniverse) -> ConditionR
                     }
                 )
 
-    for gi, g in enumerate(universe.groups):
+    for (gi, cls), member_here in member.items():
         lat = universe.lattices[gi]
-        full = tuple(range(g.order))
-        triv = lat.index_of([g.identity])
-        nontrivial_normals = [n for n in lat.normal if n != triv]
-        for cls in range(len(lat.class_reps)):
-            report.slices_checked += 1
-            s_members = lat.subgroups[lat.class_reps[cls]].members
-            member_here = is_member(gi, cls)
-            for n_idx in nontrivial_normals:
-                qi, qcls = universe.quotient_slice(gi, cls, n_idx)
-                quotient_member = is_member(qi, qcls)
-                # preimage closure: member quotient forces member source
-                if quotient_member and not member_here:
-                    report.preimage_violations.append(
-                        {
-                            "source": universe.describe_class(gi, cls),
-                            "via_normal": list(lat.subgroups[n_idx].members),
-                            "quotient": universe.describe_class(qi, qcls),
-                        }
-                    )
-                # deflation closure: member source with nonzero constant
-                if member_here and not quotient_member:
-                    if universe.deflation_nonzero(gi, cls, n_idx):
-                        m = universe.deflation(gi, cls, n_idx)
-                        report.deflation_violations.append(
-                            {
-                                "source": universe.describe_class(gi, cls),
-                                "via_normal": list(lat.subgroups[n_idx].members),
-                                "constant": str(m),
-                                "quotient": universe.describe_class(qi, qcls),
-                            }
-                        )
+        for n_idx, (qi, qcls) in universe.quotient_moves(gi, cls):
+            quotient_member = member[qi, qcls]
+            # preimage closure: member quotient forces member source
+            if quotient_member and not member_here:
+                report.preimage_violations.append(
+                    {
+                        "source": universe.describe_class(gi, cls),
+                        "via_normal": list(lat.subgroups[n_idx].members),
+                        "quotient": universe.describe_class(qi, qcls),
+                    }
+                )
+            # deflation closure: member source with nonzero constant
+            if member_here and not quotient_member and universe.deflates(gi, cls, n_idx):
+                m = deflation_constant(
+                    universe.groups[gi],
+                    lat.subgroups[lat.class_reps[cls]].members,
+                    lat.subgroups[n_idx].members,
+                )
+                report.deflation_violations.append(
+                    {
+                        "source": universe.describe_class(gi, cls),
+                        "via_normal": list(lat.subgroups[n_idx].members),
+                        "constant": str(m),
+                        "quotient": universe.describe_class(qi, qcls),
+                    }
+                )
 
     # product closure for members, within the bound
-    for ti, t_group in enumerate(universe.groups):
-        lat_t = universe.lattices[ti]
-        for s_cls in range(len(lat_t.class_reps)):
-            if not is_member(ti, s_cls):
-                continue
-            for bi, b_group in enumerate(universe.groups):
-                if b_group.order * t_group.order > universe.bound:
-                    continue
-                lat_b = universe.lattices[bi]
-                for a_cls in range(len(lat_b.class_reps)):
-                    pi, pcls = universe.product_slice(bi, a_cls, ti, s_cls)
-                    if not is_member(pi, pcls):
-                        report.product_violations.append(
-                            {
-                                "member": universe.describe_class(ti, s_cls),
-                                "factor": universe.describe_class(bi, a_cls),
-                                "product": universe.describe_class(pi, pcls),
-                            }
-                        )
+    for (ti, s_cls), member_here in member.items():
+        if not member_here:
+            continue
+        for bi, a_cls, (pi, pcls) in universe.product_moves(ti, s_cls):
+            if not member[pi, pcls]:
+                report.product_violations.append(
+                    {
+                        "member": universe.describe_class(ti, s_cls),
+                        "factor": universe.describe_class(bi, a_cls),
+                        "product": universe.describe_class(pi, pcls),
+                    }
+                )
     return report
 
 
@@ -563,22 +559,8 @@ def bounded_closure(
     universe (derivations may leave any finite bound).
     """
     seed = universe.locate_slice(seed_group, seed_s_members)
-
-    # surjection edges indexed by quotient target: member target forces source
-    sources_of: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for gi, g in enumerate(universe.groups):
-        lat = universe.lattices[gi]
-        triv = lat.index_of([g.identity])
-        for cls in range(len(lat.class_reps)):
-            src = (gi, universe.canonical_class(gi, cls))
-            for n_idx in lat.normal:
-                if n_idx == triv:
-                    continue
-                tgt = universe.quotient_slice(gi, cls, n_idx)
-                if tgt != src:
-                    sources_of.setdefault(tgt, []).append(src)
-
-    inventory = universe.all_abstract_classes()
+    sources = universe.surjection_sources()
+    inventory = len(universe.all_abstract_classes())
     members: set[tuple[int, int]] = set()
     queue: list[tuple[int, int]] = []
 
@@ -588,35 +570,17 @@ def bounded_closure(
             queue.append(pair)
 
     add(seed)
-    while queue:
-        if len(members) == len(inventory):
-            break
+    while queue and len(members) < inventory:
         gi, canon_cls = queue.pop()
-        # sources of surjections onto the new member
-        for src in sources_of.get((gi, canon_cls), ()):
+        for src in sources.get((gi, canon_cls), ()):
             add(src)
-        # deflations with nonzero constant (evaluated only when the target
-        # is still missing)
-        lat = universe.lattices[gi]
-        triv = lat.index_of([universe.groups[gi].identity])
         for cls in universe.class_orbit(gi, canon_cls):
-            for n_idx in lat.normal:
-                if n_idx == triv:
-                    continue
-                tgt = universe.quotient_slice(gi, cls, n_idx)
-                if tgt in members:
-                    continue
-                if universe.deflation_nonzero(gi, cls, n_idx):
+            # deflation constants are tested only while the image is missing
+            for n_idx, tgt in universe.quotient_moves(gi, cls):
+                if tgt not in members and universe.deflates(gi, cls, n_idx):
                     add(tgt)
-        # products with arbitrary slices, inside the bound
-        t_order = universe.groups[gi].order
-        for bi, b_group in enumerate(universe.groups):
-            if b_group.order * t_order > universe.bound:
-                continue
-            lat_b = universe.lattices[bi]
-            for s_cls in universe.class_orbit(gi, canon_cls):
-                for a_cls in range(len(lat_b.class_reps)):
-                    add(universe.product_slice(bi, a_cls, gi, s_cls))
+            for _, _, prod in universe.product_moves(gi, cls):
+                add(prod)
     return members
 
 
@@ -666,14 +630,18 @@ def burnside_embedding(group: FiniteGroup) -> list[SliceRingElement]:
     return out
 
 
-def burnside_image_rank(group: FiniteGroup) -> int:
-    table = slice_classes(group)
+def _embedded_columns(table: SliceClassTable) -> list[list[int]]:
+    """Mark columns of the embedded Burnside basis, one dense row each."""
     matrix = table.mark_matrix()
-    rows = []
-    for elem in burnside_embedding(group):
+    out = []
+    for elem in burnside_embedding(table.group):
         (cls,) = elem.coeffs
-        rows.append([matrix[r][cls] for r in range(table.size)])
-    return rational_rank(rows)
+        out.append([matrix[r][cls] for r in range(table.size)])
+    return out
+
+
+def burnside_image_rank(group: FiniteGroup) -> int:
+    return rational_rank(_embedded_columns(slice_classes(group)))
 
 
 def intersection_dimension(group: FiniteGroup, family: SliceFamily) -> int:
@@ -682,13 +650,8 @@ def intersection_dimension(group: FiniteGroup, family: SliceFamily) -> int:
     span of the member coordinate axes, so the intersection dimension is
     the rank drop of the embedded basis restricted to non-member axes."""
     table = slice_classes(group)
-    matrix = table.mark_matrix()
+    full_rows = _embedded_columns(table)
     members = set(member_classes(table, family))
     non_member_rows = [r for r in range(table.size) if r not in members]
-    full_rows = []
-    restricted_rows = []
-    for elem in burnside_embedding(group):
-        (cls,) = elem.coeffs
-        full_rows.append([matrix[r][cls] for r in range(table.size)])
-        restricted_rows.append([matrix[r][cls] for r in non_member_rows])
+    restricted_rows = [[row[r] for r in non_member_rows] for row in full_rows]
     return rational_rank(full_rows) - rational_rank(restricted_rows)

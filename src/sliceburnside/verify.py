@@ -115,7 +115,7 @@ def corpus() -> _Corpus:
 def _result(name: str, started: float, failures: list[str], detail: str = "") -> CheckResult:
     ok = not failures
     msg = detail if ok else "; ".join(failures[:4])
-    return CheckResult(name, ok, msg, time.time() - started)
+    return CheckResult(name, ok, msg, time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def _result(name: str, started: float, failures: list[str], detail: str = "") ->
 
 
 def check_idempotents() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     classes = 0
     for g in corpus().groups:
@@ -160,7 +160,7 @@ def check_idempotents() -> CheckResult:
 
 
 def check_multiplication_oracle() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     pairs_checked = 0
     rng = random.Random(20170502)
@@ -199,7 +199,7 @@ def check_multiplication_oracle() -> CheckResult:
 
 
 def check_biset_transport() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     configs = 0
     for g in corpus().groups:
@@ -300,7 +300,7 @@ def check_biset_transport() -> CheckResult:
 
 
 def check_constants() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     configs = 0
     for g in corpus().groups:
@@ -431,7 +431,7 @@ def _rank_of(p: int, size: int) -> int:
 
 
 def check_classifications() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     for p, bound in ((2, 16), (3, 27)):
         universe = GroupUniverse(p, bound)
@@ -473,7 +473,7 @@ DIMENSION_TABLE = (
 
 
 def check_dimension_tables() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     j3 = FAMILIES["J3"]
     for spec, expected in DIMENSION_TABLE:
@@ -492,7 +492,7 @@ def check_dimension_tables() -> CheckResult:
 
 
 def check_ideal_lattice() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     for g, p in corpus().p_groups:
         table = slice_classes(g)
@@ -535,7 +535,7 @@ def check_ideal_lattice() -> CheckResult:
 
 
 def check_minimal_groups() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     universe = GroupUniverse(3, 27)
     mins = minimal_groups(FAMILIES["J3"], universe)
@@ -558,7 +558,7 @@ def check_minimal_groups() -> CheckResult:
 
 
 def check_embedding() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     j1 = FAMILIES["J1"]
     for g, p in corpus().p_groups:
@@ -579,7 +579,7 @@ def check_embedding() -> CheckResult:
 
 
 def check_family_conditions() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures: list[str] = []
     for p in (2, 3):
         universe = GroupUniverse(p, p**3)
@@ -608,10 +608,11 @@ ALL_CHECKS = (
 
 
 def run_all(deep: bool = False) -> list[CheckResult]:
-    """Run the full verification suite; `deep` forces the oracle comparison
-    inside every elementary-operation call."""
+    """Run the full verification suite; `deep`, or oracle checking already
+    switched on, forces the oracle comparison inside every elementary-operation
+    call."""
     previous = bisetops.oracle_checking()
-    bisetops.set_oracle_checking(deep)
+    bisetops.set_oracle_checking(deep or previous)
     try:
         return [check() for check in ALL_CHECKS]
     finally:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sliceburnside import bisetops, verify
 from sliceburnside.cli import main, parse_slice
 from sliceburnside.groups import GroupError, group_from_spec
 
@@ -65,6 +66,30 @@ def test_mul_with_debug_oracle(capsys):
         capsys, "--debug-oracle", "mul", "dihedral:8", "T=*;S=g1", "T=*;S=g4"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv,deep",
+    [
+        (("verify",), False),
+        (("verify", "--deep"), True),
+        (("--debug-oracle", "verify"), True),
+        (("--debug-oracle", "verify", "--deep"), True),
+    ],
+)
+def test_verify_runs_deep_when_either_flag_is_given(capsys, monkeypatch, argv, deep):
+    seen = []
+
+    def fake_check():
+        seen.append(bisetops.oracle_checking())
+        return verify.CheckResult("fake", True, "", 0.0)
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", (fake_check,))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "[PASS] fake" in out
+    assert seen == [deep]
+    assert bisetops.oracle_checking() is False
 
 
 def test_mconst_command(capsys):
