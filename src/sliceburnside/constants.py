@@ -17,7 +17,6 @@ from .groups import (
     close_under_product,
     frattini,
     is_normal,
-    normalizer,
     quotient,
     set_product,
     subgroup_as_group,
@@ -33,12 +32,15 @@ def _joins_to_full(lat, v: int, n: int, full_size: int) -> bool:
 def supplement_moebius_sum(group: FiniteGroup, s_members, n_members) -> int:
     """Sum of moebius(V, G) over subgroups V containing S with V*N = G."""
     lat = all_subgroups(group)
-    s = lat.index_of(s_members)
-    n = lat.index_of(n_members)
-    full = lat.index_of(range(group.order))
+    return _supplement_sum(lat, lat.index_of(s_members), lat.index_of(n_members))
+
+
+def _supplement_sum(lat, s: int, n: int) -> int:
+    # subgroups are sorted by order, so the whole group comes last
+    full = len(lat.subgroups) - 1
     total = 0
     for v in lat.above[s]:
-        if _joins_to_full(lat, v, n, group.order):
+        if _joins_to_full(lat, v, n, lat.group.order):
             total += lat.moebius(v, full)
     return total
 
@@ -68,28 +70,27 @@ def deflation_constant(group: FiniteGroup, s_members, n_members) -> Fraction:
     """
     if not is_normal(group, n_members):
         raise GroupError("deflation constant needs a normal subgroup")
-    sn_members = set_product(group, s_members, n_members)
-    norm_sn = len(normalizer(group, sn_members))
-    norm_s = len(normalizer(group, s_members))
-    prefactor = Fraction(norm_sn, len(sn_members) * norm_s)
-    lower = _lower_moebius_sum(group, s_members, n_members)
-    upper = supplement_moebius_sum(group, s_members, n_members)
-    return prefactor * lower * upper
+    lat = all_subgroups(group)
+    s, n = lat.index_of(s_members), lat.index_of(n_members)
+    sn = lat.index_of(set_product(group, s_members, n_members))
+    rows = lat.conj_table
+    norm_sn = sum(1 for row in rows if row[sn] == sn)
+    norm_s = sum(1 for row in rows if row[s] == s)
+    prefactor = Fraction(norm_sn, len(lat.subgroups[sn]) * norm_s)
+    return prefactor * _lower_moebius_sum(lat, s, n) * _supplement_sum(lat, s, n)
 
 
 def deflation_constant_is_nonzero(group: FiniteGroup, s_members, n_members) -> bool:
     """Fast zero test: the prefactor of normalizer indices is positive, so
     the constant vanishes exactly when one of the two Moebius sums does."""
-    if _lower_moebius_sum(group, s_members, n_members) == 0:
-        return False
-    return supplement_moebius_sum(group, s_members, n_members) != 0
-
-
-def _lower_moebius_sum(group: FiniteGroup, s_members, n_members) -> int:
-    # sum of |U| moebius(U, S) over U <= S with U*N = S*N
     lat = all_subgroups(group)
-    s = lat.index_of(s_members)
-    n_mask = lat.masks[lat.index_of(n_members)]
+    s, n = lat.index_of(s_members), lat.index_of(n_members)
+    return _lower_moebius_sum(lat, s, n) != 0 and _supplement_sum(lat, s, n) != 0
+
+
+def _lower_moebius_sum(lat, s: int, n: int) -> int:
+    # sum of |U| moebius(U, S) over U <= S with U*N = S*N
+    n_mask = lat.masks[n]
     s_ratio = len(lat.subgroups[s]) // (lat.masks[s] & n_mask).bit_count()
     lower = 0
     for u in lat.below[s]:
@@ -153,8 +154,8 @@ def is_abelian_members(group: FiniteGroup, members) -> bool:
 
 def minimal_normal_subgroups(group: FiniteGroup) -> list[Subgroup]:
     lat = all_subgroups(group)
-    triv = lat.index_of([group.identity])
-    normals = [i for i in lat.normal if i != triv]
+    # subgroups are sorted by order, so the trivial one comes first
+    normals = lat.normal[1:]
     out = []
     for i in normals:
         if not any(
@@ -201,8 +202,8 @@ def complement_count_formula_check(
 
 def nontrivial_normal_subgroups(group: FiniteGroup) -> list[Subgroup]:
     lat = all_subgroups(group)
-    triv = lat.index_of([group.identity])
-    return [lat.subgroups[i] for i in lat.normal if i != triv]
+    # subgroups are sorted by order, so the trivial one comes first
+    return [lat.subgroups[i] for i in lat.normal[1:]]
 
 
 def is_b_group(group: FiniteGroup) -> bool:

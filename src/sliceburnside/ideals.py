@@ -239,23 +239,13 @@ class GroupUniverse:
                     )
                 )
             return tuple(canon)
-        canon = list(range(nclasses))
-        for aut in automorphisms(g):
-            for cls in range(nclasses):
-                sub = lat.subgroups[lat.class_reps[cls]]
-                image = lat.index_of(tuple(sorted(aut[x] for x in sub.members)))
-                icls = lat.class_of[image]
-                if canon[icls] > canon[cls]:
-                    canon[icls] = canon[cls]
-        # propagate minima to closure (orbits may be discovered out of order)
-        changed = True
-        while changed:
-            changed = False
-            for cls in range(nclasses):
-                root = canon[canon[cls]]
-                if canon[cls] != root:
-                    canon[cls] = root
-                    changed = True
+        auts = automorphisms(g)
+        canon = []
+        for rep in lat.class_reps:
+            members = lat.subgroups[rep].members
+            canon.append(
+                min(lat.class_of[lat.index_of(aut[x] for x in members)] for aut in auts)
+            )
         return tuple(canon)
 
     def canonical_class(self, gi: int, cls: int) -> int:
@@ -622,21 +612,16 @@ def burnside_embedding(group: FiniteGroup) -> list[SliceRingElement]:
     """Images of the Burnside-ring basis: the class of G/S maps to the
     class of its identity morphism, the diagonal slice (S, S)."""
     table = slice_classes(group)
-    lat = table.lattice
-    out = []
-    for rep in lat.class_reps:
-        members = lat.subgroups[rep].members
-        out.append(table.basis_element(table.class_index(members, members)))
-    return out
+    return [table.basis_element(table.class_of[i, i]) for i in table.lattice.class_reps]
 
 
 def _embedded_columns(table: SliceClassTable) -> list[list[int]]:
     """Mark columns of the embedded Burnside basis, one dense row each."""
-    matrix = table.mark_matrix()
+    columns = table.mark_columns()
     out = []
     for elem in burnside_embedding(table.group):
         (cls,) = elem.coeffs
-        out.append([matrix[r][cls] for r in range(table.size)])
+        out.append([columns[cls].get(r, 0) for r in range(table.size)])
     return out
 
 

@@ -2,7 +2,8 @@
 
 The ring is free on conjugacy classes of slices (T, S) with S <= T <= G;
 the class of (T, S) is realised by the coset projection G/S -> G/T.  Marks
-are computed in closed form from the subgroup lattice; the G-set count
+are computed in closed form from the subgroup lattice and stored only as
+sparse columns; the dense mark matrix is built on request.  The G-set count
 `gsets.hom_count` is kept only as the oracle that checks them.  All
 coefficients are `fractions.Fraction`; nothing here ever touches floats.
 """
@@ -19,7 +20,6 @@ from .groups import (
     GroupError,
     all_subgroups,
     double_cosets,
-    slice_normalizer,
 )
 from . import gsets
 
@@ -36,32 +36,27 @@ class SliceClassTable:
         self.lattice = all_subgroups(group)
         lat = self.lattice
         nsub = len(lat.subgroups)
-        pairs = [
-            (t, s)
-            for t in range(nsub)
-            for s in lat.below[t]
-        ]
         class_of: dict[tuple[int, int], int] = {}
         reps: list[tuple[int, int]] = []
-        for pair in sorted(pairs):
-            if pair in class_of:
-                continue
-            orbit = set()
-            for g in range(group.order):
-                row = lat.conj_table[g]
-                orbit.add((row[pair[0]], row[pair[1]]))
-            rep = min(orbit)
-            cls = len(reps)
-            reps.append(rep)
-            for q in orbit:
-                class_of[q] = cls
+        sizes: list[int] = []
+        # pairs come in ascending order, so each orbit is met at its least pair
+        for t in range(nsub):
+            for s in lat.below[t]:
+                if (t, s) in class_of:
+                    continue
+                orbit = {(row[t], row[s]) for row in lat.conj_table}
+                cls = len(reps)
+                reps.append((t, s))
+                sizes.append(len(orbit))
+                for q in orbit:
+                    class_of[q] = cls
         self.reps = tuple(reps)
         self.class_of = class_of
+        self.class_sizes = tuple(sizes)
         self.size = len(reps)
         self._coset_spaces: dict[int, gsets.GSet] = {}
         self._projections: dict[int, gsets.GSetMorphism] = {}
-        self._mark_matrix: list[list[int]] | None = None
-        self._mark_columns: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
+        self._mark_columns: list[dict[int, int]] | None = None
         self._basis_products: dict[tuple[int, int], dict[int, int]] = {}
         self._idempotents: list[SliceRingElement | None] = [None] * len(reps)
 
@@ -131,46 +126,45 @@ class SliceClassTable:
 
     # -- marks ----------------------------------------------------------------
 
-    def mark_matrix(self) -> list[list[int]]:
-        """Integer matrix of marks: row (T,S), column (V,U).
+    def mark_columns(self) -> list[dict[int, int]]:
+        """Nonzero marks of each column (V,U) as a {row (T,S): mark} dict.
 
         Closed form (Bouc): the mark of (V,U) at (T,S) is the number of
         cosets gU with S <= gU and T <= gV, i.e. the number of g with both
-        inclusions, divided by |U|.  `gsets.hom_count` is the oracle.
+        inclusions, divided by |U|.  One pass over `class_of` visits every
+        conjugate of every column.  `gsets.hom_count` is the oracle.
         """
-        if self._mark_matrix is None:
+        if self._mark_columns is None:
             lat = self.lattice
             masks = lat.masks
             rows_by_t: dict[int, list[tuple[int, int]]] = {}
             for r, (t, s) in enumerate(self.reps):
                 rows_by_t.setdefault(t, []).append((masks[s], r))
-            matrix = [[0] * self.size for _ in range(self.size)]
-            columns = []
-            for c, (v, u) in enumerate(self.reps):
-                orbit = {(row[v], row[u]) for row in lat.conj_table}
+            columns: list[dict[int, int]] = [{} for _ in range(self.size)]
+            for (v, u), c in self.class_of.items():
+                mu = masks[u]
+                hits = columns[c]
+                for t in lat.below[v]:
+                    for ms, r in rows_by_t.get(t, ()):
+                        if ms & mu == ms:
+                            hits[r] = hits.get(r, 0) + 1
+            for c, (_, u) in enumerate(self.reps):
                 # each conjugate pair is hit by |N_G(V,U)| elements g
-                weight = self.group.order // len(orbit) // len(lat.subgroups[u])
-                hits: dict[int, int] = {}
-                for v2, u2 in orbit:
-                    mu = masks[u2]
-                    for t in lat.below[v2]:
-                        for ms, r in rows_by_t.get(t, ()):
-                            if ms & mu == ms:
-                                hits[r] = hits.get(r, 0) + 1
-                rows = tuple(sorted(hits))
-                marks = tuple(hits[r] * weight for r in rows)
-                for r, m in zip(rows, marks):
-                    matrix[r][c] = m
-                columns.append((rows, marks))
+                weight = self.group.order // self.class_sizes[c] // len(lat.subgroups[u])
+                hits = columns[c]
+                for r in hits:
+                    hits[r] *= weight
             self._mark_columns = columns
-            self._mark_matrix = matrix
-        return self._mark_matrix
-
-    def mark_columns(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Nonzero marks of each column as (rows, marks), rows ascending."""
-        if self._mark_columns is None:
-            self.mark_matrix()
         return self._mark_columns
+
+    def mark_matrix(self) -> list[list[int]]:
+        """Dense integer matrix of marks, row (T,S), column (V,U), filled
+        from `mark_columns` on each call."""
+        matrix = [[0] * self.size for _ in range(self.size)]
+        for c, column in enumerate(self.mark_columns()):
+            for r, m in column.items():
+                matrix[r][c] = m
+        return matrix
 
     # -- multiplication --------------------------------------------------------
 
@@ -204,10 +198,8 @@ class SliceClassTable:
         lat = self.lattice
         t, s = self.reps[cls]
         t_mask = lat.masks[t]
-        norm = slice_normalizer(
-            self.group, lat.subgroups[t].members, lat.subgroups[s].members
-        )
-        scale = Fraction(1, len(norm))
+        # 1 / |N_G(T,S)|, the class size over |G|
+        scale = Fraction(self.class_sizes[cls], self.group.order)
         coeffs: dict[int, Fraction] = {}
         for u in lat.below[s]:
             wu = len(lat.subgroups[u]) * lat.moebius(u, s)
@@ -326,17 +318,16 @@ class SliceRingElement:
         return den, {c: q.numerator * (den // q.denominator) for c, q in self.coeffs.items()}
 
     def mark(self, cls: int) -> Fraction:
-        row = self.table.mark_matrix()[cls]
+        columns = self.table.mark_columns()
         den, ints = self._integer_coeffs()
-        return Fraction(sum(n * row[c] for c, n in ints.items()), den)
+        return Fraction(sum(n * columns[c].get(cls, 0) for c, n in ints.items()), den)
 
     def mark_vector(self) -> tuple[Fraction, ...]:
         columns = self.table.mark_columns()
         den, ints = self._integer_coeffs()
         acc = [0] * self.table.size
         for c, n in ints.items():
-            rows, marks = columns[c]
-            for r, m in zip(rows, marks):
+            for r, m in columns[c].items():
                 acc[r] += n * m
         return tuple(Fraction(v, den) for v in acc)
 

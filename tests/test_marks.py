@@ -1,15 +1,18 @@
 """The closed-form mark matrix against the G-set oracle `gsets.hom_count`,
-and the sparse-column mark vectors against the dense matrix."""
+and the sparse-column mark vectors against the dense matrix, which is only
+built for callers that ask for it."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from sliceburnside import gsets, verify
+from sliceburnside import cli, gsets, verify
 from sliceburnside.groups import from_permutation_generators, group_from_spec
-from sliceburnside.ring import SliceRingElement, slice_classes
+from sliceburnside.ideals import FAMILIES, burnside_image_rank, intersection_dimension
+from sliceburnside.ring import SliceClassTable, SliceRingElement, slice_classes
 
 
 def oracle_marks(table):
@@ -27,9 +30,8 @@ def assert_marks_match_oracle(table):
 
 def assert_columns_match_matrix(table):
     matrix = table.mark_matrix()
-    for c, (rows, marks) in enumerate(table.mark_columns()):
-        assert list(rows) == sorted(rows)
-        assert dict(zip(rows, marks)) == {
+    for c, column in enumerate(table.mark_columns()):
+        assert column == {
             r: matrix[r][c] for r in range(table.size) if matrix[r][c]
         }
 
@@ -108,3 +110,41 @@ def test_closed_form_matches_oracle_on_small_perm_groups(group, data):
         assert elem.mark_vector() == dense_mark_vector(elem)
         cls = data.draw(st.integers(0, table.size - 1))
         assert elem.mark(cls) == dense_mark_vector(elem)[cls]
+
+
+@pytest.mark.parametrize(
+    "spec, classes, j4_dimension", [("elab:2^4", 67, 51), ("heis:3", 11, 5)]
+)
+def test_marks_ranks_and_idempotents_never_build_the_dense_matrix(
+    spec, classes, j4_dimension, monkeypatch
+):
+    def refuse(self):
+        raise AssertionError("the dense mark matrix was built")
+
+    monkeypatch.setattr(SliceClassTable, "mark_matrix", refuse)
+    group = group_from_spec(spec)
+    table = slice_classes(group)
+    xs = table.idempotents()
+    for cls in (0, table.size // 2, table.size - 1):
+        assert xs[cls].mark_vector() == tuple(
+            Fraction(int(r == cls)) for r in range(table.size)
+        )
+        assert xs[cls].mark(cls) == 1
+    assert burnside_image_rank(group) == classes
+    assert intersection_dimension(group, FAMILIES["J4"]) == j4_dimension
+    assert intersection_dimension(group, FAMILIES["FULL"]) == classes
+
+
+MARKS_DIGESTS = {
+    ("--format", "json", "marks", "heis:3 * cyclic:3"):
+        "789d7ae4e49fa12c954b28025f1589ea1d9f0fd72c76a8e96504a149d9d49617",
+    ("marks", "dihedral:16"):
+        "ca00a4af7592aa5b3e20e52f8e70dfeb12fe95e89b1f3014ed0f14c5bf67fa38",
+}
+
+
+@pytest.mark.parametrize("argv", list(MARKS_DIGESTS), ids=["heis-c3-json", "d16-csv"])
+def test_marks_cli_output_is_pinned(argv, capsys):
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == MARKS_DIGESTS[argv]
