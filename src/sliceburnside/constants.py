@@ -51,13 +51,9 @@ def classical_deflation_constant(group: FiniteGroup, n_members) -> Fraction:
     if not is_normal(group, n_members):
         raise GroupError("deflation constant needs a normal subgroup")
     lat = all_subgroups(group)
-    n = lat.index_of(n_members)
-    full = lat.index_of(range(group.order))
-    total = 0
-    for u in range(len(lat.subgroups)):
-        if _joins_to_full(lat, u, n, group.order):
-            total += len(lat.subgroups[u]) * lat.moebius(u, full)
-    return Fraction(total, group.order)
+    # with S = G the lower sum's condition U*N = S*N is U*N = G
+    full = len(lat.subgroups) - 1
+    return Fraction(_lower_moebius_sum(lat, full, lat.index_of(n_members)), group.order)
 
 
 def deflation_constant(group: FiniteGroup, s_members, n_members) -> Fraction:
@@ -81,10 +77,15 @@ def deflation_constant(group: FiniteGroup, s_members, n_members) -> Fraction:
 
 
 def deflation_constant_is_nonzero(group: FiniteGroup, s_members, n_members) -> bool:
-    """Fast zero test: the prefactor of normalizer indices is positive, so
-    the constant vanishes exactly when one of the two Moebius sums does."""
+    """Fast zero test of `deflation_constant`, see `deflation_is_nonzero_at`."""
     lat = all_subgroups(group)
-    s, n = lat.index_of(s_members), lat.index_of(n_members)
+    return deflation_is_nonzero_at(lat, lat.index_of(s_members), lat.index_of(n_members))
+
+
+def deflation_is_nonzero_at(lat, s: int, n: int) -> bool:
+    """Zero test on lattice indices: the prefactor of normalizer indices is
+    positive, so the constant vanishes exactly when one of the two Moebius
+    sums does."""
     return _lower_moebius_sum(lat, s, n) != 0 and _supplement_sum(lat, s, n) != 0
 
 

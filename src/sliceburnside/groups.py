@@ -4,6 +4,10 @@ Groups are immutable after construction and safe to share between threads.
 All derived structure (generators, subgroup lattice, automorphisms, the
 standalone groups of its subgroups) is cached on the group object; caches
 are filled before sharing in normal use.
+
+A subgroup lattice grows from the cyclic subgroups by one cyclic extension a
+round; sorted by order, it reads containment, the Moebius function and the
+maximal subgroups off that order.
 """
 
 from __future__ import annotations
@@ -177,9 +181,9 @@ def close_under_product(group: FiniteGroup, gens) -> tuple[int, ...]:
     queue = [group.identity]
     gens = [g for g in gens]
     while queue:
-        x = queue.pop()
+        row = group._mul[queue.pop()]
         for g in gens:
-            y = group.mul(x, g)
+            y = row[g]
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
@@ -484,25 +488,19 @@ class SubgroupLattice:
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.subgroups: list[Subgroup] = _enumerate_subgroups(group)
-        self.masks = [s.mask for s in self.subgroups]
-        self._index = {m: i for i, m in enumerate(self.masks)}
+        masks = self.masks = [s.mask for s in self.subgroups]
+        self._index = {m: i for i, m in enumerate(masks)}
         n = len(self.subgroups)
-        self.above = [
-            tuple(
-                j
-                for j in range(n)
-                if self.masks[i] & self.masks[j] == self.masks[i]
-            )
-            for i in range(n)
-        ]
+        # sorted by order, so every subgroup of i has an index <= i
         self.below = [
-            tuple(
-                j
-                for j in range(n)
-                if self.masks[j] & self.masks[i] == self.masks[j]
-            )
+            tuple(j for j in range(i + 1) if masks[j] & masks[i] == masks[j])
             for i in range(n)
         ]
+        above: list[list[int]] = [[] for _ in range(n)]
+        for i, down in enumerate(self.below):
+            for j in down:
+                above[j].append(i)
+        self.above = [tuple(up) for up in above]
         self._moebius = self._build_moebius()
         self.conj_table = self._build_conj_table()
         self.class_reps, self.class_of = self._build_classes()
@@ -513,26 +511,17 @@ class SubgroupLattice:
     # -- construction ------------------------------------------------------
 
     def _build_moebius(self) -> dict[tuple[int, int], int]:
-        # moebius(U,V) over the containment poset, all comparable pairs
+        # moebius(U,V) over the containment poset, all comparable pairs; each
+        # above[u] is ascending, so it lists the interval [U, G] by order
         mu: dict[tuple[int, int], int] = {}
-        order_by_size = sorted(
-            range(len(self.subgroups)), key=lambda i: len(self.subgroups[i])
-        )
-        for u in range(len(self.subgroups)):
-            above_u = set(self.above[u])
-            interval = [k for k in order_by_size if k in above_u]
-            for v in interval:
-                if v == u:
-                    mu[u, u] = 1
-                    continue
-                vm = self.masks[v]
-                acc = 0
-                for k in interval:
-                    if k == v:
-                        break
-                    if self.masks[k] & vm == self.masks[k]:
-                        acc += mu[u, k]
-                mu[u, v] = -acc
+        masks = self.masks
+        for u, interval in enumerate(self.above):
+            mu[u, u] = 1
+            for pos in range(1, len(interval)):
+                vm = masks[interval[pos]]
+                mu[u, interval[pos]] = -sum(
+                    mu[u, k] for k in interval[:pos] if masks[k] & vm == masks[k]
+                )
         return mu
 
     def _build_conj_table(self) -> list[list[int]]:
@@ -582,28 +571,9 @@ class SubgroupLattice:
         except KeyError:
             raise GroupError("moebius requires contained subgroup pair") from None
 
-    def join(self, i: int, j: int) -> int:
-        mi, mj = self.masks[i], self.masks[j]
-        if mi & mj == mi:
-            return j
-        if mi & mj == mj:
-            return i
-        gen = close_under_product(
-            self.group,
-            self.subgroups[i].members + self.subgroups[j].members,
-        )
-        return self._index[_mask_of(gen)]
-
     def maximal_indices(self) -> tuple[int, ...]:
-        full = self._index[_mask_of(range(self.group.order))]
-        out = []
-        for i in range(len(self.subgroups)):
-            if i == full:
-                continue
-            strictly_above = [j for j in self.above[i] if j not in (i, full)]
-            if not strictly_above:
-                out.append(i)
-        return tuple(out)
+        full = len(self.subgroups) - 1
+        return tuple(i for i in range(full) if self.above[i] == (i, full))
 
     def frattini_index(self) -> int:
         mask = _mask_of(range(self.group.order))
@@ -613,26 +583,21 @@ class SubgroupLattice:
 
 
 def _enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    # cyclic subgroups, then close under pairwise join until stable
-    found: dict[int, tuple[int, ...]] = {}  # mask -> small generating set
-    triv = (group.identity,)
-    found[_mask_of(triv)] = ()
+    # the cyclic subgroups, then each subgroup found in the last round
+    # extended by every cyclic subgroup it does not contain
+    found: dict[int, tuple[int, ...]] = {_mask_of((group.identity,)): ()}
     for x in range(group.order):
-        mem = close_under_product(group, [x])
-        m = _mask_of(mem)
-        if m not in found:
-            found[m] = (x,)
+        found.setdefault(_mask_of(close_under_product(group, [x])), (x,))
+    cyclic = list(found.items())
     new_masks = list(found)
     while new_masks:
         batch = []
-        all_masks = list(found)
         for ma in new_masks:
-            for mb in all_masks:
-                if ma & mb == ma or ma & mb == mb:
+            for mc, gen in cyclic:
+                if mc & ma == mc:
                     continue
-                gens = found[ma] + found[mb]
-                mem = close_under_product(group, gens)
-                m = _mask_of(mem)
+                gens = found[ma] + gen
+                m = _mask_of(close_under_product(group, gens))
                 if m not in found:
                     found[m] = gens
                     batch.append(m)

@@ -27,7 +27,7 @@ from .groups import (
 )
 from .constants import (
     deflation_constant,
-    deflation_constant_is_nonzero,
+    deflation_is_nonzero_at,
     is_cyclic_members,
 )
 from .linalg import rational_rank
@@ -366,10 +366,8 @@ class GroupUniverse:
         hit = self._deflates.get(key)
         if hit is None:
             lat = self.lattices[gi]
-            hit = self._deflates[key] = deflation_constant_is_nonzero(
-                self.groups[gi],
-                lat.subgroups[lat.class_reps[cls]].members,
-                lat.subgroups[n_idx].members,
+            hit = self._deflates[key] = deflation_is_nonzero_at(
+                lat, lat.class_reps[cls], n_idx
             )
         return hit
 

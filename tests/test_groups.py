@@ -209,6 +209,143 @@ def test_frattini_normal_and_idempotent(spec):
     assert len(frattini(q.group)) == 1
 
 
+def mask_of(members):
+    return sum(1 << x for x in members)
+
+
+def reference_lattice(group):
+    """Every lattice field as the earlier build gave it: cyclic subgroups
+    joined pairwise with every known subgroup until nothing new appears,
+    all-pairs containment scans, and the Moebius recursion over each
+    interval re-sorted by order."""
+    found = {mask_of([group.identity]): ()}
+    for x in group.elements():
+        found.setdefault(mask_of(groups.close_under_product(group, [x])), (x,))
+    new_masks = list(found)
+    while new_masks:
+        batch = []
+        all_masks = list(found)
+        for ma in new_masks:
+            for mb in all_masks:
+                if ma & mb in (ma, mb):
+                    continue
+                gens = found[ma] + found[mb]
+                m = mask_of(groups.close_under_product(group, gens))
+                if m not in found:
+                    found[m] = gens
+                    batch.append(m)
+        new_masks = batch
+    members = sorted(
+        (tuple(x for x in group.elements() if m >> x & 1) for m in found),
+        key=lambda s: (len(s), s),
+    )
+    masks = [mask_of(s) for s in members]
+    n = len(masks)
+    above = [tuple(j for j in range(n) if masks[i] & masks[j] == masks[i]) for i in range(n)]
+    below = [tuple(j for j in range(n) if masks[j] & masks[i] == masks[j]) for i in range(n)]
+    mu = {}
+    by_size = sorted(range(n), key=lambda i: len(members[i]))
+    for u in range(n):
+        interval = [k for k in by_size if k in set(above[u])]
+        for v in interval:
+            mu[u, v] = 1 if v == u else -sum(
+                mu[u, k]
+                for k in interval[: interval.index(v)]
+                if masks[k] & masks[v] == masks[k]
+            )
+    index = {m: i for i, m in enumerate(masks)}
+    conj_table = [
+        [index[mask_of(group.conj(g, x) for x in s)] for s in members]
+        for g in group.elements()
+    ]
+    class_of = [None] * n
+    reps = []
+    for i in range(n):
+        if class_of[i] is None:
+            orbit = {row[i] for row in conj_table}
+            for j in orbit:
+                class_of[j] = len(reps)
+            reps.append(min(orbit))
+    full = index[mask_of(group.elements())]
+    maximal = tuple(
+        i
+        for i in range(n)
+        if i != full and not [j for j in above[i] if j not in (i, full)]
+    )
+    phi = masks[full]
+    for i in maximal:
+        phi &= masks[i]
+    return {
+        "subgroups": members,
+        "masks": masks,
+        "above": above,
+        "below": below,
+        "moebius": mu,
+        "conj_table": conj_table,
+        "class_reps": tuple(reps),
+        "class_of": tuple(class_of),
+        "normal": tuple(i for i in range(n) if all(row[i] == i for row in conj_table)),
+        "maximal": maximal,
+        "frattini": index[phi],
+    }
+
+
+def lattice_fields(group):
+    lat = all_subgroups(group)
+    return {
+        "subgroups": [s.members for s in lat.subgroups],
+        "masks": lat.masks,
+        "above": list(lat.above),
+        "below": list(lat.below),
+        "moebius": lat._moebius,
+        "conj_table": lat.conj_table,
+        "class_reps": lat.class_reps,
+        "class_of": lat.class_of,
+        "normal": lat.normal,
+        "maximal": lat.maximal_indices(),
+        "frattini": lat.frattini_index(),
+    }
+
+
+LATTICE_SPECS = list(verify.CORPUS_SPECS) + [
+    "elab:2^4",
+    "heis:3 * cyclic:3",
+    "mod:3 * cyclic:3",
+    "dihedral:8 * cyclic:2",
+    "dihedral:16",
+    "perm:(0 1 2 3),(0 1)",
+    "perm:(0 1 2 3 4),(0 1)",
+]
+
+
+@pytest.mark.parametrize("spec", LATTICE_SPECS)
+def test_lattice_equals_the_pairwise_join_build(spec):
+    g = group_from_spec(spec)
+    assert lattice_fields(g) == reference_lattice(g)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group=small_perm_groups())
+def test_lattice_equals_the_pairwise_join_build_on_perm_groups(group):
+    assert lattice_fields(group) == reference_lattice(group)
+
+
+def test_subgroup_enumeration_does_not_blow_up(monkeypatch):
+    # joining every new subgroup with every known one makes 93,528 closures
+    # on the 374 subgroups of C2^5; one cyclic extension per step makes 9,549
+    calls = []
+    close = groups.close_under_product
+
+    def counted(*args):
+        calls.append(None)
+        return close(*args)
+
+    g = group_from_spec("elab:2^5")
+    monkeypatch.setattr(groups, "close_under_product", counted)
+    assert len(all_subgroups(g).subgroups) == 374
+    assert len(calls) < 20000
+
+
 @pytest.mark.parametrize("spec", SMALL_SPECS)
 def test_quotient_order_and_homomorphism(spec):
     g = group_from_spec(spec)
