@@ -7,7 +7,10 @@ are filled before sharing in normal use.
 
 A subgroup lattice grows from the cyclic subgroups by one cyclic extension a
 round; sorted by order, it reads containment, the Moebius function and the
-maximal subgroups off that order.
+maximal subgroups off that order.  The lattice of a group made by `quotient`
+or `subgroup_as_group` is instead read off its parent's lattice: the
+subgroups above N, or below H, with their containment, Moebius values and
+conjugation rows.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ class FiniteGroup:
         self._orders: tuple[int, ...] | None = None
         self._keys: tuple[tuple[int, int], ...] | None = None
         self._lattice = None
+        # (parent lattice, parent subgroups kept, parent element of each
+        # element) for a quotient or subgroup, until its lattice is built
+        self._lattice_source = None
         self._slice_table = None
         self._subgroup_groups: dict[int, GroupEmbedding] = {}
         self._automorphisms: list[tuple[int, ...]] | None = None
@@ -436,8 +442,12 @@ class GroupIsomorphism:
 
 
 def quotient(group: FiniteGroup, n_members) -> GroupQuotient:
-    """Quotient by a normal subgroup; cosets indexed by order of first member."""
-    if not is_normal(group, n_members):
+    """Quotient by a normal subgroup; cosets indexed by order of first member.
+    Raises `GroupError` when `n_members` is not a normal subgroup.  The
+    quotient's lattice is read off the subgroups of `group` above N."""
+    lat = all_subgroups(group)
+    n_idx = lat.index_of(n_members)
+    if n_idx not in lat.normal:
         raise GroupError("cannot form the quotient by a non-normal subgroup")
     n = group.order
     proj = [-1] * n
@@ -457,21 +467,26 @@ def quotient(group: FiniteGroup, n_members) -> GroupQuotient:
         for a in range(count)
     ]
     q = FiniteGroup(table, label=f"{group.label}/N{len(tuple(n_members))}")
+    q._lattice_source = (lat, lat.above[n_idx], tuple(reps))
     return GroupQuotient(group, q, tuple(proj), tuple(sorted(n_members)))
 
 
 def subgroup_as_group(sub: Subgroup) -> GroupEmbedding:
     """The subgroup as a standalone group, with its inclusion embedding.
-    Cached on the parent group."""
+    Cached on the parent group; its lattice is read off the subgroups of the
+    parent below H."""
     cache = sub.parent._subgroup_groups
     mask = sub.mask
     hit = cache.get(mask)
     if hit is not None:
         return hit
+    lat = all_subgroups(sub.parent)
     mem = sub.members
+    h_idx = lat.index_of(mem)
     pos = {x: i for i, x in enumerate(mem)}
     table = [[pos[sub.parent.mul(a, b)] for b in mem] for a in mem]
     h = FiniteGroup(table, label=f"{sub.parent.label}|{len(mem)}")
+    h._lattice_source = (lat, lat.below[h_idx], mem)
     emb = GroupEmbedding(h, sub.parent, mem)
     cache[mask] = emb
     return emb
@@ -483,11 +498,27 @@ def subgroup_as_group(sub: Subgroup) -> GroupEmbedding:
 
 class SubgroupLattice:
     """All subgroups of a group, with containment, Moebius function and
-    conjugacy classes.  Built once per group and cached on it."""
+    conjugacy classes.  Built once per group and cached on it: enumerated,
+    or read off the parent's lattice for a quotient or subgroup."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        self.subgroups: list[Subgroup] = _enumerate_subgroups(group)
+        source, group._lattice_source = group._lattice_source, None
+        if source is None:
+            self._enumerate()
+        else:
+            self._derive(*source)
+        self.class_reps, self.class_of = self._build_classes()
+        self.normal = tuple(
+            i
+            for i in range(len(self.subgroups))
+            if all(row[i] == i for row in self.conj_table)
+        )
+
+    # -- construction ------------------------------------------------------
+
+    def _enumerate(self) -> None:
+        self.subgroups: list[Subgroup] = _enumerate_subgroups(self.group)
         masks = self.masks = [s.mask for s in self.subgroups]
         self._index = {m: i for i, m in enumerate(masks)}
         n = len(self.subgroups)
@@ -503,12 +534,30 @@ class SubgroupLattice:
         self.above = [tuple(up) for up in above]
         self._moebius = self._build_moebius()
         self.conj_table = self._build_conj_table()
-        self.class_reps, self.class_of = self._build_classes()
-        self.normal = tuple(
-            i for i in range(n) if all(row[i] == i for row in self.conj_table)
-        )
 
-    # -- construction ------------------------------------------------------
+    def _derive(self, parent: "SubgroupLattice", keep, reps) -> None:
+        # The subgroups of G/N are those of G above N and the subgroups of H
+        # those of G below H; `keep` lists them ascending and element k stands
+        # for parent element reps[k] (the least of its coset, or mem[k]).
+        # Kept in parent order, they are already sorted by (order, members):
+        # reps is ascending, so member tuples compare as the parent's do.
+        # Intervals are isomorphic, so the Moebius values carry over.
+        at = {p: a for a, p in enumerate(keep)}
+        pmasks = parent.masks
+        self.subgroups = [
+            Subgroup(self.group, tuple(k for k, x in enumerate(reps) if pmasks[p] >> x & 1))
+            for p in keep
+        ]
+        masks = self.masks = [s.mask for s in self.subgroups]
+        self._index = {m: i for i, m in enumerate(masks)}
+        self.below = [tuple(at[j] for j in parent.below[p] if j in at) for p in keep]
+        self.above = [tuple(at[j] for j in parent.above[p] if j in at) for p in keep]
+        pmu = parent._moebius
+        self._moebius = {
+            (a, b): pmu[p, keep[b]] for a, p in enumerate(keep) for b in self.above[a]
+        }
+        rows = parent.conj_table
+        self.conj_table = [[at[rows[x][p]] for p in keep] for x in reps]
 
     def _build_moebius(self) -> dict[tuple[int, int], int]:
         # moebius(U,V) over the containment poset, all comparable pairs; each
@@ -525,16 +574,22 @@ class SubgroupLattice:
         return mu
 
     def _build_conj_table(self) -> list[list[int]]:
+        # conjugation by e*z is conjugation by e for central z, so the
+        # elements of one coset of the centre share one row
         g = self.group
-        table = []
+        centre = g.center_members()
+        table: list = [None] * g.order
         for e in range(g.order):
+            if table[e] is not None:
+                continue
             row = []
             for s in self.subgroups:
                 m = 0
                 for x in s.members:
                     m |= 1 << g.conj(e, x)
                 row.append(self._index[m])
-            table.append(row)
+            for z in centre:
+                table[g._mul[e][z]] = row
         return table
 
     def _build_classes(self):

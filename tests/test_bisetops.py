@@ -335,6 +335,26 @@ def test_operations_free_their_groups_and_caches():
     assert [r() for r in refs] == [None] * len(refs)
 
 
+def test_derived_lattices_keep_no_parent_alive():
+    # a quotient's or subgroup's lattice is read off the parent's lattice
+    # but keeps neither it nor the parent group
+    def build():
+        g = group_from_spec("dihedral:8")
+        lat = all_subgroups(g)
+        q = quotient(g, lat.subgroups[lat.normal[1]].members)
+        emb = subgroup_as_group(lat.subgroups[lat.class_reps[2]])
+        derived = [all_subgroups(q.group), all_subgroups(emb.source)]
+        return derived, [weakref.ref(x) for x in (g, lat)]
+
+    derived, parent_refs = build()
+    gc.collect()
+    assert [r() for r in parent_refs] == [None, None]
+    refs = [weakref.ref(x) for lat in derived for x in (lat, lat.group)]
+    del derived
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
 def test_oracle_checking_flag_roundtrip():
     assert not bisetops.oracle_checking()
     bisetops.set_oracle_checking(True)

@@ -330,6 +330,52 @@ def test_lattice_equals_the_pairwise_join_build_on_perm_groups(group):
     assert lattice_fields(group) == reference_lattice(group)
 
 
+def derived_groups(group):
+    """The quotient by every normal subgroup and every class-rep subgroup,
+    as standalone groups whose lattices are not built yet."""
+    lat = all_subgroups(group)
+    return [quotient(group, lat.subgroups[i].members).group for i in lat.normal] + [
+        subgroup_as_group(lat.subgroups[i]).source for i in lat.class_reps
+    ]
+
+
+def assert_derived_lattices_equal_enumeration(group):
+    for child in derived_groups(group):
+        assert child._lattice_source is not None
+        derived = lattice_fields(child)
+        assert child._lattice_source is None
+        assert derived == lattice_fields(FiniteGroup(child._mul))
+
+
+@pytest.mark.parametrize("spec", LATTICE_SPECS)
+def test_derived_lattices_equal_enumeration(spec):
+    assert_derived_lattices_equal_enumeration(group_from_spec(spec))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group=small_perm_groups())
+def test_derived_lattices_equal_enumeration_on_perm_groups(group):
+    assert_derived_lattices_equal_enumeration(group)
+
+
+def test_derived_lattices_make_no_closures(monkeypatch):
+    # once the parent's lattice exists, quotients and subgroups read theirs
+    # off it instead of enumerating
+    g = group_from_spec("heis:3 * cyclic:3")
+    all_subgroups(g)
+    calls = []
+    close = groups.close_under_product
+
+    def counted(*args):
+        calls.append(None)
+        return close(*args)
+
+    monkeypatch.setattr(groups, "close_under_product", counted)
+    children = derived_groups(g)
+    assert sum(len(all_subgroups(child).subgroups) for child in children) > len(children)
+    assert calls == []
+
+
 def test_subgroup_enumeration_does_not_blow_up(monkeypatch):
     # joining every new subgroup with every known one makes 93,528 closures
     # on the 374 subgroups of C2^5; one cyclic extension per step makes 9,549
@@ -369,6 +415,17 @@ def test_quotient_by_non_normal_raises():
     assert non_normal
     with pytest.raises(GroupError):
         quotient(d8, lat.subgroups[non_normal[0]].members)
+
+
+def test_quotient_by_a_non_subgroup_raises():
+    # is_normal alone accepts both: {0, 1} is not closed in C3, and {1, 2}
+    # misses the identity of C4
+    with pytest.raises(GroupError):
+        quotient(cyclic_group(3), (0, 1))
+    with pytest.raises(GroupError):
+        quotient(cyclic_group(4), (1, 2))
+    with pytest.raises(GroupError):
+        subgroup_as_group(Subgroup(cyclic_group(4), (0, 1)))
 
 
 def test_double_cosets_partition_group():
