@@ -14,6 +14,8 @@ compares each closed form with the orbit decomposition of the G-set image
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .groups import (
     GroupEmbedding,
     GroupError,
@@ -131,11 +133,13 @@ def _push(name, elem, witness, out_group, image, morphism_map, check) -> SliceRi
 
 
 def _extend(elem: SliceRingElement, out_table: SliceClassTable, image) -> SliceRingElement:
+    # integer sums over a common denominator, one Fraction per output class
+    den, ints = elem._integer_coeffs()
     acc: dict = {}
-    for cls, q in elem.coeffs.items():
+    for cls, n in ints.items():
         for c, m in image(cls).items():
-            acc[c] = acc.get(c, 0) + q * m
-    return SliceRingElement(out_table, acc)
+            acc[c] = acc.get(c, 0) + n * m
+    return SliceRingElement(out_table, {c: Fraction(v, den) for c, v in acc.items() if v})
 
 
 def _slice_image(member_map):

@@ -16,7 +16,6 @@ from .groups import (
     all_subgroups,
     close_under_product,
     frattini,
-    is_normal,
     quotient,
     set_product,
     subgroup_as_group,
@@ -48,12 +47,13 @@ def _supplement_sum(lat, s: int, n: int) -> int:
 def classical_deflation_constant(group: FiniteGroup, n_members) -> Fraction:
     """The scalar by which deflation mod N acts on the top idempotent of the
     ordinary Burnside ring: (1/|G|) * sum of |U| moebius(U, G) over U*N = G."""
-    if not is_normal(group, n_members):
-        raise GroupError("deflation constant needs a normal subgroup")
     lat = all_subgroups(group)
+    n = lat.index_of(n_members)
+    if n not in lat.normal:
+        raise GroupError("deflation constant needs a normal subgroup")
     # with S = G the lower sum's condition U*N = S*N is U*N = G
     full = len(lat.subgroups) - 1
-    return Fraction(_lower_moebius_sum(lat, full, lat.index_of(n_members)), group.order)
+    return Fraction(_lower_moebius_sum(lat, full, n), group.order)
 
 
 def deflation_constant(group: FiniteGroup, s_members, n_members) -> Fraction:
@@ -64,10 +64,10 @@ def deflation_constant(group: FiniteGroup, s_members, n_members) -> Fraction:
     Moebius sum over U <= S <= V <= G with U*N = S*N and V*N = G; the two
     constraints are independent, so the sum factors.
     """
-    if not is_normal(group, n_members):
-        raise GroupError("deflation constant needs a normal subgroup")
     lat = all_subgroups(group)
     s, n = lat.index_of(s_members), lat.index_of(n_members)
+    if n not in lat.normal:
+        raise GroupError("deflation constant needs a normal subgroup")
     sn = lat.index_of(set_product(group, s_members, n_members))
     rows = lat.conj_table
     norm_sn = sum(1 for row in rows if row[sn] == sn)
@@ -104,9 +104,12 @@ def _lower_moebius_sum(lat, s: int, n: int) -> int:
 
 def supplement_moebius_sum_frattini(group: FiniteGroup, s_members, n_members) -> int:
     """Supplement sum computed in the Frattini quotient (equal to the direct
-    value because moebius(V, G) vanishes unless V contains the Frattini)."""
+    value because moebius(V, G) vanishes unless V contains the Frattini).
+    The quotient is built once and kept on the group."""
     phi = frattini(group)
-    q = quotient(group, phi.members)
+    if group._frattini_quotient is None:
+        group._frattini_quotient = quotient(group, phi.members)
+    q = group._frattini_quotient
     s_img = q.image_members(set_product(group, s_members, phi.members))
     n_img = q.image_members(set_product(group, n_members, phi.members))
     return supplement_moebius_sum(q.group, s_img, n_img)
@@ -123,9 +126,9 @@ def deflation_idempotent_scalar(
     the normalizer of the image slice inside TN/N.  The normalizer sizes are
     counted on the rows of the lattice's conjugation table.
     """
-    if not is_normal(group, n_members):
-        raise GroupError("deflation scalar needs a normal subgroup")
     lat = all_subgroups(group)
+    if lat.index_of(n_members) not in lat.normal:
+        raise GroupError("deflation scalar needs a normal subgroup")
     t, s = lat.index_of(t_members), lat.index_of(s_members)
     if not lat.contains_pair(s, t):
         raise GroupError("slice bottom must live inside the top group")
@@ -184,7 +187,8 @@ def complement_count_formula_check(
 ) -> tuple[Fraction, Fraction]:
     """For a minimal abelian normal N: the deflation constant of the trivial
     slice both directly and as (1 - number of complements) / |N|."""
-    if not is_normal(group, n_members):
+    lat = all_subgroups(group)
+    if lat.index_of(n_members) not in lat.normal:
         raise GroupError("needs a normal subgroup")
     if not is_abelian_members(group, n_members):
         raise GroupError("needs an abelian normal subgroup")

@@ -64,6 +64,8 @@ class FiniteGroup:
         self._slice_table = None
         self._subgroup_groups: dict[int, GroupEmbedding] = {}
         self._automorphisms: list[tuple[int, ...]] | None = None
+        # G / Frattini(G), for the Frattini form of the supplement sum
+        self._frattini_quotient: GroupQuotient | None = None
 
     def _find_identity(self) -> int:
         n = self.order

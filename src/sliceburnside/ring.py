@@ -95,10 +95,10 @@ class SliceClassTable:
 
     def element_from_pairs(self, pairs) -> "SliceRingElement":
         """Sum of basis classes for (t_members, s_members) pairs."""
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int] = {}
         for t_members, s_members in pairs:
             cls = self.class_index(t_members, s_members)
-            coeffs[cls] = coeffs.get(cls, Fraction(0)) + 1
+            coeffs[cls] = coeffs.get(cls, 0) + 1
         return SliceRingElement(self, coeffs)
 
     # -- coset machinery -----------------------------------------------------
@@ -198,9 +198,8 @@ class SliceClassTable:
         lat = self.lattice
         t, s = self.reps[cls]
         t_mask = lat.masks[t]
-        # 1 / |N_G(T,S)|, the class size over |G|
-        scale = Fraction(self.class_sizes[cls], self.group.order)
-        coeffs: dict[int, Fraction] = {}
+        # integer sums, scaled once by 1 / |N_G(T,S)| (class size over |G|)
+        acc: dict[int, int] = {}
         for u in lat.below[s]:
             wu = len(lat.subgroups[u]) * lat.moebius(u, s)
             if wu == 0:
@@ -212,9 +211,10 @@ class SliceClassTable:
                 if wv == 0:
                     continue
                 key = self.class_of[v, u]
-                coeffs[key] = coeffs.get(key, Fraction(0)) + scale * wu * wv
+                acc[key] = acc.get(key, 0) + wu * wv
+        size, order = self.class_sizes[cls], self.group.order
         out = SliceRingElement(
-            self, {c: q for c, q in coeffs.items() if q != 0}
+            self, {c: Fraction(n * size, order) for c, n in acc.items() if n}
         )
         self._idempotents[cls] = out
         return out
@@ -253,7 +253,8 @@ class SliceRingElement:
 
     def __init__(self, table: SliceClassTable, coeffs: dict[int, Fraction]):
         self.table = table
-        self.coeffs = {c: Fraction(q) for c, q in coeffs.items() if q != 0}
+        # a Fraction is immutable, so one already built is kept as it is
+        self.coeffs = {c: q if type(q) is Fraction else Fraction(q) for c, q in coeffs.items() if q}
 
     def _require_same_table(self, other: "SliceRingElement") -> None:
         if self.table is not other.table:
@@ -263,14 +264,14 @@ class SliceRingElement:
         self._require_same_table(other)
         out = dict(self.coeffs)
         for c, q in other.coeffs.items():
-            out[c] = out.get(c, Fraction(0)) + q
+            out[c] = out.get(c, 0) + q
         return SliceRingElement(self.table, out)
 
     def __sub__(self, other: "SliceRingElement") -> "SliceRingElement":
         self._require_same_table(other)
         out = dict(self.coeffs)
         for c, q in other.coeffs.items():
-            out[c] = out.get(c, Fraction(0)) - q
+            out[c] = out.get(c, 0) - q
         return SliceRingElement(self.table, out)
 
     def __neg__(self) -> "SliceRingElement":

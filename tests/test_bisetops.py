@@ -4,6 +4,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sliceburnside import bisetops, gsets
 from sliceburnside.constants import deflation_idempotent_scalar
@@ -19,6 +21,8 @@ from sliceburnside.groups import (
     subgroup_as_group,
 )
 from sliceburnside.ring import SliceClassTable, SliceRingElement, morphism_to_ring, slice_classes
+
+from test_marks import rational_coeffs, small_perm_groups
 
 
 def _full_embedding(g):
@@ -367,3 +371,38 @@ def test_oracle_checking_flag_roundtrip():
     finally:
         bisetops.set_oracle_checking(False)
     assert not bisetops.oracle_checking()
+
+
+def per_term_extend(elem, images):
+    """Oracle: the linear extension of basis images summed one `Fraction`
+    term at a time, as `bisetops._extend` did before it summed integers."""
+    acc = {}
+    for cls, q in elem.coeffs.items():
+        for c, m in images[cls].items():
+            acc[c] = acc.get(c, 0) + q * m
+    return {c: q for c, q in acc.items() if q != 0}
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group=small_perm_groups(), data=st.data())
+def test_operations_equal_the_per_term_extension(group, data):
+    lat = all_subgroups(group)
+    sub = subgroup_as_group(lat.subgroups[data.draw(st.sampled_from(lat.class_reps))])
+    q = quotient(group, lat.subgroups[data.draw(st.sampled_from(lat.normal))].members)
+    g = data.draw(st.integers(0, group.order - 1))
+    inner = GroupIsomorphism(group, group, tuple(group.conj(g, x) for x in group.elements()))
+    cases = [
+        ("induction", bisetops.induce, sub.source, sub),
+        ("restriction", bisetops.restrict, group, sub),
+        ("inflation", bisetops.inflate, q.group, q),
+        ("deflation", bisetops.deflate, group, q),
+        ("transport", bisetops.transport, group, inner),
+    ]
+    for name, fn, source, witness in cases:
+        table = slice_classes(source)
+        elem = SliceRingElement(table, data.draw(rational_coeffs(table.size)))
+        out = fn(elem, witness)
+        assert out.coeffs == per_term_extend(elem, witness.basis_images[name])
+        assert all(type(v) is Fraction and v != 0 for v in out.coeffs.values())
+        # the oracle branch extends the G-set images through the same loop
+        assert fn(elem, witness, check=True) == out

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -235,3 +236,18 @@ def test_parse_slice_forms():
         parse_slice("X=g1;S=g1", g)
     with pytest.raises(GroupError):
         parse_slice("T=*", g)
+
+
+IDEMPOTENTS_DIGESTS = {
+    ("idempotents", "heis:3 * cyclic:3"):
+        "42a619fec3ed3993ee3a1cabbc7deb4ed3a5ba6ca5390d14230dad6aa1f85416",
+    ("idempotents", "elab:2^4"):
+        "2e834b4bf2696e1cd980544820f132fb6447bcedc52f1c3f71a7cff5d31fa22e",
+}
+
+
+@pytest.mark.parametrize("argv", list(IDEMPOTENTS_DIGESTS), ids=["heis-c3", "elab-2-4"])
+def test_idempotents_cli_output_is_pinned(argv, capsys):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == IDEMPOTENTS_DIGESTS[argv]

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sliceburnside import constants
 from sliceburnside.constants import (
     classical_deflation_constant,
     complement_count,
@@ -18,6 +19,7 @@ from sliceburnside.constants import (
     minimal_normal_subgroups,
     nontrivial_normal_subgroups,
     supplement_moebius_sum,
+    supplement_moebius_sum_frattini,
 )
 from sliceburnside.groups import (
     GroupError,
@@ -26,6 +28,7 @@ from sliceburnside.groups import (
     elementary_abelian,
     frattini,
     group_from_spec,
+    is_normal,
     normalizer,
     quaternion_group,
 )
@@ -309,3 +312,55 @@ def test_slice_bottom_outside_the_top_is_rejected():
         deflation_idempotent_scalar(e22, a, b, tuple(range(4)))
     with pytest.raises(GroupError):
         is_t_slice_of(e22, a, b)
+
+
+NORMALITY_CHECKED = {
+    "deflation_constant": lambda g, n: deflation_constant(g, (g.identity,), n),
+    "classical_deflation_constant": classical_deflation_constant,
+    "deflation_idempotent_scalar": lambda g, n: deflation_idempotent_scalar(
+        g, tuple(g.elements()), (g.identity,), n
+    ),
+    "complement_count_formula_check": complement_count_formula_check,
+}
+
+
+@pytest.mark.parametrize("name", list(NORMALITY_CHECKED))
+def test_normality_is_read_off_the_lattice(name):
+    call = NORMALITY_CHECKED[name]
+    d8 = group_from_spec("dihedral:8")
+    lat = all_subgroups(d8)
+    non_normal = next(
+        s for i, s in enumerate(lat.subgroups) if i not in lat.normal
+    )
+    r = next(x for x in d8.elements() if d8.element_order(x) == 4)
+    # {1, r, r^-1} is closed under conjugation but is not a subgroup
+    conj_closed = tuple(
+        sorted({d8.identity} | {d8.conj(g, r) for g in d8.elements()})
+    )
+    assert len(conj_closed) == 3 and is_normal(d8, conj_closed)
+    for bad in (non_normal.members, conj_closed):
+        with pytest.raises(GroupError):
+            call(d8, bad)
+    call(d8, d8.center_members())
+
+
+def test_frattini_quotient_is_built_once_per_group(monkeypatch):
+    built = []
+    real_quotient = constants.quotient
+
+    def counting_quotient(group, n_members):
+        built.append(group)
+        return real_quotient(group, n_members)
+
+    monkeypatch.setattr(constants, "quotient", counting_quotient)
+    for spec in ("dihedral:8", "elab:2^3", "heis:3"):
+        g = group_from_spec(spec)
+        lat = all_subgroups(g)
+        for s in lat.class_reps:
+            for n in lat.normal:
+                s_members, n_members = lat.subgroups[s].members, lat.subgroups[n].members
+                assert supplement_moebius_sum_frattini(
+                    g, s_members, n_members
+                ) == supplement_moebius_sum(g, s_members, n_members)
+        assert built.count(g) == 1
+    assert len(built) == 3

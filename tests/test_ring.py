@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sliceburnside import gsets
+from sliceburnside import gsets, verify
 from sliceburnside.groups import GroupError, cyclic_group, group_from_spec
 from sliceburnside.ring import (
     SliceRingElement,
@@ -206,3 +206,71 @@ def test_decomposition_rejects_non_equivariant_maps():
     bad = gsets.GSetMorphism(reg, reg, [0, 1, 3, 2])
     with pytest.raises(GroupError):
         morphism_to_ring(bad, t)
+
+
+def per_term_idempotent(table, cls):
+    """Oracle: the idempotent's coefficients summed one `Fraction` term at a
+    time, as `SliceClassTable.idempotent` did before it summed integers."""
+    lat = table.lattice
+    t, s = table.reps[cls]
+    t_mask = lat.masks[t]
+    scale = Fraction(table.class_sizes[cls], table.group.order)
+    coeffs = {}
+    for u in lat.below[s]:
+        wu = len(lat.subgroups[u]) * lat.moebius(u, s)
+        if wu == 0:
+            continue
+        for v in lat.above[s]:
+            if lat.masks[v] & t_mask != lat.masks[v]:
+                continue
+            wv = lat.moebius(v, t)
+            if wv == 0:
+                continue
+            key = table.class_of[v, u]
+            coeffs[key] = coeffs.get(key, Fraction(0)) + scale * wu * wv
+    return {c: q for c, q in coeffs.items() if q != 0}
+
+
+def assert_nonzero_fractions(elem):
+    assert all(type(q) is Fraction and q != 0 for q in elem.coeffs.values())
+
+
+IDEMPOTENT_GROUPS = (
+    [g.label for g in verify.corpus().groups]
+    + ["elab:2^4", "heis:3 * cyclic:3", "mod:3 * cyclic:3", "dihedral:8 * cyclic:2",
+       "dihedral:16", "perm:(0 1 2 3),(0 1)"]
+)
+
+
+@pytest.mark.parametrize("idx", range(len(IDEMPOTENT_GROUPS)), ids=IDEMPOTENT_GROUPS)
+def test_idempotents_equal_the_per_term_sum(idx):
+    corpus = verify.corpus().groups
+    g = corpus[idx] if idx < len(corpus) else group_from_spec(IDEMPOTENT_GROUPS[idx])
+    table = slice_classes(g)
+    for cls in range(table.size):
+        xi = table.idempotent(cls)
+        assert xi.coeffs == per_term_idempotent(table, cls)
+        assert_nonzero_fractions(xi)
+
+
+def test_stored_coefficients_are_nonzero_fractions():
+    t = slice_classes(group_from_spec("dihedral:8"))
+    elem = SliceRingElement(
+        t, {0: 3, 1: Fraction(2, 4), 2: 0, 3: Fraction(0), 4: -1, 5: Fraction(-6, 3)}
+    )
+    assert elem.coeffs == {0: 3, 1: Fraction(1, 2), 4: -1, 5: -2}
+    assert_nonzero_fractions(elem)
+    assert SliceRingElement(t, {0: 0, 1: Fraction(0)}).coeffs == {}
+    pairs = [((0,), (0,))] * 3 + [(tuple(range(8)), (0,))]
+    xi = t.idempotent(t.size - 1)
+    derived = [
+        elem + elem, elem - elem, elem + -elem, -elem, elem.scaled(3), elem.scaled(0),
+        elem * elem, xi * elem, t.one(), t.basis_element(2), t.element_from_pairs(pairs),
+        t.from_mark_vector([Fraction(c, 3) for c in range(t.size)]),
+    ]
+    for x in derived:
+        assert_nonzero_fractions(x)
+    assert (elem - elem).coeffs == {} and elem.scaled(0).coeffs == {}
+    assert t.element_from_pairs(pairs).coeffs == {
+        t.class_index((0,), (0,)): 3, t.class_index(tuple(range(8)), (0,)): 1
+    }
