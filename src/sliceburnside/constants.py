@@ -22,12 +22,6 @@ from .groups import (
 )
 
 
-def _joins_to_full(lat, v: int, n: int, full_size: int) -> bool:
-    # V*N = G  <=>  |V||N| == |G| * |V & N|   (N normal, so V*N is a subgroup)
-    inter = (lat.masks[v] & lat.masks[n]).bit_count()
-    return len(lat.subgroups[v]) * len(lat.subgroups[n]) == full_size * inter
-
-
 def supplement_moebius_sum(group: FiniteGroup, s_members, n_members) -> int:
     """Sum of moebius(V, G) over subgroups V containing S with V*N = G."""
     lat = all_subgroups(group)
@@ -35,22 +29,31 @@ def supplement_moebius_sum(group: FiniteGroup, s_members, n_members) -> int:
 
 
 def _supplement_sum(lat, s: int, n: int) -> int:
+    masks, mu = lat.masks, lat._moebius
     # subgroups are sorted by order, so the whole group comes last
-    full = len(lat.subgroups) - 1
+    full = len(masks) - 1
+    n_mask = masks[n]
+    n_size, order = n_mask.bit_count(), lat.group.order
     total = 0
     for v in lat.above[s]:
-        if _joins_to_full(lat, v, n, lat.group.order):
-            total += lat.moebius(v, full)
+        # V*N = G  <=>  |V||N| == |G| * |V & N|   (N normal, so V*N is a subgroup)
+        if masks[v].bit_count() * n_size == order * (masks[v] & n_mask).bit_count():
+            total += mu[v, full]
     return total
+
+
+def _normal_index(lat, n_members) -> int:
+    n = lat.index_of(n_members)
+    if n not in lat.normal:
+        raise GroupError("deflation constant needs a normal subgroup")
+    return n
 
 
 def classical_deflation_constant(group: FiniteGroup, n_members) -> Fraction:
     """The scalar by which deflation mod N acts on the top idempotent of the
     ordinary Burnside ring: (1/|G|) * sum of |U| moebius(U, G) over U*N = G."""
     lat = all_subgroups(group)
-    n = lat.index_of(n_members)
-    if n not in lat.normal:
-        raise GroupError("deflation constant needs a normal subgroup")
+    n = _normal_index(lat, n_members)
     # with S = G the lower sum's condition U*N = S*N is U*N = G
     full = len(lat.subgroups) - 1
     return Fraction(_lower_moebius_sum(lat, full, n), group.order)
@@ -65,21 +68,28 @@ def deflation_constant(group: FiniteGroup, s_members, n_members) -> Fraction:
     constraints are independent, so the sum factors.
     """
     lat = all_subgroups(group)
-    s, n = lat.index_of(s_members), lat.index_of(n_members)
-    if n not in lat.normal:
-        raise GroupError("deflation constant needs a normal subgroup")
-    sn = lat.index_of(set_product(group, s_members, n_members))
-    rows = lat.conj_table
-    norm_sn = sum(1 for row in rows if row[sn] == sn)
-    norm_s = sum(1 for row in rows if row[s] == s)
-    prefactor = Fraction(norm_sn, len(lat.subgroups[sn]) * norm_s)
-    return prefactor * _lower_moebius_sum(lat, s, n) * _supplement_sum(lat, s, n)
+    n = _normal_index(lat, n_members)
+    return _deflation_constant_at(lat, lat.index_of(s_members), n)
+
+
+def _deflation_constant_at(lat, s: int, n: int) -> Fraction:
+    # N must be normal; the constant vanishes with the lower sum, which is
+    # the cheaper of the two
+    lower = _lower_moebius_sum(lat, s, n)
+    if lower == 0:
+        return Fraction(0)
+    sn, nm = lat.join(s, n), lat.normalizer_mask
+    return Fraction(
+        nm(sn).bit_count() * lower * _supplement_sum(lat, s, n),
+        lat.masks[sn].bit_count() * nm(s).bit_count(),
+    )
 
 
 def deflation_constant_is_nonzero(group: FiniteGroup, s_members, n_members) -> bool:
     """Fast zero test of `deflation_constant`, see `deflation_is_nonzero_at`."""
     lat = all_subgroups(group)
-    return deflation_is_nonzero_at(lat, lat.index_of(s_members), lat.index_of(n_members))
+    n = _normal_index(lat, n_members)
+    return deflation_is_nonzero_at(lat, lat.index_of(s_members), n)
 
 
 def deflation_is_nonzero_at(lat, s: int, n: int) -> bool:
@@ -91,14 +101,15 @@ def deflation_is_nonzero_at(lat, s: int, n: int) -> bool:
 
 def _lower_moebius_sum(lat, s: int, n: int) -> int:
     # sum of |U| moebius(U, S) over U <= S with U*N = S*N
-    n_mask = lat.masks[n]
-    s_ratio = len(lat.subgroups[s]) // (lat.masks[s] & n_mask).bit_count()
+    masks, mu = lat.masks, lat._moebius
+    n_mask = masks[n]
+    s_ratio = masks[s].bit_count() // (masks[s] & n_mask).bit_count()
     lower = 0
     for u in lat.below[s]:
         # U*N = S*N  <=>  |U| / |U & N| == |S| / |S & N|   (U <= S)
-        u_size = len(lat.subgroups[u])
-        if u_size == s_ratio * (lat.masks[u] & n_mask).bit_count():
-            lower += u_size * lat.moebius(u, s)
+        u_size = masks[u].bit_count()
+        if u_size == s_ratio * (masks[u] & n_mask).bit_count():
+            lower += u_size * mu[u, s]
     return lower
 
 
@@ -124,25 +135,29 @@ def deflation_idempotent_scalar(
     sizes.  Derived by factoring the idempotent through induction from T and
     commuting deflation past it; the |T n N| / |N| factor comes from reading
     the normalizer of the image slice inside TN/N.  The normalizer sizes are
-    counted on the rows of the lattice's conjugation table.
+    bit counts of intersections of the lattice's normalizer masks.
     """
     lat = all_subgroups(group)
-    if lat.index_of(n_members) not in lat.normal:
+    n = lat.index_of(n_members)
+    if n not in lat.normal:
         raise GroupError("deflation scalar needs a normal subgroup")
     t, s = lat.index_of(t_members), lat.index_of(s_members)
     if not lat.contains_pair(s, t):
         raise GroupError("slice bottom must live inside the top group")
-    tn = lat.index_of(set_product(group, t_members, n_members))
-    sn = lat.index_of(set_product(group, s_members, n_members))
+    masks, nm = lat.masks, lat.normalizer_mask
+    tn, sn = lat.join(t, n), lat.join(s, n)
+    t_cap_n = lat._index[masks[t] & masks[n]]
     emb = subgroup_as_group(lat.subgroups[t])
-    t_cap_n = emb.preimage_members(n_members)
-    m_inner = deflation_constant(emb.source, emb.preimage_members(s_members), t_cap_n)
-    rows = lat.conj_table
-    nt_s = sum(1 for x in emb.images if rows[x][s] == s)
-    nt_sn = sum(1 for x in emb.images if rows[x][sn] == sn)
-    ng_ts = sum(1 for row in rows if row[t] == t and row[s] == s)
-    ng_tnsn = sum(1 for row in rows if row[tn] == tn and row[sn] == sn)
-    ratio = Fraction(nt_s * ng_tnsn * len(t_cap_n), ng_ts * nt_sn * len(set(n_members)))
+    m_inner = _deflation_constant_at(
+        all_subgroups(emb.source), emb.preimage_index(s), emb.preimage_index(t_cap_n)
+    )
+    nt_s = (nm(s) & masks[t]).bit_count()
+    nt_sn = (nm(sn) & masks[t]).bit_count()
+    ng_ts = (nm(t) & nm(s)).bit_count()
+    ng_tnsn = (nm(tn) & nm(sn)).bit_count()
+    ratio = Fraction(
+        nt_s * ng_tnsn * masks[t_cap_n].bit_count(), ng_ts * nt_sn * masks[n].bit_count()
+    )
     return ratio * m_inner
 
 
@@ -156,30 +171,28 @@ def is_abelian_members(group: FiniteGroup, members) -> bool:
     )
 
 
-def minimal_normal_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    lat = all_subgroups(group)
+def _minimal_normal(lat) -> list[int]:
     # subgroups are sorted by order, so the trivial one comes first
     normals = lat.normal[1:]
-    out = []
-    for i in normals:
-        if not any(
-            j for j in normals if j != i and lat.contains_pair(j, i)
-        ):
-            out.append(lat.subgroups[i])
-    return out
+    return [
+        i for i in normals if not any(j != i and lat.contains_pair(j, i) for j in normals)
+    ]
+
+
+def minimal_normal_subgroups(group: FiniteGroup) -> list[Subgroup]:
+    lat = all_subgroups(group)
+    return [lat.subgroups[i] for i in _minimal_normal(lat)]
 
 
 def complement_count(group: FiniteGroup, n_members) -> int:
     """Subgroups X with X*N = G and trivial intersection with N."""
     lat = all_subgroups(group)
-    n = lat.index_of(n_members)
-    count = 0
-    for x in range(len(lat.subgroups)):
-        if (lat.masks[x] & lat.masks[n]).bit_count() != 1:
-            continue
-        if _joins_to_full(lat, x, n, group.order):
-            count += 1
-    return count
+    n_mask = lat.masks[lat.index_of(n_members)]
+    # with X & N trivial, X*N = G  <=>  |X||N| == |G|
+    x_size = group.order // n_mask.bit_count()
+    return sum(
+        1 for m in lat.masks if (m & n_mask).bit_count() == 1 and m.bit_count() == x_size
+    )
 
 
 def complement_count_formula_check(
@@ -188,16 +201,16 @@ def complement_count_formula_check(
     """For a minimal abelian normal N: the deflation constant of the trivial
     slice both directly and as (1 - number of complements) / |N|."""
     lat = all_subgroups(group)
-    if lat.index_of(n_members) not in lat.normal:
+    n = lat.index_of(n_members)
+    if n not in lat.normal:
         raise GroupError("needs a normal subgroup")
     if not is_abelian_members(group, n_members):
         raise GroupError("needs an abelian normal subgroup")
-    mins = {s.mask for s in minimal_normal_subgroups(group)}
-    sub = Subgroup.from_members(group, n_members)
-    if sub.mask not in mins:
+    if n not in _minimal_normal(lat):
         raise GroupError("needs a minimal normal subgroup")
-    direct = deflation_constant(group, (group.identity,), n_members)
-    counted = Fraction(1 - complement_count(group, n_members), len(sub))
+    # subgroups are sorted by order, so the trivial one comes first
+    direct = _deflation_constant_at(lat, 0, n)
+    counted = Fraction(1 - complement_count(group, n_members), lat.masks[n].bit_count())
     return direct, counted
 
 
@@ -213,22 +226,20 @@ def nontrivial_normal_subgroups(group: FiniteGroup) -> list[Subgroup]:
 
 def is_b_group(group: FiniteGroup) -> bool:
     """Every deflation constant mod a nontrivial normal subgroup vanishes."""
-    return all(
-        classical_deflation_constant(group, n.members) == 0
-        for n in nontrivial_normal_subgroups(group)
-    )
+    lat = all_subgroups(group)
+    # the classical constant is the lower sum at S = G over |G|
+    full = len(lat.subgroups) - 1
+    return all(_lower_moebius_sum(lat, full, n) == 0 for n in lat.normal[1:])
 
 
 def is_t_slice(t_group: FiniteGroup, s_members) -> bool:
     """The slice (T, S) kills every deflation mod a nontrivial normal
     subgroup of T.  `s_members` live in `t_group`'s element indexing."""
-    s_set = set(s_members)
-    if not s_set <= set(t_group.elements()):
+    if not set(s_members) <= set(t_group.elements()):
         raise GroupError("slice bottom must live inside the top group")
-    return all(
-        deflation_constant(t_group, tuple(sorted(s_set)), n.members) == 0
-        for n in nontrivial_normal_subgroups(t_group)
-    )
+    lat = all_subgroups(t_group)
+    s = lat.index_of(s_members)
+    return not any(deflation_is_nonzero_at(lat, s, n) for n in lat.normal[1:])
 
 
 def is_t_slice_of(group: FiniteGroup, t_members, s_members) -> bool:

@@ -264,22 +264,19 @@ def set_product(group: FiniteGroup, a_members, b_members) -> tuple[int, ...]:
 
 
 def normalizer(group: FiniteGroup, members) -> Subgroup:
-    """N_G(H), read from the lattice's conjugation table.  Raises
+    """N_G(H), read from the lattice's normalizer mask.  Raises
     `GroupError` when `members` is not a subgroup."""
     lat = all_subgroups(group)
-    i = lat.index_of(members)
-    return Subgroup(group, tuple(g for g, row in enumerate(lat.conj_table) if row[i] == i))
+    return Subgroup(group, _members_of(lat.normalizer_mask(lat.index_of(members))))
 
 
 def slice_normalizer(group: FiniteGroup, t_members, s_members) -> tuple[int, ...]:
     """Elements normalizing both subgroups simultaneously, read from the
-    lattice's conjugation table.  Raises `GroupError` when either member set
+    lattice's normalizer masks.  Raises `GroupError` when either member set
     is not a subgroup."""
     lat = all_subgroups(group)
-    t, s = lat.index_of(t_members), lat.index_of(s_members)
-    return tuple(
-        g for g, row in enumerate(lat.conj_table) if row[t] == t and row[s] == s
-    )
+    nm = lat.normalizer_mask
+    return _members_of(nm(lat.index_of(t_members)) & nm(lat.index_of(s_members)))
 
 
 def is_normal(group: FiniteGroup, members) -> bool:
@@ -516,6 +513,7 @@ class SubgroupLattice:
             for i in range(len(self.subgroups))
             if all(row[i] == i for row in self.conj_table)
         )
+        self._normalizers: list = [None] * len(self.subgroups)
 
     # -- construction ------------------------------------------------------
 
@@ -621,6 +619,20 @@ class SubgroupLattice:
     def contains_pair(self, i: int, j: int) -> bool:
         """True when subgroup i is contained in subgroup j."""
         return self.masks[i] & self.masks[j] == self.masks[i]
+
+    def join(self, i: int, j: int) -> int:
+        """Index of the subgroup generated by subgroups i and j: above[i] is
+        ascending by order, so the first entry containing j is the least."""
+        mj = self.masks[j]
+        return next(v for v in self.above[i] if self.masks[v] & mj == mj)
+
+    def normalizer_mask(self, i: int) -> int:
+        """N_G(H_i) as an element bitmask, counted once from column i of the
+        conjugation table."""
+        nm = self._normalizers
+        if nm[i] is None:
+            nm[i] = _mask_of(g for g, row in enumerate(self.conj_table) if row[i] == i)
+        return nm[i]
 
     def moebius(self, u: int, v: int) -> int:
         try:

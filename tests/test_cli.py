@@ -251,3 +251,22 @@ def test_idempotents_cli_output_is_pinned(argv, capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == IDEMPOTENTS_DIGESTS[argv]
+
+
+CONSTANTS_DIGESTS = {
+    ("tslices", "heis:3 * cyclic:3"):
+        "a908b2978fb82994e71d109899f195fdba8350aeca5a620c21461bad25c85010",
+    ("bgroups", "--prime", "3", "--max-order", "81"):
+        "f21c22b6479fa0ef5709e2e7926bddda9c498a0da8065ba4c53a9d98adf04dde",
+    ("mconst", "heis:3 * cyclic:3", "g1", "g2"):
+        "e715a8c9d3b5bb9e74826cc62b2c4a6bdbc5a8574200dcc7e38b09eac5ef8c0c",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(CONSTANTS_DIGESTS), ids=["tslices", "bgroups", "mconst"]
+)
+def test_constants_cli_output_is_pinned(argv, capsys):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTANTS_DIGESTS[argv]

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from sliceburnside import constants
+from sliceburnside import constants, groups, verify
 from sliceburnside.constants import (
     classical_deflation_constant,
     complement_count,
@@ -10,6 +11,7 @@ from sliceburnside.constants import (
     deflation_constant,
     deflation_constant_is_nonzero,
     deflation_idempotent_scalar,
+    deflation_is_nonzero_at,
     deflation_vanishes_predicted,
     elementary_abelian_classical_value,
     elementary_abelian_supplement_value,
@@ -31,7 +33,12 @@ from sliceburnside.groups import (
     is_normal,
     normalizer,
     quaternion_group,
+    set_product,
+    subgroup_as_group,
 )
+from sliceburnside.ring import slice_classes
+
+from test_marks import small_perm_groups
 
 P_GROUP_SPECS = ["cyclic:2", "cyclic:4", "cyclic:8", "elab:2^2", "elab:2^3",
                  "abelian:4x2", "dihedral:8", "cyclic:9", "elab:3^2",
@@ -364,3 +371,148 @@ def test_frattini_quotient_is_built_once_per_group(monkeypatch):
                 ) == supplement_moebius_sum(g, s_members, n_members)
         assert built.count(g) == 1
     assert len(built) == 3
+
+
+# ---------------------------------------------------------------------------
+# The index-level constants against the member-set forms they replaced: the
+# set products S*N and T*N, full scans of the conjugation table for every
+# normalizer order, and sizes and Moebius values read through the lattice's
+# public accessors.
+
+
+def _oracle_lower_sum(lat, s, n):
+    n_mask = lat.masks[n]
+    s_ratio = len(lat.subgroups[s]) // (lat.masks[s] & n_mask).bit_count()
+    lower = 0
+    for u in lat.below[s]:
+        u_size = len(lat.subgroups[u])
+        if u_size == s_ratio * (lat.masks[u] & n_mask).bit_count():
+            lower += u_size * lat.moebius(u, s)
+    return lower
+
+
+def _oracle_supplement_sum(lat, s, n):
+    full = len(lat.subgroups) - 1
+    total = 0
+    for v in lat.above[s]:
+        inter = (lat.masks[v] & lat.masks[n]).bit_count()
+        if len(lat.subgroups[v]) * len(lat.subgroups[n]) == lat.group.order * inter:
+            total += lat.moebius(v, full)
+    return total
+
+
+def oracle_deflation_constant(group, s_members, n_members):
+    lat = all_subgroups(group)
+    s, n = lat.index_of(s_members), lat.index_of(n_members)
+    sn = lat.index_of(set_product(group, s_members, n_members))
+    rows = lat.conj_table
+    norm_sn = sum(1 for row in rows if row[sn] == sn)
+    norm_s = sum(1 for row in rows if row[s] == s)
+    prefactor = Fraction(norm_sn, len(lat.subgroups[sn]) * norm_s)
+    return prefactor * _oracle_lower_sum(lat, s, n) * _oracle_supplement_sum(lat, s, n)
+
+
+def oracle_idempotent_scalar(group, t_members, s_members, n_members):
+    lat = all_subgroups(group)
+    t, s = lat.index_of(t_members), lat.index_of(s_members)
+    tn = lat.index_of(set_product(group, t_members, n_members))
+    sn = lat.index_of(set_product(group, s_members, n_members))
+    emb = subgroup_as_group(lat.subgroups[t])
+    t_cap_n = emb.preimage_members(n_members)
+    m_inner = oracle_deflation_constant(
+        emb.source, emb.preimage_members(s_members), t_cap_n
+    )
+    rows = lat.conj_table
+    nt_s = sum(1 for x in emb.images if rows[x][s] == s)
+    nt_sn = sum(1 for x in emb.images if rows[x][sn] == sn)
+    ng_ts = sum(1 for row in rows if row[t] == t and row[s] == s)
+    ng_tnsn = sum(1 for row in rows if row[tn] == tn and row[sn] == sn)
+    ratio = Fraction(nt_s * ng_tnsn * len(t_cap_n), ng_ts * nt_sn * len(set(n_members)))
+    return ratio * m_inner
+
+
+def assert_constants_match_oracle(group):
+    lat = all_subgroups(group)
+    table = slice_classes(group)
+    for n in lat.normal:
+        n_members = lat.subgroups[n].members
+        for s, sub in enumerate(lat.subgroups):
+            expected = oracle_deflation_constant(group, sub.members, n_members)
+            assert deflation_constant(group, sub.members, n_members) == expected
+            assert deflation_constant_is_nonzero(group, sub.members, n_members) == (
+                expected != 0
+            )
+            assert supplement_moebius_sum(group, sub.members, n_members) == (
+                _oracle_supplement_sum(lat, s, n)
+            )
+        for cls in range(table.size):
+            big, small = table.rep_subgroups(cls)
+            assert deflation_idempotent_scalar(
+                group, big.members, small.members, n_members
+            ) == oracle_idempotent_scalar(group, big.members, small.members, n_members)
+
+
+DIFFERENTIAL_SPECS = list(verify.CORPUS_SPECS) + [
+    "elab:2^4",
+    "heis:3 * cyclic:3",
+    "mod:3 * cyclic:3",
+    "dihedral:8 * cyclic:2",
+    "dihedral:16",
+    "perm:(0 1 2 3),(0 1)",
+    "perm:(0 1 2 3 4),(0 1 2)",
+]
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+def test_constants_match_the_member_set_oracle(spec):
+    assert_constants_match_oracle(group_from_spec(spec))
+
+
+def test_constants_match_the_member_set_oracle_on_q8():
+    assert_constants_match_oracle(quaternion_group())
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group=small_perm_groups())
+def test_constants_match_the_member_set_oracle_on_small_perm_groups(group):
+    assert_constants_match_oracle(group)
+
+
+def test_zero_test_rejects_a_non_normal_subgroup():
+    d8 = group_from_spec("dihedral:8")
+    assert not is_normal(d8, (0, 4))
+    with pytest.raises(GroupError, match="deflation constant needs a normal subgroup"):
+        deflation_constant(d8, (0,), (0, 4))
+    with pytest.raises(GroupError, match="deflation constant needs a normal subgroup"):
+        deflation_constant_is_nonzero(d8, (0,), (0, 4))
+
+
+def test_constants_build_no_member_sets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a member-set product was built")
+
+    monkeypatch.setattr(groups, "set_product", refuse)
+    monkeypatch.setattr(constants, "set_product", refuse)
+    g = group_from_spec("heis:3 * cyclic:3")
+    lat = all_subgroups(g)
+    scans = []
+
+    class CountedRows(list):
+        def __iter__(self):
+            scans.append(1)
+            return super().__iter__()
+
+    table = slice_classes(g)
+    lat.conj_table = CountedRows(lat.conj_table)
+    for _ in range(2):
+        for n in lat.normal:
+            n_members = lat.subgroups[n].members
+            for s in lat.class_reps:
+                deflation_constant(g, lat.subgroups[s].members, n_members)
+                deflation_is_nonzero_at(lat, s, n)
+            for cls in range(0, table.size, 7):
+                big, small = table.rep_subgroups(cls)
+                deflation_idempotent_scalar(g, big.members, small.members, n_members)
+        # one scan of the conjugation table per normalizer mask, each built once
+        built = sum(m is not None for m in lat._normalizers)
+        assert 0 < len(scans) == built <= len(lat.subgroups)

@@ -487,6 +487,36 @@ def test_normalizers_reject_non_subgroups():
         slice_normalizer(d8, not_a_subgroup, (d8.identity,))
 
 
+JOIN_EXTRA_SPECS = [
+    "elab:2^4",
+    "heis:3 * cyclic:3",
+    "mod:3 * cyclic:3",
+    "dihedral:8 * cyclic:2",
+    "dihedral:16",
+    "perm:(0 1 2 3),(0 1)",
+    "perm:(0 1 2 3 4),(0 1 2)",
+]
+
+
+def assert_join_and_normalizer_masks(group):
+    lat = all_subgroups(group)
+    for i, a in enumerate(lat.subgroups):
+        assert lat.normalizer_mask(i) == mask_of(_normalizing_elements(group, a.members))
+        for j, b in enumerate(lat.subgroups):
+            joined = groups.close_under_product(group, a.members + b.members)
+            assert lat.masks[lat.join(i, j)] == mask_of(joined), (group.label, i, j)
+
+
+@pytest.mark.parametrize("idx", range(len(verify.CORPUS_SPECS) + 1))
+def test_join_and_normalizer_masks_on_the_corpus(idx):
+    assert_join_and_normalizer_masks(verify.corpus().groups[idx])
+
+
+@pytest.mark.parametrize("spec", JOIN_EXTRA_SPECS)
+def test_join_and_normalizer_masks_on_larger_groups(spec):
+    assert_join_and_normalizer_masks(group_from_spec(spec))
+
+
 def test_subgroup_generated():
     c12 = cyclic_group(12)
     assert len(subgroup_generated(c12, [4])) == 3
