@@ -51,7 +51,6 @@ from .bisetops import (
     induce,
     inflate,
     restrict,
-    set_oracle_checking,
     transport,
 )
 from .constants import (

@@ -7,9 +7,9 @@ live exactly as long as it does.  Induction, inflation, deflation and
 transport send (T, S) to the class of (f(T), f(S)) for the witness's member
 map f.  Restriction to H is Mackey's formula on lattice masks: (T, S) goes
 to the sum over x in H\\G/S of (H & xTx^-1, H & xSx^-1).  The G-set module
-`gsets` is only the oracle: enabling oracle checking (globally or per call)
-compares each closed form with the orbit decomposition of the G-set image
-(`gsets.*_morphism`) on every invocation and raises on disagreement.
+`gsets` is only the oracle: `check=True`, given per call, compares the
+closed form with the orbit decomposition of the G-set image
+(`gsets.*_morphism`) and raises on disagreement.
 """
 
 from __future__ import annotations
@@ -25,18 +25,6 @@ from .groups import (
 )
 from . import gsets
 from .ring import SliceClassTable, SliceRingElement, morphism_to_ring, slice_classes
-
-_ORACLE_CHECK = False
-
-
-def set_oracle_checking(enabled: bool) -> None:
-    """Force an oracle comparison inside every operation (slow, auditable)."""
-    global _ORACLE_CHECK
-    _ORACLE_CHECK = bool(enabled)
-
-
-def oracle_checking() -> bool:
-    return _ORACLE_CHECK
 
 
 def induce(elem: SliceRingElement, emb: GroupEmbedding, check: bool = False) -> SliceRingElement:
@@ -122,7 +110,7 @@ def _push(name, elem, witness, out_group, image, morphism_map, check) -> SliceRi
         if cls not in cache:
             cache[cls] = image(elem.table, out_table, cls)
     out = _extend(elem, out_table, cache.__getitem__)
-    if check or _ORACLE_CHECK:
+    if check:
         # the G-set path: map the class's projection, decompose into orbits
         other = _extend(elem, out_table, lambda cls: morphism_to_ring(
             morphism_map(elem.table.projection(cls), witness), out_table

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 
-from . import bisetops
 from .constants import (
     classical_deflation_constant,
     deflation_constant,
@@ -41,11 +40,10 @@ from .ring import (
     element_to_json,
     fraction_str,
     mark_matrix_csv,
-    morphism_to_ring,
     slice_classes,
     table_to_json,
 )
-from .verify import run_all
+from .verify import oracle_product, run_all
 
 
 def _parse_generators(text: str, group) -> tuple[int, ...]:
@@ -148,21 +146,11 @@ def _cmd_mul(args) -> int:
     table = slice_classes(g)
     ta, sa = parse_slice(args.slice_a, g)
     tb, sb = parse_slice(args.slice_b, g)
-    a = table.basis_element(table.class_index(ta, sa))
-    b = table.basis_element(table.class_index(tb, sb))
-    product = a * b
-    if args.debug_oracle:
-        import sliceburnside.gsets as gsets
-
-        (ca,) = a.coeffs
-        (cb,) = b.coeffs
-        oracle = morphism_to_ring(
-            gsets.morphism_product(table.projection(ca), table.projection(cb)),
-            table,
-        )
-        if oracle != product:
-            print("oracle disagreement", file=sys.stderr)
-            return 1
+    a, b = table.class_index(ta, sa), table.class_index(tb, sb)
+    product = table.basis_element(a) * table.basis_element(b)
+    if args.debug_oracle and oracle_product(table, a, b) != product:
+        print("oracle disagreement", file=sys.stderr)
+        return 1
     if args.format == "json":
         _print_json(element_to_json(product))
     else:
@@ -304,7 +292,7 @@ def _cmd_check_family(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_all(deep=args.deep)
+    results = run_all(deep=args.deep or args.debug_oracle)
     for result in results:
         print(result.line())
     return 0 if all(r.passed for r in results) else 1
@@ -395,16 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.debug_oracle:
-        bisetops.set_oracle_checking(True)
     try:
         return args.fn(args)
     except GroupError as exc:
         print(f"error in {args.command}: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if args.debug_oracle:
-            bisetops.set_oracle_checking(False)
 
 
 if __name__ == "__main__":

@@ -138,9 +138,7 @@ def deflation_idempotent_scalar(
     bit counts of intersections of the lattice's normalizer masks.
     """
     lat = all_subgroups(group)
-    n = lat.index_of(n_members)
-    if n not in lat.normal:
-        raise GroupError("deflation scalar needs a normal subgroup")
+    n = _normal_index(lat, n_members)
     t, s = lat.index_of(t_members), lat.index_of(s_members)
     if not lat.contains_pair(s, t):
         raise GroupError("slice bottom must live inside the top group")
@@ -201,9 +199,7 @@ def complement_count_formula_check(
     """For a minimal abelian normal N: the deflation constant of the trivial
     slice both directly and as (1 - number of complements) / |N|."""
     lat = all_subgroups(group)
-    n = lat.index_of(n_members)
-    if n not in lat.normal:
-        raise GroupError("needs a normal subgroup")
+    n = _normal_index(lat, n_members)
     if not is_abelian_members(group, n_members):
         raise GroupError("needs an abelian normal subgroup")
     if n not in _minimal_normal(lat):

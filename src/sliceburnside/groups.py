@@ -244,10 +244,6 @@ class Subgroup:
         p = self.parent
         return Subgroup(p, tuple(sorted(p.conj(g, x) for x in self.members)))
 
-    def is_cyclic(self) -> bool:
-        n = len(self.members)
-        return any(self.parent.element_order(x) == n for x in self.members)
-
 
 def subgroup_generated(group: FiniteGroup, elems) -> Subgroup:
     return Subgroup(group, close_under_product(group, list(elems)))

@@ -3,7 +3,7 @@
 Points are plain indices 0..n-1 with a separately stored action table, so
 products, quotients and induced sets all share one representation.  Empty
 G-sets and empty morphisms are legal everywhere.  `hom_count` is the oracle
-for the closed-form marks of `ring.SliceClassTable.mark_matrix`; only the
+for the closed-form marks of `ring.SliceClassTable.mark_columns`; only the
 tests and `verify` call it.
 """
 

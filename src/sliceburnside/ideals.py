@@ -196,8 +196,6 @@ class GroupUniverse:
             raise GroupError(f"universe bound must be at least 1, got {bound}")
         self.prime = prime
         self.bound = bound
-        # membership tests during closure happen at or below this order
-        self.canon_bound = prime**3
         self.groups = constructor_known_p_groups(prime, bound)
         self.lattices = [all_subgroups(g) for g in self.groups]
         self._canon: list[tuple[int, ...]] = [
@@ -223,7 +221,8 @@ class GroupUniverse:
         g = self.groups[gi]
         lat = self.lattices[gi]
         nclasses = len(lat.class_reps)
-        if g.order > self.canon_bound:
+        # membership tests during closure happen at or below this order
+        if g.order > self.prime**3:
             return tuple(range(nclasses))
         if g.is_abelian() and g.exponent() in (1, self.prime):
             # subgroups of an elementary abelian group of equal order are
@@ -387,12 +386,10 @@ class GroupUniverse:
 
     # -- inventory -----------------------------------------------------------------
 
-    def all_abstract_classes(self, max_order: int | None = None) -> set[tuple[int, int]]:
+    def all_abstract_classes(self) -> set[tuple[int, int]]:
         out = set()
-        for gi, g in enumerate(self.groups):
-            if max_order is not None and g.order > max_order:
-                continue
-            for cls in range(len(self.lattices[gi].class_reps)):
+        for gi, lat in enumerate(self.lattices):
+            for cls in range(len(lat.class_reps)):
                 out.add((gi, self.canonical_class(gi, cls)))
         return out
 

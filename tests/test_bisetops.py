@@ -359,20 +359,6 @@ def test_derived_lattices_keep_no_parent_alive():
     assert [r() for r in refs] == [None] * len(refs)
 
 
-def test_oracle_checking_flag_roundtrip():
-    assert not bisetops.oracle_checking()
-    bisetops.set_oracle_checking(True)
-    try:
-        assert bisetops.oracle_checking()
-        c4 = cyclic_group(4)
-        emb = _full_embedding(c4)
-        th = slice_classes(emb.source)
-        bisetops.induce(th.one(), emb)
-    finally:
-        bisetops.set_oracle_checking(False)
-    assert not bisetops.oracle_checking()
-
-
 def per_term_extend(elem, images):
     """Oracle: the linear extension of basis images summed one `Fraction`
     term at a time, as `bisetops._extend` did before it summed integers."""

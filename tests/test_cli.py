@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from sliceburnside import bisetops, verify
+from sliceburnside import cli, verify
 from sliceburnside.cli import main, parse_slice
 from sliceburnside.groups import GroupError, group_from_spec
+from sliceburnside.ring import SliceClassTable
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +70,18 @@ def test_mul_with_debug_oracle(capsys):
     assert code == 0
 
 
+def test_mul_with_debug_oracle_catches_a_wrong_product(capsys, monkeypatch):
+    # every basis product is sent to class 0, which the G-set oracle disagrees with
+    monkeypatch.setattr(SliceClassTable, "basis_mul", lambda self, i, j: {0: 1})
+    argv = ("mul", "dihedral:8", "T=*;S=g1", "T=*;S=g4")
+    code, out, err = run_cli(capsys, "--debug-oracle", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "oracle disagreement\n"
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "argv,deep",
     [
@@ -81,16 +94,15 @@ def test_mul_with_debug_oracle(capsys):
 def test_verify_runs_deep_when_either_flag_is_given(capsys, monkeypatch, argv, deep):
     seen = []
 
-    def fake_check():
-        seen.append(bisetops.oracle_checking())
-        return verify.CheckResult("fake", True, "", 0.0)
+    def fake_run_all(deep=False):
+        seen.append(deep)
+        return [verify.CheckResult("fake", True, "", 0.0)]
 
-    monkeypatch.setattr(verify, "ALL_CHECKS", (fake_check,))
+    monkeypatch.setattr(cli, "run_all", fake_run_all)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert "[PASS] fake" in out
     assert seen == [deep]
-    assert bisetops.oracle_checking() is False
 
 
 def test_mconst_command(capsys):

@@ -485,6 +485,10 @@ def test_zero_test_rejects_a_non_normal_subgroup():
         deflation_constant(d8, (0,), (0, 4))
     with pytest.raises(GroupError, match="deflation constant needs a normal subgroup"):
         deflation_constant_is_nonzero(d8, (0,), (0, 4))
+    with pytest.raises(GroupError, match="deflation constant needs a normal subgroup"):
+        deflation_idempotent_scalar(d8, tuple(range(8)), (0,), (0, 4))
+    with pytest.raises(GroupError, match="deflation constant needs a normal subgroup"):
+        complement_count_formula_check(d8, (0, 4))
 
 
 def test_constants_build_no_member_sets(monkeypatch):
