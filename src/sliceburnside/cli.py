@@ -24,6 +24,7 @@ from .groups import (
     GroupError,
     Subgroup,
     all_subgroups,
+    close_under_product,
     group_from_spec,
     subgroup_as_group,
 )
@@ -81,8 +82,6 @@ def parse_slice(text: str, group) -> tuple[tuple[int, ...], tuple[int, ...]]:
         parts[key] = val
     if "S" not in parts:
         raise GroupError("slice needs an S= component")
-    from .groups import close_under_product
-
     t_gens = _parse_generators(parts.get("T", "*"), group)
     s_gens = _parse_generators(parts["S"], group)
     t_members = close_under_product(group, t_gens)
@@ -181,8 +180,6 @@ def _cmd_mconst(args) -> int:
 
 
 def _closure_of(text: str, group) -> tuple[int, ...]:
-    from .groups import close_under_product
-
     return close_under_product(group, _parse_generators(text, group))
 
 
@@ -313,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--debug-oracle", action="store_true",
-        help="cross-check every elementary operation against the G-set oracle",
+        help="compare mul's product with the G-set oracle, and run verify deep",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import lcm
 
 DEFAULT_ORDER_CAP = 256
 
@@ -142,10 +143,7 @@ class FiniteGroup:
         return self._keys
 
     def exponent(self) -> int:
-        ex = 1
-        for k in self._element_orders():
-            ex = _lcm(ex, k)
-        return ex
+        return lcm(*self._element_orders())
 
     def is_abelian(self) -> bool:
         m = self._mul
@@ -175,12 +173,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def close_under_product(group: FiniteGroup, gens) -> tuple[int, ...]:
@@ -238,11 +230,6 @@ class Subgroup:
                     raise GroupError("subgroup not closed under product")
         if g.order % len(mem) != 0:
             raise GroupError("subgroup size does not divide the group order")
-
-    def conjugate(self, g: int) -> "Subgroup":
-        """The conjugate g*H*g^-1."""
-        p = self.parent
-        return Subgroup(p, tuple(sorted(p.conj(g, x) for x in self.members)))
 
 
 def subgroup_generated(group: FiniteGroup, elems) -> Subgroup:
@@ -446,17 +433,14 @@ def quotient(group: FiniteGroup, n_members) -> GroupQuotient:
         raise GroupError("cannot form the quotient by a non-normal subgroup")
     n = group.order
     proj = [-1] * n
-    count = 0
+    reps: list[int] = []  # the first element of each coset is its least
     for g in range(n):
         if proj[g] >= 0:
             continue
         for x in n_members:
-            proj[group.mul(g, x)] = count
-        count += 1
-    reps = [None] * count
-    for g in range(n):
-        if reps[proj[g]] is None:
-            reps[proj[g]] = g
+            proj[group.mul(g, x)] = len(reps)
+        reps.append(g)
+    count = len(reps)
     table = [
         [proj[group.mul(reps[a], reps[b])] for b in range(count)]
         for a in range(count)
@@ -647,29 +631,48 @@ class SubgroupLattice:
         return self._index[mask]
 
 
+def _extend_mask(group: FiniteGroup, a_members, gens) -> int:
+    # <A, gens>, gens holding A's generators, as a union of right cosets A*y
+    # (left-A-invariant, so closed once each rep times each generator is in it)
+    rows = [group._mul[a] for a in a_members]
+    mask, reps = _mask_of(a_members), [group.identity]
+    for r in reps:
+        row = group._mul[r]
+        for g in gens:
+            y = row[g]
+            if not mask >> y & 1:
+                for ra in rows:
+                    mask |= 1 << ra[y]
+                reps.append(y)
+    return mask
+
+
 def _enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    # the cyclic subgroups, then each subgroup found in the last round
-    # extended by every cyclic subgroup it does not contain
-    found: dict[int, tuple[int, ...]] = {_mask_of((group.identity,)): ()}
+    # the cyclic subgroups, then each subgroup A of the last round extended by
+    # every <x> it does not contain, skipping an x in an extension of prime
+    # index over A already found: <A, x> is that extension (Lagrange)
+    found: dict[int, tuple[int, ...]] = {1 << group.identity: ()}
     for x in range(group.order):
-        found.setdefault(_mask_of(close_under_product(group, [x])), (x,))
-    cyclic = list(found.items())
+        found.setdefault(_extend_mask(group, (group.identity,), (x,)), (x,))
+    cyclic = list(found.values())[1:]
     new_masks = list(found)
     while new_masks:
         batch = []
         for ma in new_masks:
-            for mc, gen in cyclic:
-                if mc & ma == mc:
+            a_members, covered = _members_of(ma), ma
+            for gen in cyclic:
+                if covered >> gen[0] & 1:
                     continue
                 gens = found[ma] + gen
-                m = _mask_of(close_under_product(group, gens))
+                m = _extend_mask(group, a_members, gens)
+                if _is_prime(m.bit_count() // len(a_members)):
+                    covered |= m
                 if m not in found:
                     found[m] = gens
                     batch.append(m)
         new_masks = batch
     subs = [Subgroup(group, _members_of(m)) for m in found]
-    subs.sort(key=lambda s: (len(s.members), s.members))
-    return subs
+    return sorted(subs, key=lambda s: (len(s.members), s.members))
 
 
 def all_subgroups(group: FiniteGroup) -> SubgroupLattice:
