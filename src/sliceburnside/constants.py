@@ -29,16 +29,16 @@ def supplement_moebius_sum(group: FiniteGroup, s_members, n_members) -> int:
 
 
 def _supplement_sum(lat, s: int, n: int) -> int:
-    masks, mu = lat.masks, lat._moebius
+    masks = lat.masks
     # subgroups are sorted by order, so the whole group comes last
-    full = len(masks) - 1
+    mu = lat.moebius_column(len(masks) - 1)
     n_mask = masks[n]
     n_size, order = n_mask.bit_count(), lat.group.order
     total = 0
     for v in lat.above[s]:
         # V*N = G  <=>  |V||N| == |G| * |V & N|   (N normal, so V*N is a subgroup)
         if masks[v].bit_count() * n_size == order * (masks[v] & n_mask).bit_count():
-            total += mu[v, full]
+            total += mu[v]
     return total
 
 
@@ -101,7 +101,7 @@ def deflation_is_nonzero_at(lat, s: int, n: int) -> bool:
 
 def _lower_moebius_sum(lat, s: int, n: int) -> int:
     # sum of |U| moebius(U, S) over U <= S with U*N = S*N
-    masks, mu = lat.masks, lat._moebius
+    masks, mu = lat.masks, lat.moebius_column(s)
     n_mask = masks[n]
     s_ratio = masks[s].bit_count() // (masks[s] & n_mask).bit_count()
     lower = 0
@@ -109,7 +109,7 @@ def _lower_moebius_sum(lat, s: int, n: int) -> int:
         # U*N = S*N  <=>  |U| / |U & N| == |S| / |S & N|   (U <= S)
         u_size = masks[u].bit_count()
         if u_size == s_ratio * (masks[u] & n_mask).bit_count():
-            lower += u_size * mu[u, s]
+            lower += u_size * mu[u]
     return lower
 
 
@@ -292,12 +292,13 @@ def deflation_vanishes_predicted(group: FiniteGroup, s_members, n_members) -> bo
     return first or second
 
 
-def elementary_abelian_classical_value(p: int, n: int, k: int) -> int:
+def elementary_abelian_classical_value(p: int, n: int, k: int) -> Fraction:
     """Closed form for the classical constant on an elementary abelian group
-    of rank n deflated by a rank-k subgroup."""
-    out = 1
+    of rank n deflated by a rank-k subgroup (the exponent goes negative at
+    k = n, so the factors are fractions)."""
+    out = Fraction(1)
     for i in range(1, k + 1):
-        out *= 1 - p ** (n - 1 - i)
+        out *= 1 - Fraction(p) ** (n - 1 - i)
     return out
 
 

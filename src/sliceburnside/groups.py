@@ -6,11 +6,11 @@ standalone groups of its subgroups) is cached on the group object; caches
 are filled before sharing in normal use.
 
 A subgroup lattice grows from the cyclic subgroups by one cyclic extension a
-round; sorted by order, it reads containment, the Moebius function and the
-maximal subgroups off that order.  The lattice of a group made by `quotient`
-or `subgroup_as_group` is instead read off its parent's lattice: the
-subgroups above N, or below H, with their containment, Moebius values and
-conjugation rows.
+round; sorted by order, it reads containment and the maximal subgroups off
+that order.  The lattice of a group made by `quotient` or
+`subgroup_as_group` is instead read off its parent's lattice: the subgroups
+above N, or below H, with their containment and conjugation rows.  Either
+way, the Moebius function is filled one column per subgroup on first use.
 """
 
 from __future__ import annotations
@@ -478,7 +478,9 @@ def subgroup_as_group(sub: Subgroup) -> GroupEmbedding:
 class SubgroupLattice:
     """All subgroups of a group, with containment, Moebius function and
     conjugacy classes.  Built once per group and cached on it: enumerated,
-    or read off the parent's lattice for a quotient or subgroup."""
+    or read off the parent's lattice for a quotient or subgroup; either way
+    the rest is computed here from the subgroups, `below` and the
+    conjugation table."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
@@ -487,13 +489,19 @@ class SubgroupLattice:
             self._enumerate()
         else:
             self._derive(*source)
+        n = len(self.subgroups)
+        # below[i] is ascending, so each above[j] is too
+        above: list[list[int]] = [[] for _ in range(n)]
+        for i, down in enumerate(self.below):
+            for j in down:
+                above[j].append(i)
+        self.above = [tuple(up) for up in above]
         self.class_reps, self.class_of = self._build_classes()
         self.normal = tuple(
-            i
-            for i in range(len(self.subgroups))
-            if all(row[i] == i for row in self.conj_table)
+            i for i in range(n) if all(row[i] == i for row in self.conj_table)
         )
-        self._normalizers: list = [None] * len(self.subgroups)
+        self._normalizers: list = [None] * n
+        self._moebius_columns: list = [None] * n
 
     # -- construction ------------------------------------------------------
 
@@ -501,18 +509,11 @@ class SubgroupLattice:
         self.subgroups: list[Subgroup] = _enumerate_subgroups(self.group)
         masks = self.masks = [s.mask for s in self.subgroups]
         self._index = {m: i for i, m in enumerate(masks)}
-        n = len(self.subgroups)
         # sorted by order, so every subgroup of i has an index <= i
         self.below = [
             tuple(j for j in range(i + 1) if masks[j] & masks[i] == masks[j])
-            for i in range(n)
+            for i in range(len(masks))
         ]
-        above: list[list[int]] = [[] for _ in range(n)]
-        for i, down in enumerate(self.below):
-            for j in down:
-                above[j].append(i)
-        self.above = [tuple(up) for up in above]
-        self._moebius = self._build_moebius()
         self.conj_table = self._build_conj_table()
 
     def _derive(self, parent: "SubgroupLattice", keep, reps) -> None:
@@ -521,7 +522,6 @@ class SubgroupLattice:
         # for parent element reps[k] (the least of its coset, or mem[k]).
         # Kept in parent order, they are already sorted by (order, members):
         # reps is ascending, so member tuples compare as the parent's do.
-        # Intervals are isomorphic, so the Moebius values carry over.
         at = {p: a for a, p in enumerate(keep)}
         pmasks = parent.masks
         self.subgroups = [
@@ -531,27 +531,8 @@ class SubgroupLattice:
         masks = self.masks = [s.mask for s in self.subgroups]
         self._index = {m: i for i, m in enumerate(masks)}
         self.below = [tuple(at[j] for j in parent.below[p] if j in at) for p in keep]
-        self.above = [tuple(at[j] for j in parent.above[p] if j in at) for p in keep]
-        pmu = parent._moebius
-        self._moebius = {
-            (a, b): pmu[p, keep[b]] for a, p in enumerate(keep) for b in self.above[a]
-        }
         rows = parent.conj_table
         self.conj_table = [[at[rows[x][p]] for p in keep] for x in reps]
-
-    def _build_moebius(self) -> dict[tuple[int, int], int]:
-        # moebius(U,V) over the containment poset, all comparable pairs; each
-        # above[u] is ascending, so it lists the interval [U, G] by order
-        mu: dict[tuple[int, int], int] = {}
-        masks = self.masks
-        for u, interval in enumerate(self.above):
-            mu[u, u] = 1
-            for pos in range(1, len(interval)):
-                vm = masks[interval[pos]]
-                mu[u, interval[pos]] = -sum(
-                    mu[u, k] for k in interval[:pos] if masks[k] & vm == masks[k]
-                )
-        return mu
 
     def _build_conj_table(self) -> list[list[int]]:
         # conjugation by e*z is conjugation by e for central z, so the
@@ -614,11 +595,22 @@ class SubgroupLattice:
             nm[i] = _mask_of(g for g, row in enumerate(self.conj_table) if row[i] == i)
         return nm[i]
 
+    def moebius_column(self, v: int) -> dict[int, int]:
+        """{u: moebius(U, V)} over every subgroup U of V, filled once from the
+        top down: moebius(U, V) is minus the sum over U < W <= V."""
+        cols = self._moebius_columns
+        if cols[v] is None:
+            col = {v: 1}
+            for u in reversed(self.below[v][:-1]):
+                col[u] = -sum(col[w] for w in self.above[u][1:] if w in col)
+            cols[v] = col
+        return cols[v]
+
     def moebius(self, u: int, v: int) -> int:
-        try:
-            return self._moebius[u, v]
-        except KeyError:
-            raise GroupError("moebius requires contained subgroup pair") from None
+        mu = self.moebius_column(v).get(u) if v in range(len(self.subgroups)) else None
+        if mu is None:
+            raise GroupError("moebius requires contained subgroup pair")
+        return mu
 
     def maximal_indices(self) -> tuple[int, ...]:
         full = len(self.subgroups) - 1
@@ -948,6 +940,8 @@ def from_permutation_generators(gens, order_cap: int = DEFAULT_ORDER_CAP) -> Fin
     for cycles in cycle_lists:
         for cyc in cycles:
             points.update(cyc)
+    if points and min(points) < 0:
+        raise GroupError("permutation points must be nonnegative")
     npts = max(points) + 1 if points else 1
     perms = []
     for cycles in cycle_lists:

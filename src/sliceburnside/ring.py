@@ -197,17 +197,16 @@ class SliceClassTable:
             return hit
         lat = self.lattice
         t, s = self.reps[cls]
-        t_mask = lat.masks[t]
+        mu_s, mu_t = lat.moebius_column(s), lat.moebius_column(t)
         # integer sums, scaled once by 1 / |N_G(T,S)| (class size over |G|)
         acc: dict[int, int] = {}
         for u in lat.below[s]:
-            wu = len(lat.subgroups[u]) * lat.moebius(u, s)
+            wu = len(lat.subgroups[u]) * mu_s[u]
             if wu == 0:
                 continue
             for v in lat.above[s]:
-                if lat.masks[v] & t_mask != lat.masks[v]:
-                    continue
-                wv = lat.moebius(v, t)
+                # mu_t holds exactly the subgroups of T
+                wv = mu_t.get(v, 0)
                 if wv == 0:
                     continue
                 key = self.class_of[v, u]

@@ -193,6 +193,13 @@ def test_usage_errors_exit_two(capsys):
     assert info.value.code == 2
 
 
+def test_negative_permutation_point_exits_two(capsys):
+    code, out, err = run_cli(capsys, "group", "perm:(0 -1)")
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -279,6 +279,17 @@ def test_fast_zero_test_matches_constant():
                 )
 
 
+@pytest.mark.parametrize("p, rank", [(p, rank) for p in (2, 3) for rank in (1, 2, 3, 4)])
+def test_classical_closed_form_every_rank(p, rank):
+    # k = rank makes the closed form's last exponent negative
+    e = elementary_abelian(p, rank)
+    for k in range(rank + 1):
+        value = elementary_abelian_classical_value(p, rank, k)
+        assert not isinstance(value, float)
+        n = _subgroup_of_size(e, p**k)
+        assert value == classical_deflation_constant(e, n.members)
+
+
 def test_supplement_closed_form_small_ranks():
     for p in (2, 3):
         for rank in (1, 2, 3):

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sliceburnside import groups, verify
+from sliceburnside.constants import is_p_group
 from sliceburnside.groups import (
     FiniteGroup,
     GroupError,
@@ -116,6 +117,13 @@ def test_permutation_closure():
         from_permutation_generators([[(0, 1, 2, 3, 4, 5, 6)]], order_cap=5)
 
 
+def test_permutation_points_must_be_nonnegative():
+    # point -1 would index the last point of the permutation list
+    for gens in ([[(0, -1)]], [[(0, 1)], [(2, -3, 1)]]):
+        with pytest.raises(GroupError):
+            from_permutation_generators(gens)
+
+
 def test_permutation_closure_is_deterministic():
     a = from_permutation_generators([[(0, 1, 2, 3)], [(1, 3)]])
     b = from_permutation_generators([[(0, 1, 2, 3)], [(1, 3)]])
@@ -201,6 +209,76 @@ def test_moebius_two_element_chain():
     g = cyclic_group(5)
     lat = all_subgroups(g)
     assert lat.moebius(lat.index_of([0]), lat.index_of(range(5))) == -1
+
+
+def test_moebius_rejects_indices_outside_the_lattice_and_non_contained_pairs():
+    lat = all_subgroups(elementary_abelian(2, 3))
+    n = len(lat.subgroups)
+    # fill the whole group's column first, so a negative index cannot wrap
+    assert lat.moebius(0, n - 1) == -8
+    a, b = [i for i, s in enumerate(lat.subgroups) if len(s) == 2][:2]
+    for u, v in [(0, -1), (0, -n), (0, n), (0, 99), (-1, n - 1), (n - 1, 0), (a, b)]:
+        with pytest.raises(GroupError):
+            lat.moebius(u, v)
+
+
+def assert_hall_moebius(group):
+    # P. Hall (1936): in a p-group, moebius(U, V) = (-1)^k p^(k(k-1)/2) when
+    # U is normal in V with V/U elementary abelian of order p^k, else 0.
+    # That holds exactly when U contains every p-th power and every
+    # commutator of V (a subgroup holding the commutators is normal).
+    ok, p = is_p_group(group)
+    assert ok
+    lat = all_subgroups(group)
+    for v, down in enumerate(lat.below):
+        members = lat.subgroups[v].members
+        needed = 0
+        for x in members:
+            power = x
+            for _ in range(p - 1):
+                power = group.mul(power, x)
+            needed |= 1 << power
+            for y in members:
+                needed |= 1 << group.mul(group.conj(x, y), group.inv(y))
+        for u in down:
+            k = 0
+            while p**k * len(lat.subgroups[u]) < len(members):
+                k += 1
+            hall = (-1) ** k * p ** (k * (k - 1) // 2)
+            expected = hall if needed & mask_of(lat.subgroups[u].members) == needed else 0
+            assert lat.moebius(u, v) == expected, (u, v)
+
+
+HALL_SPECS = [
+    spec
+    for spec in verify.CORPUS_SPECS
+    if spec != "cyclic:1" and is_p_group(group_from_spec(spec))[0]
+] + ["elab:2^4", "heis:3 * cyclic:3", "mod:3 * cyclic:3", "dihedral:16"]
+
+
+@pytest.mark.parametrize("spec", HALL_SPECS)
+def test_moebius_equals_hall_closed_form_on_p_groups(spec):
+    assert_hall_moebius(group_from_spec(spec))
+
+
+def test_moebius_equals_hall_closed_form_on_derived_lattices():
+    # quotients by the order-3 normal subgroups and the order-27 subgroups of
+    # H27 x C3, their lattices read off the parent's
+    g = group_from_spec("heis:3 * cyclic:3")
+    lat = all_subgroups(g)
+    children = [
+        quotient(g, lat.subgroups[i].members).group
+        for i in lat.normal
+        if len(lat.subgroups[i]) == 3
+    ] + [
+        subgroup_as_group(lat.subgroups[i]).source
+        for i in lat.class_reps
+        if len(lat.subgroups[i]) == 27
+    ]
+    assert len(children) > 2
+    for child in children:
+        assert child._lattice_source is not None
+        assert_hall_moebius(child)
 
 
 def test_frattini_examples():
@@ -307,7 +385,9 @@ def lattice_fields(group):
         "masks": lat.masks,
         "above": list(lat.above),
         "below": list(lat.below),
-        "moebius": lat._moebius,
+        "moebius": {
+            (u, v): lat.moebius(u, v) for v, down in enumerate(lat.below) for u in down
+        },
         "conj_table": lat.conj_table,
         "class_reps": lat.class_reps,
         "class_of": lat.class_of,
