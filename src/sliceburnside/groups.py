@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import takewhile
 from math import lcm
 
 DEFAULT_ORDER_CAP = 256
@@ -597,12 +598,13 @@ class SubgroupLattice:
 
     def moebius_column(self, v: int) -> dict[int, int]:
         """{u: moebius(U, V)} over every subgroup U of V, filled once from the
-        top down: moebius(U, V) is minus the sum over U < W <= V."""
+        top down: moebius(U, V) is minus the sum over U < W <= V, read off
+        above[u] up to v (ascending; U itself is not in the column yet)."""
         cols = self._moebius_columns
         if cols[v] is None:
             col = {v: 1}
             for u in reversed(self.below[v][:-1]):
-                col[u] = -sum(col[w] for w in self.above[u][1:] if w in col)
+                col[u] = -sum(col.get(w, 0) for w in takewhile(v.__ge__, self.above[u]))
             cols[v] = col
         return cols[v]
 
