@@ -14,8 +14,6 @@ closed form with the orbit decomposition of the G-set image
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .groups import (
     GroupEmbedding,
     GroupError,
@@ -106,28 +104,23 @@ def _push(name, elem, witness, out_group, image, morphism_map, check) -> SliceRi
     with checking on, compare against the G-set image under `morphism_map`."""
     out_table = slice_classes(out_group)
     cache = witness.basis_images.setdefault(name, {})
-    for cls in elem.coeffs:
-        if cls not in cache:
-            cache[cls] = image(elem.table, out_table, cls)
-    out = _extend(elem, out_table, cache.__getitem__)
+
+    def basis_image(cls):
+        hit = cache.get(cls)
+        if hit is None:
+            hit = cache[cls] = image(elem.table, out_table, cls)
+        return hit
+
+    out = elem.linear_image(out_table, basis_image)
     if check:
-        # the G-set path: map the class's projection, decompose into orbits
-        other = _extend(elem, out_table, lambda cls: morphism_to_ring(
-            morphism_map(elem.table.projection(cls), witness), out_table
-        ).coeffs)
+        # the G-set path: map each class's projection, decompose into orbits
+        other = out_table.zero()
+        for cls, q in elem.coeffs.items():
+            f = morphism_map(elem.table.projection(cls), witness)
+            other = other + morphism_to_ring(f, out_table).scaled(q)
         if other != out:
             raise GroupError(f"{name}: closed form and oracle disagree")
     return out
-
-
-def _extend(elem: SliceRingElement, out_table: SliceClassTable, image) -> SliceRingElement:
-    # integer sums over a common denominator, one Fraction per output class
-    den, ints = elem._integer_coeffs()
-    acc: dict = {}
-    for cls, n in ints.items():
-        for c, m in image(cls).items():
-            acc[c] = acc.get(c, 0) + n * m
-    return SliceRingElement(out_table, {c: Fraction(v, den) for c, v in acc.items() if v})
 
 
 def _slice_image(member_map):

@@ -153,8 +153,9 @@ def _cmd_mul(args) -> int:
     if args.format == "json":
         _print_json(element_to_json(product))
     else:
-        for cls in sorted(product.coeffs):
-            print(f"{table.label(cls)}: {fraction_str(product.coeffs[cls])}")
+        coeffs = product.coeffs
+        for cls in sorted(coeffs):
+            print(f"{table.label(cls)}: {fraction_str(coeffs[cls])}")
     return 0
 
 

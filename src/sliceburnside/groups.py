@@ -497,10 +497,7 @@ class SubgroupLattice:
             for j in down:
                 above[j].append(i)
         self.above = [tuple(up) for up in above]
-        self.class_reps, self.class_of = self._build_classes()
-        self.normal = tuple(
-            i for i in range(n) if all(row[i] == i for row in self.conj_table)
-        )
+        self.class_reps, self.class_of, self.normal = self._build_classes()
         self._normalizers: list = [None] * n
         self._moebius_columns: list = [None] * n
 
@@ -555,19 +552,22 @@ class SubgroupLattice:
         return table
 
     def _build_classes(self):
+        # a subgroup is normal exactly when its class has one member
         n = len(self.subgroups)
         class_of = [-1] * n
         reps = []
+        normal = []
         for i in range(n):
             if class_of[i] >= 0:
                 continue
             orbit = {row[i] for row in self.conj_table}
-            rep = min(orbit)
+            if len(orbit) == 1:
+                normal.append(i)
             cls = len(reps)
-            reps.append(rep)
+            reps.append(min(orbit))
             for j in orbit:
                 class_of[j] = cls
-        return tuple(reps), tuple(class_of)
+        return tuple(reps), tuple(class_of), tuple(normal)
 
     # -- queries -----------------------------------------------------------
 
@@ -938,21 +938,22 @@ def from_permutation_generators(gens, order_cap: int = DEFAULT_ORDER_CAP) -> Fin
     applied in the given order.
     """
     cycle_lists = [_normalize_cycles(g) for g in gens]
-    points = set()
-    for cycles in cycle_lists:
-        for cyc in cycles:
-            points.update(cyc)
-    if points and min(points) < 0:
+    points = sorted({x for cycles in cycle_lists for cyc in cycles for x in cyc})
+    if points and points[0] < 0:
         raise GroupError("permutation points must be nonnegative")
-    npts = max(points) + 1 if points else 1
+    # Only the named points move.  Relabelling them 0..k-1 in order keeps
+    # memory independent of the largest label and leaves the table unchanged.
+    label = {x: i for i, x in enumerate(points)}
+    npts = len(points)
     perms = []
     for cycles in cycle_lists:
         perm = list(range(npts))
         for cyc in cycles:
             if len(set(cyc)) != len(cyc):
                 raise GroupError(f"cycle {cyc} repeats a point")
-            for i, x in enumerate(cyc):
-                perm[x] = cyc[(i + 1) % len(cyc)]
+            moved = [label[x] for x in cyc]
+            for i, x in enumerate(moved):
+                perm[x] = moved[(i + 1) % len(moved)]
         if sorted(perm) != list(range(npts)):
             raise GroupError("generator cycles are not disjoint")
         perms.append(tuple(perm))

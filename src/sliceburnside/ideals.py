@@ -14,6 +14,7 @@ from .groups import (
     FiniteGroup,
     GroupError,
     _is_prime,
+    abelian_group,
     all_subgroups,
     automorphisms,
     cyclic_group,
@@ -148,12 +149,7 @@ def constructor_known_p_groups(p: int, bound: int) -> list[FiniteGroup]:
     exp = 0
     while order <= bound:
         for part in _partitions(exp):
-            g = (
-                cyclic_group(1)
-                if not part
-                else _abelian_of_type(p, part)
-            )
-            candidates.append(g)
+            candidates.append(abelian_group([p**e for e in part]) if part else cyclic_group(1))
         order *= p
         exp += 1
     for seed in nonabelian_seeds:
@@ -163,9 +159,7 @@ def constructor_known_p_groups(p: int, bound: int) -> list[FiniteGroup]:
         order = p
         while order <= cof:
             for part in _partitions(exp):
-                g = direct_product(_abelian_of_type(p, part), seed)
-                g.label = f"{_abelian_of_type(p, part).label}x{seed.label}"
-                candidates.append(g)
+                candidates.append(direct_product(abelian_group([p**e for e in part]), seed))
             order *= p
             exp += 1
 
@@ -178,12 +172,6 @@ def constructor_known_p_groups(p: int, bound: int) -> list[FiniteGroup]:
     for order in sorted(by_order):
         out.extend(sorted(by_order[order], key=lambda g: g.label))
     return out
-
-
-def _abelian_of_type(p: int, partition) -> FiniteGroup:
-    from .groups import abelian_group
-
-    return abelian_group([p**e for e in partition])
 
 
 class GroupUniverse:

@@ -4,8 +4,9 @@ The ring is free on conjugacy classes of slices (T, S) with S <= T <= G;
 the class of (T, S) is realised by the coset projection G/S -> G/T.  Marks
 are computed in closed form from the subgroup lattice and stored only as
 sparse columns; the dense mark matrix is built on request.  The G-set count
-`gsets.hom_count` is kept only as the oracle that checks them.  All
-coefficients are `fractions.Fraction`; nothing here ever touches floats.
+`gsets.hom_count` is kept only as the oracle that checks them.  An element
+stores integer numerators over one common denominator, and marks and the
+`coeffs` view are `fractions.Fraction`s; nothing here ever touches floats.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .groups import (
     FiniteGroup,
@@ -84,10 +85,10 @@ class SliceClassTable:
     # -- elements ------------------------------------------------------------
 
     def zero(self) -> "SliceRingElement":
-        return SliceRingElement(self, {})
+        return _element(self, 1, {})
 
     def basis_element(self, cls: int) -> "SliceRingElement":
-        return SliceRingElement(self, {cls: Fraction(1)})
+        return _element(self, 1, {cls: 1})
 
     def one(self) -> "SliceRingElement":
         full = tuple(range(self.group.order))
@@ -95,11 +96,11 @@ class SliceClassTable:
 
     def element_from_pairs(self, pairs) -> "SliceRingElement":
         """Sum of basis classes for (t_members, s_members) pairs."""
-        coeffs: dict[int, int] = {}
+        counts: dict[int, int] = {}
         for t_members, s_members in pairs:
             cls = self.class_index(t_members, s_members)
-            coeffs[cls] = coeffs.get(cls, 0) + 1
-        return SliceRingElement(self, coeffs)
+            counts[cls] = counts.get(cls, 0) + 1
+        return _element(self, 1, counts)
 
     # -- coset machinery -----------------------------------------------------
 
@@ -198,7 +199,7 @@ class SliceClassTable:
         lat = self.lattice
         t, s = self.reps[cls]
         mu_s, mu_t = lat.moebius_column(s), lat.moebius_column(t)
-        # integer sums, scaled once by 1 / |N_G(T,S)| (class size over |G|)
+        # integer sums over the denominator |N_G(T,S)| = |G| / class size
         acc: dict[int, int] = {}
         for u in lat.below[s]:
             wu = len(lat.subgroups[u]) * mu_s[u]
@@ -211,10 +212,7 @@ class SliceClassTable:
                     continue
                 key = self.class_of[v, u]
                 acc[key] = acc.get(key, 0) + wu * wv
-        size, order = self.class_sizes[cls], self.group.order
-        out = SliceRingElement(
-            self, {c: Fraction(n * size, order) for c, n in acc.items() if n}
-        )
+        out = _element(self, self.group.order // self.class_sizes[cls], acc)
         self._idempotents[cls] = out
         return out
 
@@ -246,14 +244,24 @@ def slice_classes(group: FiniteGroup) -> SliceClassTable:
 
 
 class SliceRingElement:
-    """An exact rational combination of slice classes of one group."""
+    """An exact rational combination of slice classes of one group, stored as
+    integer numerators over one positive denominator in lowest terms, so equal
+    elements are stored alike.  `coeffs` is a {class: Fraction} output view."""
 
-    __slots__ = ("table", "coeffs")
+    __slots__ = ("table", "denominator", "numerators")
 
     def __init__(self, table: SliceClassTable, coeffs: dict[int, Fraction]):
+        qs = {c: Fraction(q) for c, q in coeffs.items() if q}
+        den = lcm(*(q.denominator for q in qs.values()))
         self.table = table
-        # a Fraction is immutable, so one already built is kept as it is
-        self.coeffs = {c: q if type(q) is Fraction else Fraction(q) for c, q in coeffs.items() if q}
+        self.denominator = den
+        # reduced fractions over the lcm of their denominators share no factor
+        self.numerators = {c: q.numerator * (den // q.denominator) for c, q in qs.items()}
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        den = self.denominator
+        return {c: Fraction(n, den) for c, n in self.numerators.items()}
 
     def _require_same_table(self, other: "SliceRingElement") -> None:
         if self.table is not other.table:
@@ -261,83 +269,87 @@ class SliceRingElement:
 
     def __add__(self, other: "SliceRingElement") -> "SliceRingElement":
         self._require_same_table(other)
-        out = dict(self.coeffs)
-        for c, q in other.coeffs.items():
-            out[c] = out.get(c, 0) + q
-        return SliceRingElement(self.table, out)
+        g = gcd(self.denominator, other.denominator)
+        fa, fb = other.denominator // g, self.denominator // g
+        out = {c: n * fa for c, n in self.numerators.items()}
+        for c, n in other.numerators.items():
+            out[c] = out.get(c, 0) + n * fb
+        return _element(self.table, self.denominator * fa, out)
 
     def __sub__(self, other: "SliceRingElement") -> "SliceRingElement":
-        self._require_same_table(other)
-        out = dict(self.coeffs)
-        for c, q in other.coeffs.items():
-            out[c] = out.get(c, 0) - q
-        return SliceRingElement(self.table, out)
+        return self + -other
 
     def __neg__(self) -> "SliceRingElement":
-        return SliceRingElement(self.table, {c: -q for c, q in self.coeffs.items()})
+        return _element(self.table, self.denominator, {c: -n for c, n in self.numerators.items()})
 
     def scaled(self, scalar) -> "SliceRingElement":
         s = Fraction(scalar)
-        return SliceRingElement(self.table, {c: q * s for c, q in self.coeffs.items()})
+        nums = {c: n * s.numerator for c, n in self.numerators.items()}
+        return _element(self.table, self.denominator * s.denominator, nums)
 
     def __mul__(self, other: "SliceRingElement") -> "SliceRingElement":
         self._require_same_table(other)
-        # scale both sides to integers so accumulation stays in int arithmetic
-        da, a_int = self._integer_coeffs()
-        db, b_int = other._integer_coeffs()
         acc: dict[int, int] = {}
         mul = self.table.basis_mul
-        for ca, na in a_int.items():
-            for cb, nb in b_int.items():
+        for ca, na in self.numerators.items():
+            for cb, nb in other.numerators.items():
                 w = na * nb
                 for c, m in mul(ca, cb).items():
                     acc[c] = acc.get(c, 0) + w * m
-        den = da * db
-        return SliceRingElement(
-            self.table, {c: Fraction(v, den) for c, v in acc.items() if v}
-        )
+        return _element(self.table, self.denominator * other.denominator, acc)
+
+    def linear_image(self, out_table: SliceClassTable, basis_image) -> "SliceRingElement":
+        """The image under the linear map that sends class c to `basis_image(c)`,
+        a {class: multiplicity} dict over `out_table`."""
+        acc: dict[int, int] = {}
+        for cls, n in self.numerators.items():
+            for c, m in basis_image(cls).items():
+                acc[c] = acc.get(c, 0) + n * m
+        return _element(out_table, self.denominator, acc)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SliceRingElement)
             and self.table is other.table
-            and self.coeffs == other.coeffs
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
         )
 
     def __hash__(self):
-        return hash((id(self.table), tuple(sorted(self.coeffs.items()))))
+        return hash((id(self.table), self.denominator, frozenset(self.numerators.items())))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _integer_coeffs(self) -> tuple[int, dict[int, int]]:
-        """A common denominator and the coefficients scaled by it."""
-        den = 1
-        for q in self.coeffs.values():
-            den = den * q.denominator // gcd(den, q.denominator)
-        return den, {c: q.numerator * (den // q.denominator) for c, q in self.coeffs.items()}
+        return not self.numerators
 
     def mark(self, cls: int) -> Fraction:
         columns = self.table.mark_columns()
-        den, ints = self._integer_coeffs()
-        return Fraction(sum(n * columns[c].get(cls, 0) for c, n in ints.items()), den)
+        total = sum(n * columns[c].get(cls, 0) for c, n in self.numerators.items())
+        return Fraction(total, self.denominator)
 
     def mark_vector(self) -> tuple[Fraction, ...]:
         columns = self.table.mark_columns()
-        den, ints = self._integer_coeffs()
         acc = [0] * self.table.size
-        for c, n in ints.items():
+        for c, n in self.numerators.items():
             for r, m in columns[c].items():
                 acc[r] += n * m
-        return tuple(Fraction(v, den) for v in acc)
+        return tuple(Fraction(v, self.denominator) for v in acc)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
-        bits = []
-        for c in sorted(self.coeffs):
-            bits.append(f"{self.coeffs[c]}*{self.table.label(c)}")
-        return " + ".join(bits)
+        return " + ".join(f"{coeffs[c]}*{self.table.label(c)}" for c in sorted(coeffs))
+
+
+def _element(table: SliceClassTable, den: int, nums: dict[int, int]) -> SliceRingElement:
+    """The element with coefficients nums[c] / den for a positive `den`:
+    zeros are dropped and the common factor is divided out."""
+    g = gcd(den, *nums.values())
+    elem = SliceRingElement.__new__(SliceRingElement)
+    elem.table = table
+    elem.denominator = den // g
+    elem.numerators = {c: n // g for c, n in nums.items() if n}
+    return elem
 
 
 def morphism_to_ring(f: gsets.GSetMorphism, table: SliceClassTable) -> SliceRingElement:

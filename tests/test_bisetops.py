@@ -361,7 +361,7 @@ def test_derived_lattices_keep_no_parent_alive():
 
 def per_term_extend(elem, images):
     """Oracle: the linear extension of basis images summed one `Fraction`
-    term at a time, as `bisetops._extend` did before it summed integers."""
+    term at a time, against the integer sums of `SliceRingElement.linear_image`."""
     acc = {}
     for cls, q in elem.coeffs.items():
         for c, m in images[cls].items():
@@ -390,5 +390,5 @@ def test_operations_equal_the_per_term_extension(group, data):
         out = fn(elem, witness)
         assert out.coeffs == per_term_extend(elem, witness.basis_images[name])
         assert all(type(v) is Fraction and v != 0 for v in out.coeffs.values())
-        # the oracle branch extends the G-set images through the same loop
+        # the oracle branch sums the G-set images one scaled term at a time
         assert fn(elem, witness, check=True) == out

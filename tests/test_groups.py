@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -122,6 +123,18 @@ def test_permutation_points_must_be_nonnegative():
     for gens in ([[(0, -1)]], [[(0, 1)], [(2, -3, 1)]]):
         with pytest.raises(GroupError):
             from_permutation_generators(gens)
+
+
+def test_permutation_memory_does_not_grow_with_the_largest_point_label():
+    # permutations over every label up to 10^6 peaked above 100 MB
+    tracemalloc.start()
+    try:
+        far = group_from_spec("perm:(0 1000000)")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert far._mul == group_from_spec("perm:(0 1)")._mul
+    assert peak < 1_000_000
 
 
 def test_permutation_closure_is_deterministic():

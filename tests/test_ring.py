@@ -3,11 +3,14 @@ import io
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sliceburnside import gsets, verify
-from sliceburnside.groups import GroupError, cyclic_group, group_from_spec
+from sliceburnside import bisetops, gsets, verify
+from sliceburnside.groups import GroupError, cyclic_group, group_from_spec, subgroup_as_group
 from sliceburnside.ring import (
     SliceRingElement,
     element_to_json,
@@ -17,6 +20,9 @@ from sliceburnside.ring import (
     slice_classes,
     table_to_json,
 )
+
+from test_bisetops import per_term_extend
+from test_marks import rational_coeffs
 
 
 @pytest.mark.parametrize("spec,count", [("cyclic:1", 1), ("cyclic:2", 3), ("cyclic:3", 3), ("cyclic:5", 3)])
@@ -274,3 +280,58 @@ def test_stored_coefficients_are_nonzero_fractions():
     assert t.element_from_pairs(pairs).coeffs == {
         t.class_index((0,), (0,)): 3, t.class_index(tuple(range(8)), (0,)): 1
     }
+
+
+def assert_lowest_terms(elem):
+    assert elem.denominator > 0 and 0 not in elem.numerators.values()
+    assert gcd(elem.denominator, *elem.numerators.values()) == 1
+
+
+def per_term_sum(a, b, sign):
+    acc = dict(a.coeffs)
+    for c, q in b.coeffs.items():
+        acc[c] = acc.get(c, 0) + sign * q
+    return {c: q for c, q in acc.items() if q != 0}
+
+
+def per_term_product(a, b):
+    acc = {}
+    for ca, qa in a.coeffs.items():
+        for cb, qb in b.coeffs.items():
+            for c, m in a.table.basis_mul(ca, cb).items():
+                acc[c] = acc.get(c, 0) + qa * qb * m
+    return {c: q for c, q in acc.items() if q != 0}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=st.sampled_from(["cyclic:6", "dihedral:8", "perm:(0 1 2),(0 1)", "elab:2^2"]),
+    data=st.data(),
+)
+def test_stored_form_is_lowest_terms_and_equals_per_term_arithmetic(spec, data):
+    table = slice_classes(group_from_spec(spec))
+    a, b = (SliceRingElement(table, data.draw(rational_coeffs(table.size))) for _ in range(2))
+    s = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=12))
+    lat = table.lattice
+    emb = subgroup_as_group(lat.subgroups[data.draw(st.sampled_from(lat.class_reps))])
+    sub_table = slice_classes(emb.source)
+    c = SliceRingElement(sub_table, data.draw(rational_coeffs(sub_table.size)))
+    results = [
+        (a + b, per_term_sum(a, b, 1)),
+        (a - b, per_term_sum(a, b, -1)),
+        (a * b, per_term_product(a, b)),
+        (a.scaled(s), {cls: q * s for cls, q in a.coeffs.items() if q * s != 0}),
+        (bisetops.restrict(a, emb), per_term_extend(a, emb.basis_images["restriction"])),
+        (bisetops.induce(c, emb), per_term_extend(c, emb.basis_images["induction"])),
+    ]
+    for elem, oracle in results:
+        assert elem.coeffs == oracle
+        assert_lowest_terms(elem)
+        rebuilt = SliceRingElement(elem.table, oracle)
+        assert rebuilt == elem and hash(rebuilt) == hash(elem)
+    routes = [
+        (a + b, b + a), ((a - b) + b, a), (a.scaled(2), a + a), (a * b, b * a),
+        (a - a, table.zero()), (a.scaled(s) - a.scaled(s - 1), a), (-(-a), a),
+    ]
+    for x, y in routes:
+        assert x == y and hash(x) == hash(y)
