@@ -5,8 +5,10 @@ sent to its basis image, the images are extended linearly, and they are
 cached on the witness record (embedding, quotient or isomorphism), so they
 live exactly as long as it does.  Induction, inflation, deflation and
 transport send (T, S) to the class of (f(T), f(S)) for the witness's member
-map f.  Restriction to H is Mackey's formula on lattice masks: (T, S) goes
-to the sum over x in H\\G/S of (H & xTx^-1, H & xSx^-1).  The G-set module
+map f.  Restriction to H is Mackey's formula, the sum over x in H\\G/S of
+(H & xTx^-1, H & xSx^-1), taken on lattice masks as a sum over the c
+conjugate pairs (T', S') of the class: each is hit by |G| / c elements x,
+so it counts |G| |H & S'| / (c |H| |S|) times.  The G-set module
 `gsets` is only the oracle: `check=True`, given per call, compares the
 closed form with the orbit decomposition of the G-set image
 (`gsets.*_morphism`) and raises on disagreement.
@@ -19,10 +21,9 @@ from .groups import (
     GroupError,
     GroupIsomorphism,
     GroupQuotient,
-    double_cosets,
 )
 from . import gsets
-from .ring import SliceClassTable, SliceRingElement, morphism_to_ring, slice_classes
+from .ring import SliceClassTable, SliceRingElement, _orbit_counts, morphism_to_ring, slice_classes
 
 
 def induce(elem: SliceRingElement, emb: GroupEmbedding, check: bool = False) -> SliceRingElement:
@@ -37,7 +38,8 @@ def induce(elem: SliceRingElement, emb: GroupEmbedding, check: bool = False) -> 
 
 def restrict(elem: SliceRingElement, emb: GroupEmbedding, check: bool = False) -> SliceRingElement:
     """Restriction to a subgroup H, by Mackey's formula: (T, S) goes to the
-    sum over x in H\\G/S of (H & xTx^-1, H & xSx^-1)."""
+    sum over x in H\\G/S of (H & xTx^-1, H & xSx^-1), computed as a sum
+    over the conjugates of (T, S) (see `_mackey_image`)."""
     if elem.table.group is not emb.target:
         raise GroupError("element is not over the embedding's target group")
     return _push(
@@ -134,22 +136,22 @@ def _slice_image(member_map):
 
 
 def _mackey_image(emb: GroupEmbedding):
-    """(T, S) goes to the classes of (H & xTx^-1, H & xSx^-1), x in H\\G/S."""
+    """(T, S) goes to the sum over its conjugates (T', S') of
+    |G| |H & S'| / (c |H| |S|) (H & T', H & S'), c the class size."""
 
     def image(table: SliceClassTable, out_table: SliceClassTable, cls: int) -> dict:
         lat = table.lattice
         masks, index = lat.masks, lat._index
-        t, s = table.reps[cls]
         h = masks[lat.index_of(emb.images)]
-        out: dict = {}
-        for x in double_cosets(table.group, emb.images, lat.subgroups[s].members):
-            row = lat.conj_table[x]
+        weights: dict = {}
+        for t, s in table.orbits[cls]:
+            inter = h & masks[s]
             c = out_table.class_of[
-                emb.preimage_index(index[h & masks[row[t]]]),
-                emb.preimage_index(index[h & masks[row[s]]]),
+                emb.preimage_index(index[h & masks[t]]),
+                emb.preimage_index(index[inter]),
             ]
-            out[c] = out.get(c, 0) + 1
-        return out
+            weights[c] = weights.get(c, 0) + inter.bit_count()
+        den = table.class_sizes[cls] * len(emb.images) * len(lat.subgroups[table.reps[cls][1]])
+        return _orbit_counts(weights, table.group.order, den)
 
     return image
-

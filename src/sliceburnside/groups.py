@@ -275,7 +275,9 @@ def is_normal(group: FiniteGroup, members) -> bool:
 
 
 def double_cosets(group: FiniteGroup, a_members, b_members) -> tuple[int, ...]:
-    """Representatives of the double cosets A\\G/B, smallest element first."""
+    """Representatives of the double cosets A\\G/B, smallest element first.
+    An element sweep kept only as the oracle for the orbit sums of
+    `SliceClassTable.basis_mul` and of restriction."""
     n = group.order
     seen = bytearray(n)
     reps = []
@@ -300,12 +302,10 @@ def _mask_of(members) -> int:
 
 def _members_of(mask: int) -> tuple[int, ...]:
     out = []
-    x = 0
     while mask:
-        if mask & 1:
-            out.append(x)
-        mask >>= 1
-        x += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -678,37 +678,6 @@ def all_subgroups(group: FiniteGroup) -> SubgroupLattice:
 def frattini(group: FiniteGroup) -> Subgroup:
     lat = all_subgroups(group)
     return lat.subgroups[lat.frattini_index()]
-
-
-def brute_force_subgroups(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """Independent subgroup enumeration by subset filtering; exponential, so
-    only for very small groups."""
-    n = group.order
-    if n > 16:
-        raise GroupError("subset filtering is limited to order <= 16")
-    out = []
-    e = group.identity
-    for mask in range(1 << n):
-        if not (mask >> e) & 1:
-            continue
-        mem = _members_of(mask)
-        if n % len(mem) != 0:
-            continue
-        ok = True
-        for a in mem:
-            if not (mask >> group.inv(a)) & 1:
-                ok = False
-                break
-            row = group._mul[a]
-            for b in mem:
-                if not (mask >> row[b]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(mem)
-    return out
 
 
 # ---------------------------------------------------------------------------

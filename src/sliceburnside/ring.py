@@ -3,7 +3,9 @@
 The ring is free on conjugacy classes of slices (T, S) with S <= T <= G;
 the class of (T, S) is realised by the coset projection G/S -> G/T.  Marks
 are computed in closed form from the subgroup lattice and stored only as
-sparse columns; the dense mark matrix is built on request.  The G-set count
+sparse columns; the dense mark matrix is built on request.  Basis products
+are integer sums over the conjugate pairs of a class, which the table keeps
+as `orbits`, with no double-coset sweep.  The G-set count
 `gsets.hom_count` is kept only as the oracle that checks them.  An element
 stores integer numerators over one common denominator, and marks and the
 `coeffs` view are `fractions.Fraction`s; nothing here ever touches floats.
@@ -16,13 +18,11 @@ import io
 from fractions import Fraction
 from math import gcd, lcm
 
-from .groups import (
-    FiniteGroup,
-    GroupError,
-    all_subgroups,
-    double_cosets,
-)
+from .groups import FiniteGroup, GroupError, all_subgroups
 from . import gsets
+
+# most marks are zero; Fractions are immutable, so one zero serves them all
+_ZERO = Fraction(0)
 
 
 class SliceClassTable:
@@ -39,21 +39,23 @@ class SliceClassTable:
         nsub = len(lat.subgroups)
         class_of: dict[tuple[int, int], int] = {}
         reps: list[tuple[int, int]] = []
-        sizes: list[int] = []
+        orbits: list[tuple[tuple[int, int], ...]] = []
         # pairs come in ascending order, so each orbit is met at its least pair
         for t in range(nsub):
             for s in lat.below[t]:
                 if (t, s) in class_of:
                     continue
-                orbit = {(row[t], row[s]) for row in lat.conj_table}
+                orbit = tuple({(row[t], row[s]) for row in lat.conj_table})
                 cls = len(reps)
                 reps.append((t, s))
-                sizes.append(len(orbit))
+                orbits.append(orbit)
                 for q in orbit:
                     class_of[q] = cls
         self.reps = tuple(reps)
         self.class_of = class_of
-        self.class_sizes = tuple(sizes)
+        # the conjugate (t, s) index pairs of each class
+        self.orbits = tuple(orbits)
+        self.class_sizes = tuple(len(o) for o in orbits)
         self.size = len(reps)
         self._coset_spaces: dict[int, gsets.GSet] = {}
         self._projections: dict[int, gsets.GSetMorphism] = {}
@@ -170,22 +172,26 @@ class SliceClassTable:
     # -- multiplication --------------------------------------------------------
 
     def basis_mul(self, i: int, j: int) -> dict[int, int]:
-        """Product of two basis classes as a class -> multiplicity map."""
+        """Product of two basis classes as a class -> multiplicity map.
+
+        Each double coset S_i g S_j gives the class of
+        (T_i & gT_j, S_i & gS_j), and each conjugate pair (T', S') of class j
+        is hit by |G| / c_j elements g, so the product is the sum over the
+        orbit of |G| |S_i & S'| / (c_j |S_i| |S_j|) [T_i & T', S_i & S']."""
         hit = self._basis_products.get((i, j))
         if hit is not None:
             return hit
         lat = self.lattice
+        masks, index = lat.masks, lat._index
         ti, si = self.reps[i]
-        tj, sj = self.reps[j]
-        s_members = lat.subgroups[si].members
-        x_members = lat.subgroups[sj].members
-        out: dict[int, int] = {}
-        for g in double_cosets(self.group, s_members, x_members):
-            row = lat.conj_table[g]
-            t_mask = lat.masks[ti] & lat.masks[row[tj]]
-            s_mask = lat.masks[si] & lat.masks[row[sj]]
-            cls = self.class_of[lat._index[t_mask], lat._index[s_mask]]
-            out[cls] = out.get(cls, 0) + 1
+        mt, ms = masks[ti], masks[si]
+        weights: dict[int, int] = {}
+        for t, s in self.orbits[j]:
+            inter = ms & masks[s]
+            cls = self.class_of[index[mt & masks[t]], index[inter]]
+            weights[cls] = weights.get(cls, 0) + inter.bit_count()
+        den = self.class_sizes[j] * len(lat.subgroups[si]) * len(lat.subgroups[self.reps[j][1]])
+        out = _orbit_counts(weights, self.group.order, den)
         self._basis_products[(i, j)] = out
         return out
 
@@ -332,7 +338,8 @@ class SliceRingElement:
         for c, n in self.numerators.items():
             for r, m in columns[c].items():
                 acc[r] += n * m
-        return tuple(Fraction(v, self.denominator) for v in acc)
+        den = self.denominator
+        return tuple(Fraction(v, den) if v else _ZERO for v in acc)
 
     def __repr__(self) -> str:
         coeffs = self.coeffs
@@ -350,6 +357,18 @@ def _element(table: SliceClassTable, den: int, nums: dict[int, int]) -> SliceRin
     elem.denominator = den // g
     elem.numerators = {c: n // g for c, n in nums.items() if n}
     return elem
+
+
+def _orbit_counts(weights: dict[int, int], order: int, den: int) -> dict[int, int]:
+    """Multiplicities weight * order / den of an orbit sum; each must be a
+    whole number of double cosets, so a remainder is an enumeration bug."""
+    out = {}
+    for cls, w in weights.items():
+        count, rem = divmod(w * order, den)
+        if rem:
+            raise GroupError("orbit sum is not a whole multiplicity; enumeration bug")
+        out[cls] = count
+    return out
 
 
 def morphism_to_ring(f: gsets.GSetMorphism, table: SliceClassTable) -> SliceRingElement:

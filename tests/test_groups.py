@@ -2,7 +2,7 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sliceburnside import groups, verify
@@ -15,7 +15,6 @@ from sliceburnside.groups import (
     Subgroup,
     all_subgroups,
     automorphisms,
-    brute_force_subgroups,
     cyclic_group,
     dihedral_group,
     double_cosets,
@@ -173,6 +172,41 @@ def test_subgroup_counts(spec, count):
 def test_subgroup_count_of_c3_to_the_fifth():
     # enumeration only; the whole lattice of its 2664 subgroups runs in CI
     assert len(groups._enumerate_subgroups(group_from_spec("elab:3^5"))) == 2664
+
+
+def _bitwise_members(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, read one bit at a time."""
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def brute_force_subgroups(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Independent subgroup enumeration by subset filtering; exponential, so
+    only for very small groups."""
+    n = group.order
+    if n > 16:
+        raise GroupError("subset filtering is limited to order <= 16")
+    out = []
+    e = group.identity
+    for mask in range(1 << n):
+        if not (mask >> e) & 1:
+            continue
+        mem = _bitwise_members(mask)
+        if n % len(mem) != 0:
+            continue
+        if all(
+            mask >> group.inv(a) & 1 and all(mask >> group.mul(a, b) & 1 for b in mem)
+            for a in mem
+        ):
+            out.append(mem)
+    return out
+
+
+@given(mask=st.integers(0, (1 << 243) - 1) | st.integers(0, 1 << 12))
+@example(mask=0)
+@example(mask=(1 << 243) - 1)
+@settings(max_examples=200, deadline=None)
+def test_members_of_matches_the_bit_at_a_time_walk(mask):
+    assert groups._members_of(mask) == _bitwise_members(mask)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sliceburnside import bisetops, gsets, verify
-from sliceburnside.groups import GroupError, cyclic_group, group_from_spec, subgroup_as_group
+from sliceburnside.groups import (
+    GroupError,
+    cyclic_group,
+    double_cosets,
+    group_from_spec,
+    subgroup_as_group,
+)
 from sliceburnside.ring import (
     SliceRingElement,
     element_to_json,
@@ -22,7 +28,7 @@ from sliceburnside.ring import (
 )
 
 from test_bisetops import per_term_extend
-from test_marks import rational_coeffs
+from test_marks import rational_coeffs, small_perm_groups
 
 
 @pytest.mark.parametrize("spec,count", [("cyclic:1", 1), ("cyclic:2", 3), ("cyclic:3", 3), ("cyclic:5", 3)])
@@ -58,7 +64,11 @@ def test_basis_multiplication_examples():
         assert one * t.basis_element(cls) == t.basis_element(cls)
 
 
-@pytest.mark.parametrize("spec", ["cyclic:6", "dihedral:8", "elab:3^2"])
+@pytest.mark.parametrize(
+    "spec",
+    ["cyclic:6", "dihedral:8", "elab:3^2", "perm:(0 1 2),(0 1)(2 3)", "perm:(0 1 2 3),(0 1)",
+     "dihedral:12"],
+)
 def test_basis_multiplication_matches_oracle(spec):
     g = group_from_spec(spec)
     t = slice_classes(g)
@@ -335,3 +345,92 @@ def test_stored_form_is_lowest_terms_and_equals_per_term_arithmetic(spec, data):
     ]
     for x, y in routes:
         assert x == y and hash(x) == hash(y)
+
+
+# The double-coset sums that the orbit sums replaced, kept as their oracle.
+
+
+def double_coset_product(table, i, j):
+    lat = table.lattice
+    masks, index = lat.masks, lat._index
+    (ti, si), (tj, sj) = table.reps[i], table.reps[j]
+    out = {}
+    for g in double_cosets(table.group, lat.subgroups[si].members, lat.subgroups[sj].members):
+        row = lat.conj_table[g]
+        cls = table.class_of[index[masks[ti] & masks[row[tj]]], index[masks[si] & masks[row[sj]]]]
+        out[cls] = out.get(cls, 0) + 1
+    return out
+
+
+def double_coset_restriction(table, emb, cls):
+    """Mackey's formula: (T, S) goes to (H & xTx^-1, H & xSx^-1), x in H\\G/S."""
+    lat = table.lattice
+    masks, index = lat.masks, lat._index
+    t, s = table.reps[cls]
+    h = masks[lat.index_of(emb.images)]
+    out_table = slice_classes(emb.source)
+    out = {}
+    for x in double_cosets(table.group, emb.images, lat.subgroups[s].members):
+        row = lat.conj_table[x]
+        c = out_table.class_of[
+            emb.preimage_index(index[h & masks[row[t]]]),
+            emb.preimage_index(index[h & masks[row[s]]]),
+        ]
+        out[c] = out.get(c, 0) + 1
+    return out
+
+
+def assert_orbit_sums_match_double_cosets(table, pairs, restrictions):
+    for i, j in pairs:
+        assert table.basis_mul(i, j) == double_coset_product(table, i, j)
+    for emb, cls in restrictions:
+        image = bisetops.restrict(table.basis_element(cls), emb)
+        assert image.denominator == 1
+        assert image.numerators == double_coset_restriction(table, emb, cls)
+
+
+def assert_mark_vector_entries(elem):
+    columns = elem.table.mark_columns()
+    acc = [0] * elem.table.size
+    for c, n in elem.numerators.items():
+        for r, m in columns[c].items():
+            acc[r] += n * m
+    vector = elem.mark_vector()
+    assert len(vector) == len(acc)
+    for got, v in zip(vector, acc):
+        assert type(got) is Fraction and got == Fraction(v, elem.denominator)
+
+
+GHOST_GROUPS = ["elab:2^4", "heis:3 * cyclic:3", "mod:3 * cyclic:3", "dihedral:8 * cyclic:2", "dihedral:16"]
+
+
+@pytest.mark.parametrize("spec", GHOST_GROUPS)
+def test_orbit_sums_match_double_coset_sums_on_sampled_pairs(spec):
+    table = slice_classes(group_from_spec(spec))
+    rng = random.Random(spec)
+    pairs = [(rng.randrange(table.size), rng.randrange(table.size)) for _ in range(150)]
+    lat = table.lattice
+    restrictions = [
+        (subgroup_as_group(lat.subgroups[rng.choice(lat.class_reps)]), rng.randrange(table.size))
+        for _ in range(40)
+    ]
+    assert_orbit_sums_match_double_cosets(table, pairs, restrictions)
+    for _ in range(5):
+        coeffs = {rng.randrange(table.size): Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+                  for _ in range(4)}
+        assert_mark_vector_entries(SliceRingElement(table, coeffs))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group=small_perm_groups(), data=st.data())
+def test_orbit_sums_match_double_coset_sums_on_small_groups(group, data):
+    table = slice_classes(group)
+    lat = table.lattice
+    cls = st.integers(0, table.size - 1)
+    pairs = data.draw(st.lists(st.tuples(cls, cls), min_size=1, max_size=20))
+    restrictions = [
+        (subgroup_as_group(lat.subgroups[h]), c)
+        for h, c in data.draw(st.lists(st.tuples(st.sampled_from(lat.class_reps), cls), max_size=8))
+    ]
+    assert_orbit_sums_match_double_cosets(table, pairs, restrictions)
+    assert_mark_vector_entries(SliceRingElement(table, data.draw(rational_coeffs(table.size))))
