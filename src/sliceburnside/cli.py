@@ -16,6 +16,7 @@ from .constants import (
     classical_deflation_constant,
     deflation_constant,
     is_b_group,
+    is_p_group,
     is_t_slice_of,
     supplement_moebius_sum,
 )
@@ -93,6 +94,15 @@ def parse_slice(text: str, group) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _print_labels(args, labels) -> int:
+    if args.format == "json":
+        _print_json(labels)
+    else:
+        for label in labels:
+            print(label)
+    return 0
 
 
 def _cmd_group(args) -> int:
@@ -192,12 +202,7 @@ def _cmd_tslices(args) -> int:
         big, small = table.rep_subgroups(cls)
         if is_t_slice_of(g, big.members, small.members):
             found.append(table.label(cls))
-    if args.format == "json":
-        _print_json(found)
-    else:
-        for label in found:
-            print(label)
-    return 0
+    return _print_labels(args, found)
 
 
 def _universe(args, bound: int) -> GroupUniverse:
@@ -211,18 +216,11 @@ def _universe(args, bound: int) -> GroupUniverse:
 def _cmd_bgroups(args) -> int:
     universe = _universe(args, args.max_order)
     found = [g.label for g in universe.groups if is_b_group(g)]
-    if args.format == "json":
-        _print_json(found)
-    else:
-        for label in found:
-            print(label)
-    return 0
+    return _print_labels(args, found)
 
 
 def _cmd_ideal_dim(args) -> int:
     g = group_from_spec(args.spec, order_cap=args.order_cap)
-    from .constants import is_p_group
-
     ok, _ = is_p_group(g)
     if not ok and args.family.startswith("J"):
         print("warning: ideal families are stated for p-groups", file=sys.stderr)
@@ -233,13 +231,7 @@ def _cmd_ideal_dim(args) -> int:
 def _cmd_minimal_groups(args) -> int:
     universe = _universe(args, args.bound)
     mins = minimal_groups(family_by_id(args.family), universe)
-    labels = [g.label for g in mins]
-    if args.format == "json":
-        _print_json(labels)
-    else:
-        for label in labels:
-            print(label)
-    return 0
+    return _print_labels(args, [g.label for g in mins])
 
 
 def _cmd_closure(args) -> int:
@@ -302,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact slice Burnside ring computations for small finite groups.",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="output format (default text)",
     )
     parser.add_argument(

@@ -1,8 +1,7 @@
-"""Deflation constants of the slice ring, B-groups and T-slices.
-
-Every constant is computed directly over the full subgroup lattice.  The
-supplement sum also has a Frattini-quotient form, which the verification
-suite checks against the direct one.
+"""Deflation constants of the slice ring, B-groups and T-slices, all read off
+G's own lattice by one kernel that takes the slice's top T.  The supplement
+sum also has a Frattini-quotient form, which the verification suite checks
+against the direct one.
 """
 
 from __future__ import annotations
@@ -12,33 +11,40 @@ from fractions import Fraction
 from .groups import (
     FiniteGroup,
     GroupError,
-    Subgroup,
     all_subgroups,
     close_under_product,
     frattini,
     quotient,
     set_product,
-    subgroup_as_group,
 )
 
 
 def supplement_moebius_sum(group: FiniteGroup, s_members, n_members) -> int:
     """Sum of moebius(V, G) over subgroups V containing S with V*N = G."""
     lat = all_subgroups(group)
-    return _supplement_sum(lat, lat.index_of(s_members), lat.index_of(n_members))
+    s, n = lat.index_of(s_members), lat.index_of(n_members)
+    return _supplement_sum(lat, s, n, _top(lat))
 
 
-def _supplement_sum(lat, s: int, n: int) -> int:
-    masks = lat.masks
+def _top(lat) -> int:
     # subgroups are sorted by order, so the whole group comes last
-    mu = lat.moebius_column(len(masks) - 1)
+    return len(lat.subgroups) - 1
+
+
+def _supplement_sum(lat, s: int, n: int, t: int) -> int:
+    # sum of moebius(V, T) over S <= V <= T with V*(T & N) = T
+    masks, mu = lat.masks, lat.moebius_column(t)
     n_mask = masks[n]
-    n_size, order = n_mask.bit_count(), lat.group.order
+    t_size, tn_size = masks[t].bit_count(), (masks[t] & n_mask).bit_count()
     total = 0
     for v in lat.above[s]:
-        # V*N = G  <=>  |V||N| == |G| * |V & N|   (N normal, so V*N is a subgroup)
-        if masks[v].bit_count() * n_size == order * (masks[v] & n_mask).bit_count():
-            total += mu[v]
+        # above[s] ascends by index, and every V <= T has an index <= t
+        if v > t:
+            break
+        # V*(T & N) = T  <=>  |V||T & N| == |T||V & N|   (V <= T; mu has no other V)
+        v_mask = masks[v]
+        if v_mask.bit_count() * tn_size == t_size * (v_mask & n_mask).bit_count():
+            total += mu.get(v, 0)
     return total
 
 
@@ -55,8 +61,7 @@ def classical_deflation_constant(group: FiniteGroup, n_members) -> Fraction:
     lat = all_subgroups(group)
     n = _normal_index(lat, n_members)
     # with S = G the lower sum's condition U*N = S*N is U*N = G
-    full = len(lat.subgroups) - 1
-    return Fraction(_lower_moebius_sum(lat, full, n), group.order)
+    return Fraction(_lower_moebius_sum(lat, _top(lat), n), group.order)
 
 
 def deflation_constant(group: FiniteGroup, s_members, n_members) -> Fraction:
@@ -69,19 +74,22 @@ def deflation_constant(group: FiniteGroup, s_members, n_members) -> Fraction:
     """
     lat = all_subgroups(group)
     n = _normal_index(lat, n_members)
-    return _deflation_constant_at(lat, lat.index_of(s_members), n)
+    return deflation_constant_at(lat, lat.index_of(s_members), n, _top(lat))
 
 
-def _deflation_constant_at(lat, s: int, n: int) -> Fraction:
-    # N must be normal; the constant vanishes with the lower sum, which is
-    # the cheaper of the two
+def deflation_constant_at(lat, s: int, n: int, t: int) -> Fraction:
+    """The constant of the slice (T, S) mod T n N inside T, for S <= T and N
+    normalized by T: normalizers in T are G's normalizer masks cut to T."""
+    # the constant vanishes with the lower sum, which is the cheaper of the two
     lower = _lower_moebius_sum(lat, s, n)
     if lower == 0:
         return Fraction(0)
-    sn, nm = lat.join(s, n), lat.normalizer_mask
+    masks, nm = lat.masks, lat.normalizer_mask
+    t_mask = masks[t]
+    sm = lat.join(s, lat._index[t_mask & masks[n]])
     return Fraction(
-        nm(sn).bit_count() * lower * _supplement_sum(lat, s, n),
-        lat.masks[sn].bit_count() * nm(s).bit_count(),
+        (nm(sm) & t_mask).bit_count() * lower * _supplement_sum(lat, s, n, t),
+        masks[sm].bit_count() * (nm(s) & t_mask).bit_count(),
     )
 
 
@@ -89,18 +97,18 @@ def deflation_constant_is_nonzero(group: FiniteGroup, s_members, n_members) -> b
     """Fast zero test of `deflation_constant`, see `deflation_is_nonzero_at`."""
     lat = all_subgroups(group)
     n = _normal_index(lat, n_members)
-    return deflation_is_nonzero_at(lat, lat.index_of(s_members), n)
+    return deflation_is_nonzero_at(lat, lat.index_of(s_members), n, _top(lat))
 
 
-def deflation_is_nonzero_at(lat, s: int, n: int) -> bool:
-    """Zero test on lattice indices: the prefactor of normalizer indices is
-    positive, so the constant vanishes exactly when one of the two Moebius
-    sums does."""
-    return _lower_moebius_sum(lat, s, n) != 0 and _supplement_sum(lat, s, n) != 0
+def deflation_is_nonzero_at(lat, s: int, n: int, t: int) -> bool:
+    """Zero test of `deflation_constant_at`: the prefactor of normalizer
+    indices is positive, so the constant vanishes exactly when one of the
+    two Moebius sums does."""
+    return _lower_moebius_sum(lat, s, n) != 0 and _supplement_sum(lat, s, n, t) != 0
 
 
 def _lower_moebius_sum(lat, s: int, n: int) -> int:
-    # sum of |U| moebius(U, S) over U <= S with U*N = S*N
+    # sum of |U| moebius(U, S) over U <= S with U*N = S*N (U & N = U & T & N for S <= T)
     masks, mu = lat.masks, lat.moebius_column(s)
     n_mask = masks[n]
     s_ratio = masks[s].bit_count() // (masks[s] & n_mask).bit_count()
@@ -131,11 +139,11 @@ def deflation_idempotent_scalar(
 ) -> Fraction:
     """Predicted scalar for deflating the idempotent of a slice (T, S) mod N.
 
-    Combines the constant of (T, S) inside T with a ratio of slice-normalizer
-    sizes.  Derived by factoring the idempotent through induction from T and
-    commuting deflation past it; the |T n N| / |N| factor comes from reading
-    the normalizer of the image slice inside TN/N.  The normalizer sizes are
-    bit counts of intersections of the lattice's normalizer masks.
+    Combines the constant of (T, S) mod T n N inside T with a ratio of
+    slice-normalizer sizes.  Derived by factoring the idempotent through
+    induction from T and commuting deflation past it; the |T n N| / |N| factor
+    comes from the normalizer of the image slice inside TN/N.  The normalizer
+    sizes are bit counts of intersections of the lattice's normalizer masks.
     """
     lat = all_subgroups(group)
     n = _normal_index(lat, n_members)
@@ -144,17 +152,13 @@ def deflation_idempotent_scalar(
         raise GroupError("slice bottom must live inside the top group")
     masks, nm = lat.masks, lat.normalizer_mask
     tn, sn = lat.join(t, n), lat.join(s, n)
-    t_cap_n = lat._index[masks[t] & masks[n]]
-    emb = subgroup_as_group(lat.subgroups[t])
-    m_inner = _deflation_constant_at(
-        all_subgroups(emb.source), emb.preimage_index(s), emb.preimage_index(t_cap_n)
-    )
+    m_inner = deflation_constant_at(lat, s, n, t)
     nt_s = (nm(s) & masks[t]).bit_count()
     nt_sn = (nm(sn) & masks[t]).bit_count()
     ng_ts = (nm(t) & nm(s)).bit_count()
     ng_tnsn = (nm(tn) & nm(sn)).bit_count()
     ratio = Fraction(
-        nt_s * ng_tnsn * masks[t_cap_n].bit_count(), ng_ts * nt_sn * masks[n].bit_count()
+        nt_s * ng_tnsn * (masks[t] & masks[n]).bit_count(), ng_ts * nt_sn * masks[n].bit_count()
     )
     return ratio * m_inner
 
@@ -177,7 +181,7 @@ def _minimal_normal(lat) -> list[int]:
     ]
 
 
-def minimal_normal_subgroups(group: FiniteGroup) -> list[Subgroup]:
+def minimal_normal_subgroups(group: FiniteGroup) -> list:
     lat = all_subgroups(group)
     return [lat.subgroups[i] for i in _minimal_normal(lat)]
 
@@ -205,7 +209,7 @@ def complement_count_formula_check(
     if n not in _minimal_normal(lat):
         raise GroupError("needs a minimal normal subgroup")
     # subgroups are sorted by order, so the trivial one comes first
-    direct = _deflation_constant_at(lat, 0, n)
+    direct = deflation_constant_at(lat, 0, n, _top(lat))
     counted = Fraction(1 - complement_count(group, n_members), lat.masks[n].bit_count())
     return direct, counted
 
@@ -214,36 +218,36 @@ def complement_count_formula_check(
 # B-groups and T-slices
 
 
-def nontrivial_normal_subgroups(group: FiniteGroup) -> list[Subgroup]:
+def nontrivial_normal_subgroups(group: FiniteGroup) -> list:
     lat = all_subgroups(group)
     # subgroups are sorted by order, so the trivial one comes first
     return [lat.subgroups[i] for i in lat.normal[1:]]
 
 
 def is_b_group(group: FiniteGroup) -> bool:
-    """Every deflation constant mod a nontrivial normal subgroup vanishes."""
-    lat = all_subgroups(group)
-    # the classical constant is the lower sum at S = G over |G|
-    full = len(lat.subgroups) - 1
-    return all(_lower_moebius_sum(lat, full, n) == 0 for n in lat.normal[1:])
+    """Every deflation constant mod a nontrivial normal subgroup vanishes: the
+    slice (G, G), whose supplement sum is 1, is a T-slice."""
+    return is_t_slice(group, group.elements())
 
 
 def is_t_slice(t_group: FiniteGroup, s_members) -> bool:
-    """The slice (T, S) kills every deflation mod a nontrivial normal
-    subgroup of T.  `s_members` live in `t_group`'s element indexing."""
-    if not set(s_members) <= set(t_group.elements()):
-        raise GroupError("slice bottom must live inside the top group")
-    lat = all_subgroups(t_group)
-    s = lat.index_of(s_members)
-    return not any(deflation_is_nonzero_at(lat, s, n) for n in lat.normal[1:])
+    """The slice (T, S) with T the whole group; see `is_t_slice_of`."""
+    return is_t_slice_of(t_group, t_group.elements(), s_members)
 
 
 def is_t_slice_of(group: FiniteGroup, t_members, s_members) -> bool:
-    """T-slice test for a slice (T, S) of an ambient group."""
+    """The slice (T, S) kills every deflation mod a nontrivial normal subgroup
+    X of T, read off G's lattice as the X != 1 below T with T <= N_G(X)."""
     if not set(s_members) <= set(t_members):
         raise GroupError("slice bottom must live inside the top group")
-    emb = subgroup_as_group(Subgroup.from_members(group, t_members))
-    return is_t_slice(emb.source, emb.preimage_members(s_members))
+    lat = all_subgroups(group)
+    t, s = lat.index_of(t_members), lat.index_of(s_members)
+    t_mask, nm = lat.masks[t], lat.normalizer_mask
+    # subgroups are sorted by order, so below[t] starts with the trivial one
+    return not any(
+        nm(x) & t_mask == t_mask and deflation_is_nonzero_at(lat, s, x, t)
+        for x in lat.below[t][1:]
+    )
 
 
 # ---------------------------------------------------------------------------

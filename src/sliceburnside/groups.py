@@ -936,7 +936,7 @@ def from_permutation_generators(gens, order_cap: int = DEFAULT_ORDER_CAP) -> Fin
             new = tuple(perm[cur[i]] for i in range(npts))
             if new not in index:
                 if len(elems) >= order_cap:
-                    raise OrderCapError("permutation closure exceeds the order cap")
+                    raise OrderCapError(f"permutation closure exceeds cap {order_cap}")
                 index[new] = len(elems)
                 elems.append(new)
                 queue.append(new)
@@ -999,33 +999,31 @@ def _atom_from_spec(spec: str, order_cap: int) -> FiniteGroup:
     kind, _, arg = spec.partition(":")
     if kind == "cyclic":
         n = _parse_int(arg, spec)
-        _check_cap(n, order_cap)
+        _check_cap((n,), order_cap)
         return cyclic_group(n)
     if kind == "elab":
         m = re.fullmatch(r"(\d+)\^(\d+)", arg.strip())
         if not m:
             raise SpecParseError(f"elab expects P^K, got {arg!r}")
         p, k = int(m.group(1)), int(m.group(2))
-        _check_cap(p**k, order_cap)
+        # past this many factors P**K exceeds the cap for P >= 2, or stays P
+        _check_cap([p] * min(k, order_cap.bit_length() + 1), order_cap)
         return elementary_abelian(p, k)
     if kind == "abelian":
         factors = [_parse_int(f, spec) for f in arg.split("x")]
-        total = 1
-        for f in factors:
-            total *= f
-        _check_cap(total, order_cap)
+        _check_cap(factors, order_cap)
         return abelian_group(factors)
     if kind == "dihedral":
         n = _parse_int(arg, spec)
-        _check_cap(n, order_cap)
+        _check_cap((n,), order_cap)
         return dihedral_group(n)
     if kind == "mod":
         p = _parse_int(arg, spec)
-        _check_cap(p**3, order_cap)
+        _check_cap((p, p, p), order_cap)
         return modular_group_p3(p)
     if kind == "heis":
         p = _parse_int(arg, spec)
-        _check_cap(p**3, order_cap)
+        _check_cap((p, p, p), order_cap)
         return heisenberg_group_p3(p)
     if kind == "perm":
         gens = _parse_perm_arg(arg, spec)
@@ -1059,6 +1057,10 @@ def _parse_int(text: str, spec: str) -> int:
         raise SpecParseError(f"expected an integer in {spec!r}, got {text!r}") from None
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise OrderCapError(f"order {n} exceeds cap {cap}")
+def _check_cap(factors, cap: int) -> None:
+    # no product past the cap is formed, nor an order printed (too long for str)
+    total = 1
+    for f in factors:
+        total *= f
+        if total > cap:
+            raise OrderCapError(f"order exceeds cap {cap}")

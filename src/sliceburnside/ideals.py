@@ -27,7 +27,7 @@ from .groups import (
     quotient,
 )
 from .constants import (
-    deflation_constant,
+    deflation_constant_at,
     deflation_is_nonzero_at,
     is_cyclic_members,
 )
@@ -178,10 +178,13 @@ class GroupUniverse:
     """A finite stand-in for the category of p-groups up to an order bound."""
 
     def __init__(self, prime: int, bound: int):
-        if not _is_prime(prime):
-            raise GroupError(f"universe prime must be prime, got {prime}")
         if bound < 1:
             raise GroupError(f"universe bound must be at least 1, got {bound}")
+        # its universe is C1 alone; refused before a slow trial division
+        if prime > bound:
+            raise GroupError(f"universe prime exceeds the bound {bound}")
+        if not _is_prime(prime):
+            raise GroupError(f"universe prime must be prime, got {prime}")
         self.prime = prime
         self.bound = bound
         self.groups = constructor_known_p_groups(prime, bound)
@@ -354,7 +357,7 @@ class GroupUniverse:
         if hit is None:
             lat = self.lattices[gi]
             hit = self._deflates[key] = deflation_is_nonzero_at(
-                lat, lat.class_reps[cls], n_idx
+                lat, lat.class_reps[cls], n_idx, len(lat.subgroups) - 1
             )
         return hit
 
@@ -487,10 +490,8 @@ def check_conditions(family: SliceFamily, universe: GroupUniverse) -> ConditionR
                 )
             # deflation closure: member source with nonzero constant
             if member_here and not quotient_member and universe.deflates(gi, cls, n_idx):
-                m = deflation_constant(
-                    universe.groups[gi],
-                    lat.subgroups[lat.class_reps[cls]].members,
-                    lat.subgroups[n_idx].members,
+                m = deflation_constant_at(
+                    lat, lat.class_reps[cls], n_idx, len(lat.subgroups) - 1
                 )
                 report.deflation_violations.append(
                     {

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -214,6 +215,48 @@ def test_bad_universe_arguments_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert "universe" in err
+
+
+def test_csv_format_is_refused():
+    # `marks` prints CSV under the default text format
+    with pytest.raises(SystemExit) as info:
+        main(["--format", "csv", "marks", "cyclic:2"])
+    assert info.value.code == 2
+
+
+def test_prime_above_the_universe_bound_exits_two_before_trial_division(capsys):
+    start = time.perf_counter()
+    # 2^61 - 1 is prime: trial division up to its square root never ends
+    code, out, err = run_cli(
+        capsys, "bgroups", "--max-order", "8", "--prime", "2305843009213693951"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "universe prime exceeds the bound 8" in err
+
+
+OVERSIZED_SPECS = {
+    "cyclic": "cyclic:" + "9" * 4000,
+    "elab": "elab:3^100000",
+    "elab-huge-rank": "elab:2^1000000000",
+    "abelian": "abelian:" + "x".join(["99999"] * 900),
+    "dihedral": "dihedral:" + "8" * 4000,
+    "mod": "mod:" + "9" * 1500,
+    "heis": "heis:" + "9" * 1500,
+    "perm": "perm:(0 1 2 3 4 5 6 7 8 9),(0 1)",
+    "product": "cyclic:200 * cyclic:200",
+}
+
+
+@pytest.mark.parametrize("spec", list(OVERSIZED_SPECS.values()), ids=list(OVERSIZED_SPECS))
+def test_oversized_spec_exits_two_quickly(capsys, spec):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "group", spec)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "exceeds cap" in err
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from sliceburnside.constants import (
 )
 from sliceburnside.groups import (
     GroupError,
+    Subgroup,
     all_subgroups,
     cyclic_group,
     elementary_abelian,
@@ -489,6 +490,75 @@ def test_constants_match_the_member_set_oracle_on_small_perm_groups(group):
     assert_constants_match_oracle(group)
 
 
+def oracle_t_slice(group, t_members, s_members):
+    # T as a standalone group, every nontrivial normal subgroup of it found by
+    # member sets, and the constant of (T, S) evaluated there
+    emb = subgroup_as_group(Subgroup.from_members(group, t_members))
+    t_group, s_inner = emb.source, emb.preimage_members(s_members)
+    return all(
+        oracle_deflation_constant(t_group, s_inner, x.members) == 0
+        for x in all_subgroups(t_group).subgroups[1:]
+        if is_normal(t_group, x.members)
+    )
+
+
+def assert_t_slices_match_oracle(group):
+    full = tuple(group.elements())
+    table = slice_classes(group)
+    for cls in range(table.size):
+        big, small = table.rep_subgroups(cls)
+        assert is_t_slice_of(group, big.members, small.members) == oracle_t_slice(
+            group, big.members, small.members
+        )
+    for sub in all_subgroups(group).subgroups:
+        assert is_t_slice(group, sub.members) == oracle_t_slice(group, full, sub.members)
+    assert is_b_group(group) == oracle_t_slice(group, full, full)
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+def test_t_slices_and_b_groups_match_the_standalone_top_oracle(spec):
+    assert_t_slices_match_oracle(group_from_spec(spec))
+
+
+def test_t_slices_and_b_groups_match_the_standalone_top_oracle_on_q8():
+    assert_t_slices_match_oracle(quaternion_group())
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group=small_perm_groups())
+def test_t_slices_and_b_groups_match_the_standalone_top_oracle_on_small_perm_groups(group):
+    assert_t_slices_match_oracle(group)
+
+
+@pytest.mark.parametrize("spec", ["heis:3 * cyclic:3", "perm:(0 1 2 3),(0 1)"])
+def test_slice_constants_build_no_lattice_besides_the_groups(spec, monkeypatch):
+    g = group_from_spec(spec)
+    lat = all_subgroups(g)
+    table = slice_classes(g)
+    builds = []
+    original_init = groups.SubgroupLattice.__init__
+
+    def counted_init(self, group):
+        builds.append(group)
+        original_init(self, group)
+
+    def refuse(*args):
+        raise AssertionError("a subgroup was rebuilt as a standalone group")
+
+    monkeypatch.setattr(groups.SubgroupLattice, "__init__", counted_init)
+    monkeypatch.setattr(groups, "subgroup_as_group", refuse)
+    monkeypatch.setattr(constants, "subgroup_as_group", refuse, raising=False)
+    for cls in range(table.size):
+        big, small = table.rep_subgroups(cls)
+        is_t_slice_of(g, big.members, small.members)
+        for n in lat.normal:
+            deflation_idempotent_scalar(
+                g, big.members, small.members, lat.subgroups[n].members
+            )
+    is_b_group(g)
+    assert builds == []
+
+
 def test_zero_test_rejects_a_non_normal_subgroup():
     d8 = group_from_spec("dihedral:8")
     assert not is_normal(d8, (0, 4))
@@ -524,7 +594,7 @@ def test_constants_build_no_member_sets(monkeypatch):
             n_members = lat.subgroups[n].members
             for s in lat.class_reps:
                 deflation_constant(g, lat.subgroups[s].members, n_members)
-                deflation_is_nonzero_at(lat, s, n)
+                deflation_is_nonzero_at(lat, s, n, len(lat.subgroups) - 1)
             for cls in range(0, table.size, 7):
                 big, small = table.rep_subgroups(cls)
                 deflation_idempotent_scalar(g, big.members, small.members, n_members)
