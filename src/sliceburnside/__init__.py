@@ -29,7 +29,6 @@ from .groups import (
     quaternion_group,
     quotient,
     subgroup_as_group,
-    subgroup_generated,
 )
 from .gsets import (
     GSet,

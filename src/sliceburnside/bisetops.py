@@ -6,9 +6,8 @@ cached on the witness record (embedding, quotient or isomorphism), so they
 live exactly as long as it does.  Induction, inflation, deflation and
 transport send (T, S) to the class of (f(T), f(S)) for the witness's member
 map f.  Restriction to H is Mackey's formula, the sum over x in H\\G/S of
-(H & xTx^-1, H & xSx^-1), taken on lattice masks as a sum over the c
-conjugate pairs (T', S') of the class: each is hit by |G| / c elements x,
-so it counts |G| |H & S'| / (c |H| |S|) times.  The G-set module
+(H & xTx^-1, H & xSx^-1), which is the basis product's orbit sum
+(`SliceClassTable.orbit_sum`) with H in place of (T_i, S_i).  The G-set module
 `gsets` is only the oracle: `check=True`, given per call, compares the
 closed form with the orbit decomposition of the G-set image
 (`gsets.*_morphism`) and raises on disagreement.
@@ -23,7 +22,7 @@ from .groups import (
     GroupQuotient,
 )
 from . import gsets
-from .ring import SliceClassTable, SliceRingElement, _orbit_counts, morphism_to_ring, slice_classes
+from .ring import SliceClassTable, SliceRingElement, morphism_to_ring, slice_classes
 
 
 def induce(elem: SliceRingElement, emb: GroupEmbedding, check: bool = False) -> SliceRingElement:
@@ -78,22 +77,6 @@ def transport(elem: SliceRingElement, iso: GroupIsomorphism, check: bool = False
     )
 
 
-def elementary_apply(op: str, elem: SliceRingElement, witness, check: bool = False) -> SliceRingElement:
-    """Dispatch by operation name: ind, res, inf, def, iso."""
-    table = {
-        "ind": induce,
-        "res": restrict,
-        "inf": inflate,
-        "def": deflate,
-        "iso": transport,
-    }
-    try:
-        fn = table[op]
-    except KeyError:
-        raise GroupError(f"unknown elementary operation {op!r}") from None
-    return fn(elem, witness, check=check)
-
-
 # ---------------------------------------------------------------------------
 # The slice push
 #
@@ -136,22 +119,12 @@ def _slice_image(member_map):
 
 
 def _mackey_image(emb: GroupEmbedding):
-    """(T, S) goes to the sum over its conjugates (T', S') of
-    |G| |H & S'| / (c |H| |S|) (H & T', H & S'), c the class size."""
+    """(T, S) goes to the orbit sum of its class with H as top and bottom,
+    each pair (H & T', H & S') read as a class of H."""
 
     def image(table: SliceClassTable, out_table: SliceClassTable, cls: int) -> dict:
-        lat = table.lattice
-        masks, index = lat.masks, lat._index
-        h = masks[lat.index_of(emb.images)]
-        weights: dict = {}
-        for t, s in table.orbits[cls]:
-            inter = h & masks[s]
-            c = out_table.class_of[
-                emb.preimage_index(index[h & masks[t]]),
-                emb.preimage_index(index[inter]),
-            ]
-            weights[c] = weights.get(c, 0) + inter.bit_count()
-        den = table.class_sizes[cls] * len(emb.images) * len(lat.subgroups[table.reps[cls][1]])
-        return _orbit_counts(weights, table.group.order, den)
+        h = table.lattice.index_of(emb.images)
+        pre, class_of = emb.preimage_index, out_table.class_of
+        return table.orbit_sum(h, h, cls, lambda t, s: class_of[pre(t), pre(s)])
 
     return image

@@ -93,13 +93,6 @@ def deflation_constant_at(lat, s: int, n: int, t: int) -> Fraction:
     )
 
 
-def deflation_constant_is_nonzero(group: FiniteGroup, s_members, n_members) -> bool:
-    """Fast zero test of `deflation_constant`, see `deflation_is_nonzero_at`."""
-    lat = all_subgroups(group)
-    n = _normal_index(lat, n_members)
-    return deflation_is_nonzero_at(lat, lat.index_of(s_members), n, _top(lat))
-
-
 def deflation_is_nonzero_at(lat, s: int, n: int, t: int) -> bool:
     """Zero test of `deflation_constant_at`: the prefactor of normalizer
     indices is positive, so the constant vanishes exactly when one of the

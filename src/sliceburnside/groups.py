@@ -233,10 +233,6 @@ class Subgroup:
             raise GroupError("subgroup size does not divide the group order")
 
 
-def subgroup_generated(group: FiniteGroup, elems) -> Subgroup:
-    return Subgroup(group, close_under_product(group, list(elems)))
-
-
 def set_product(group: FiniteGroup, a_members, b_members) -> tuple[int, ...]:
     """The product set A*B = {a*b}; a subgroup when one factor is normal."""
     out = set()
@@ -399,18 +395,8 @@ class GroupQuotient:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class GroupIsomorphism:
-    source: FiniteGroup
-    target: FiniteGroup
-    images: tuple[int, ...]
-    basis_images: dict = _cache_field()
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def image_members(self, members) -> tuple[int, ...]:
-        return tuple(sorted(self.images[x] for x in members))
+class GroupIsomorphism(GroupEmbedding):
+    """A bijective embedding, with its inverse."""
 
     def inverse(self) -> "GroupIsomorphism":
         inv = [0] * len(self.images)
@@ -419,9 +405,9 @@ class GroupIsomorphism:
         return GroupIsomorphism(self.target, self.source, tuple(inv))
 
     def check(self) -> None:
-        if sorted(self.images) != list(range(self.source.order)):
+        if sorted(self.images) != list(range(self.target.order)):
             raise GroupError("isomorphism images are not a bijection")
-        GroupEmbedding(self.source, self.target, self.images).check()
+        super().check()
 
 
 def quotient(group: FiniteGroup, n_members) -> GroupQuotient:
@@ -1051,9 +1037,13 @@ def _parse_perm_arg(arg: str, spec: str):
 
 
 def _parse_int(text: str, spec: str) -> int:
+    text = text.strip()
     try:
-        return int(text.strip())
+        return int(text)
     except ValueError:
+        # past the interpreter's digit limit, far past any order cap: echo none of it
+        if text.isdecimal():
+            raise SpecParseError(f"integer of {len(text)} digits is too long") from None
         raise SpecParseError(f"expected an integer in {spec!r}, got {text!r}") from None
 
 

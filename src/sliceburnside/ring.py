@@ -4,8 +4,9 @@ The ring is free on conjugacy classes of slices (T, S) with S <= T <= G;
 the class of (T, S) is realised by the coset projection G/S -> G/T.  Marks
 are computed in closed form from the subgroup lattice and stored only as
 sparse columns; the dense mark matrix is built on request.  Basis products
-are integer sums over the conjugate pairs of a class, which the table keeps
-as `orbits`, with no double-coset sweep.  The G-set count
+and restrictions are integer sums over the conjugate pairs of a class, which
+the table keeps as `orbits`, through one kernel `orbit_sum`, with no
+double-coset sweep.  The G-set count
 `gsets.hom_count` is kept only as the oracle that checks them.  An element
 stores integer numerators over one common denominator, and marks and the
 `coeffs` view are `fractions.Fraction`s; nothing here ever touches floats.
@@ -171,29 +172,43 @@ class SliceClassTable:
 
     # -- multiplication --------------------------------------------------------
 
-    def basis_mul(self, i: int, j: int) -> dict[int, int]:
-        """Product of two basis classes as a class -> multiplicity map.
+    def orbit_sum(self, t: int, s: int, j: int, key) -> dict[int, int]:
+        """The sum over the conjugate pairs (T', S') of class j of
+        |G| |S & S'| / (c_j |S| |S_j|) [key(T & T', S & S')], for lattice
+        indices t, s and a `key` from index pairs to output classes.
 
-        Each double coset S_i g S_j gives the class of
-        (T_i & gT_j, S_i & gS_j), and each conjugate pair (T', S') of class j
-        is hit by |G| / c_j elements g, so the product is the sum over the
-        orbit of |G| |S_i & S'| / (c_j |S_i| |S_j|) [T_i & T', S_i & S']."""
-        hit = self._basis_products.get((i, j))
-        if hit is not None:
-            return hit
+        Each conjugate pair is hit by |G| / c_j elements g, so this is the
+        sum over the double cosets S g S_j of [T & gT_j, S & gS_j]: every
+        multiplicity is a whole number, and a remainder is an enumeration bug."""
         lat = self.lattice
         masks, index = lat.masks, lat._index
-        ti, si = self.reps[i]
-        mt, ms = masks[ti], masks[si]
+        mt, ms = masks[t], masks[s]
         weights: dict[int, int] = {}
-        for t, s in self.orbits[j]:
-            inter = ms & masks[s]
-            cls = self.class_of[index[mt & masks[t]], index[inter]]
+        for tj, sj in self.orbits[j]:
+            inter = ms & masks[sj]
+            cls = key(index[mt & masks[tj]], index[inter])
             weights[cls] = weights.get(cls, 0) + inter.bit_count()
-        den = self.class_sizes[j] * len(lat.subgroups[si]) * len(lat.subgroups[self.reps[j][1]])
-        out = _orbit_counts(weights, self.group.order, den)
-        self._basis_products[(i, j)] = out
+        order = self.group.order
+        den = self.class_sizes[j] * ms.bit_count() * len(lat.subgroups[self.reps[j][1]])
+        out = {}
+        for cls, w in weights.items():
+            count, rem = divmod(w * order, den)
+            if rem:
+                raise GroupError("orbit sum is not a whole multiplicity; enumeration bug")
+            out[cls] = count
         return out
+
+    def basis_mul(self, i: int, j: int) -> dict[int, int]:
+        """Product of two basis classes as a class -> multiplicity map: the
+        orbit sum of class j with (T_i, S_i) keyed by this table's classes."""
+        hit = self._basis_products.get((i, j))
+        if hit is None:
+            class_of = self.class_of
+            ti, si = self.reps[i]
+            hit = self._basis_products[(i, j)] = self.orbit_sum(
+                ti, si, j, lambda t, s: class_of[t, s]
+            )
+        return hit
 
     # -- idempotents -------------------------------------------------------------
 
@@ -357,18 +372,6 @@ def _element(table: SliceClassTable, den: int, nums: dict[int, int]) -> SliceRin
     elem.denominator = den // g
     elem.numerators = {c: n // g for c, n in nums.items() if n}
     return elem
-
-
-def _orbit_counts(weights: dict[int, int], order: int, den: int) -> dict[int, int]:
-    """Multiplicities weight * order / den of an orbit sum; each must be a
-    whole number of double cosets, so a remainder is an enumeration bug."""
-    out = {}
-    for cls, w in weights.items():
-        count, rem = divmod(w * order, den)
-        if rem:
-            raise GroupError("orbit sum is not a whole multiplicity; enumeration bug")
-        out[cls] = count
-    return out
 
 
 def morphism_to_ring(f: gsets.GSetMorphism, table: SliceClassTable) -> SliceRingElement:

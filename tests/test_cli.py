@@ -2,14 +2,15 @@ import csv
 import hashlib
 import io
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
 from sliceburnside import cli, verify
 from sliceburnside.cli import main, parse_slice
 from sliceburnside.groups import GroupError, group_from_spec
-from sliceburnside.ring import SliceClassTable
 
 
 def run_cli(capsys, *argv):
@@ -64,23 +65,11 @@ def test_mul_command(capsys):
     assert json.loads(out) == {"(T=0.1|S=0)": "2/1"}
 
 
-def test_mul_with_debug_oracle(capsys):
-    code, out, _ = run_cli(
-        capsys, "--debug-oracle", "mul", "dihedral:8", "T=*;S=g1", "T=*;S=g4"
-    )
-    assert code == 0
-
-
-def test_mul_with_debug_oracle_catches_a_wrong_product(capsys, monkeypatch):
-    # every basis product is sent to class 0, which the G-set oracle disagrees with
-    monkeypatch.setattr(SliceClassTable, "basis_mul", lambda self, i, j: {0: 1})
-    argv = ("mul", "dihedral:8", "T=*;S=g1", "T=*;S=g4")
-    code, out, err = run_cli(capsys, "--debug-oracle", *argv)
-    assert code == 1
-    assert out == ""
-    assert err == "oracle disagreement\n"
-    code, _, _ = run_cli(capsys, *argv)
-    assert code == 0
+def test_debug_oracle_flag_is_gone():
+    # criterion 02 compares every corpus product with the G-set oracle
+    with pytest.raises(SystemExit) as info:
+        main(["--debug-oracle", "mul", "dihedral:8", "T=*;S=g1", "T=*;S=g4"])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -88,8 +77,6 @@ def test_mul_with_debug_oracle_catches_a_wrong_product(capsys, monkeypatch):
     [
         (("verify",), False),
         (("verify", "--deep"), True),
-        (("--debug-oracle", "verify"), True),
-        (("--debug-oracle", "verify", "--deep"), True),
     ],
 )
 def test_verify_runs_deep_when_either_flag_is_given(capsys, monkeypatch, argv, deep):
@@ -166,6 +153,23 @@ def test_closure_with_proper_top(capsys):
     )
     assert code == 0
     assert "C2:S=0" in out
+
+
+def test_closure_seed_defaults_its_top_to_the_group(capsys):
+    tail = ("--prime", "3", "--bound", "27")
+    full = run_cli(capsys, "closure", "--seed", "cyclic:3:T=*;S=g0", *tail)
+    assert full[0] == 0
+    assert run_cli(capsys, "closure", "--seed", "cyclic:3:S=g0", *tail) == full
+
+
+def test_closure_seed_needs_a_slice(capsys):
+    # the bare generator form is not a slice: it has no S= component
+    code, out, err = run_cli(
+        capsys, "closure", "--seed", "cyclic:3:g0", "--prime", "3", "--bound", "27"
+    )
+    assert code == 2
+    assert out == ""
+    assert "slice component" in err
 
 
 def test_check_family_command(capsys):
@@ -259,6 +263,23 @@ def test_oversized_spec_exits_two_quickly(capsys, spec):
     assert "exceeds cap" in err
 
 
+LONG_INTEGER_SPECS = {
+    "cyclic": "cyclic:" + "9" * 5000,
+    "perm": "perm:(0 " + "9" * 5000 + ")",
+    "abelian": "abelian:2x" + "9" * 5000,
+}
+
+
+@pytest.mark.parametrize("spec", list(LONG_INTEGER_SPECS.values()), ids=list(LONG_INTEGER_SPECS))
+def test_long_integer_spec_gets_a_short_message(capsys, spec):
+    code, out, err = run_cli(capsys, "group", spec)
+    assert code == 2
+    assert out == ""
+    assert len(err.encode()) < 200
+    assert "999" not in err
+    assert "too long" in err or "exceeds cap" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -332,3 +353,17 @@ def test_constants_cli_output_is_pinned(argv, capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CONSTANTS_DIGESTS[argv]
+
+
+def readme_commands():
+    """The `sliceburnside ...` lines of the README; `verify` runs in CI as is."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line.strip() for line in readme.read_text(encoding="utf-8").splitlines()]
+    argvs = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("sliceburnside ")]
+    return [argv for argv in argvs if argv[0] != "verify"]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_runs(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err

@@ -9,7 +9,9 @@ from sliceburnside import groups, verify
 from sliceburnside.constants import is_p_group
 from sliceburnside.groups import (
     FiniteGroup,
+    GroupEmbedding,
     GroupError,
+    GroupIsomorphism,
     OrderCapError,
     SpecParseError,
     Subgroup,
@@ -30,7 +32,6 @@ from sliceburnside.groups import (
     quotient,
     slice_normalizer,
     subgroup_as_group,
-    subgroup_generated,
 )
 from sliceburnside.ideals import constructor_known_p_groups
 
@@ -681,11 +682,11 @@ def test_join_and_normalizer_masks_on_larger_groups(spec):
     assert_join_and_normalizer_masks(group_from_spec(spec))
 
 
-def test_subgroup_generated():
+def test_close_under_product():
     c12 = cyclic_group(12)
-    assert len(subgroup_generated(c12, [4])) == 3
-    assert len(subgroup_generated(c12, [4, 6])) == 6
-    assert len(subgroup_generated(c12, [])) == 1
+    assert len(groups.close_under_product(c12, [4])) == 3
+    assert len(groups.close_under_product(c12, [4, 6])) == 6
+    assert groups.close_under_product(c12, []) == (c12.identity,)
 
 
 def test_subgroup_as_group_roundtrip():
@@ -710,6 +711,25 @@ def test_isomorphism_examples():
     for a in d8a.elements():
         for b in d8a.elements():
             assert iso(d8a.mul(a, b)) == d8b.mul(iso(a), iso(b))
+
+
+def test_isomorphism_is_a_checked_embedding_with_an_inverse():
+    d8a = group_from_spec("dihedral:8")
+    d8b = group_from_spec("perm:(0 1 2 3),(1 3)")
+    iso = find_isomorphism(d8a, d8b)
+    assert isinstance(iso, GroupEmbedding)
+    inv = iso.inverse()
+    inv.check()
+    assert all(inv(iso(x)) == x for x in d8a.elements())
+    # an injective homomorphism into a larger group is an embedding only
+    c2 = cyclic_group(2)
+    into = GroupIsomorphism(c2, cyclic_group(4), (0, 2))
+    GroupEmbedding(c2, into.target, into.images).check()
+    with pytest.raises(GroupError, match="not a bijection"):
+        into.check()
+    c4 = cyclic_group(4)
+    with pytest.raises(GroupError, match="not a homomorphism"):
+        GroupIsomorphism(c4, c4, (0, 2, 1, 3)).check()
 
 
 @pytest.mark.parametrize(
