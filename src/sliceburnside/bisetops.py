@@ -7,10 +7,9 @@ live exactly as long as it does.  Induction, inflation, deflation and
 transport send (T, S) to the class of (f(T), f(S)) for the witness's member
 map f.  Restriction to H is Mackey's formula, the sum over x in H\\G/S of
 (H & xTx^-1, H & xSx^-1), which is the basis product's orbit sum
-(`SliceClassTable.orbit_sum`) with H in place of (T_i, S_i).  The G-set module
-`gsets` is only the oracle: `check=True`, given per call, compares the
-closed form with the orbit decomposition of the G-set image
-(`gsets.*_morphism`) and raises on disagreement.
+(`SliceClassTable.orbit_sum`) with H in place of (T_i, S_i).  The closed
+form is the only path; `verify.oracle_image` compares it with the orbit
+decomposition of the G-set image.
 """
 
 from __future__ import annotations
@@ -21,60 +20,46 @@ from .groups import (
     GroupIsomorphism,
     GroupQuotient,
 )
-from . import gsets
-from .ring import SliceClassTable, SliceRingElement, morphism_to_ring, slice_classes
+from .ring import SliceClassTable, SliceRingElement, slice_classes
 
 
-def induce(elem: SliceRingElement, emb: GroupEmbedding, check: bool = False) -> SliceRingElement:
+def induce(elem: SliceRingElement, witness: GroupEmbedding) -> SliceRingElement:
     """Induction along a subgroup embedding: a slice of H is a slice of G."""
-    if elem.table.group is not emb.source:
+    if elem.table.group is not witness.source:
         raise GroupError("element is not over the embedding's source group")
-    return _push(
-        "induction", elem, emb, emb.target,
-        _slice_image(emb.image_members), gsets.induce_morphism, check,
-    )
+    return _push("induction", elem, witness, witness.target, _slice_image(witness.image_members))
 
 
-def restrict(elem: SliceRingElement, emb: GroupEmbedding, check: bool = False) -> SliceRingElement:
+def restrict(elem: SliceRingElement, witness: GroupEmbedding) -> SliceRingElement:
     """Restriction to a subgroup H, by Mackey's formula: (T, S) goes to the
     sum over x in H\\G/S of (H & xTx^-1, H & xSx^-1), computed as a sum
     over the conjugates of (T, S) (see `_mackey_image`)."""
-    if elem.table.group is not emb.target:
+    if elem.table.group is not witness.target:
         raise GroupError("element is not over the embedding's target group")
-    return _push(
-        "restriction", elem, emb, emb.source,
-        _mackey_image(emb), gsets.restrict_morphism, check,
-    )
+    return _push("restriction", elem, witness, witness.source, _mackey_image(witness))
 
 
-def inflate(elem: SliceRingElement, quot: GroupQuotient, check: bool = False) -> SliceRingElement:
+def inflate(elem: SliceRingElement, witness: GroupQuotient) -> SliceRingElement:
     """Inflation along a quotient map: slices lift to their full preimages."""
-    if elem.table.group is not quot.group:
+    if elem.table.group is not witness.group:
         raise GroupError("element is not over the quotient group")
     return _push(
-        "inflation", elem, quot, quot.source,
-        _slice_image(quot.preimage_members), gsets.inflate_morphism, check,
+        "inflation", elem, witness, witness.source, _slice_image(witness.preimage_members)
     )
 
 
-def deflate(elem: SliceRingElement, quot: GroupQuotient, check: bool = False) -> SliceRingElement:
+def deflate(elem: SliceRingElement, witness: GroupQuotient) -> SliceRingElement:
     """Deflation mod a normal subgroup: a slice maps to its image slice."""
-    if elem.table.group is not quot.source:
+    if elem.table.group is not witness.source:
         raise GroupError("element is not over the quotient's source group")
-    return _push(
-        "deflation", elem, quot, quot.group,
-        _slice_image(quot.image_members), gsets.deflate_morphism, check,
-    )
+    return _push("deflation", elem, witness, witness.group, _slice_image(witness.image_members))
 
 
-def transport(elem: SliceRingElement, iso: GroupIsomorphism, check: bool = False) -> SliceRingElement:
+def transport(elem: SliceRingElement, witness: GroupIsomorphism) -> SliceRingElement:
     """Relabel an element along a verified isomorphism."""
-    if elem.table.group is not iso.source:
+    if elem.table.group is not witness.source:
         raise GroupError("element is not over the isomorphism's source")
-    return _push(
-        "transport", elem, iso, iso.target,
-        _slice_image(iso.image_members), gsets.transport_morphism, check,
-    )
+    return _push("transport", elem, witness, witness.target, _slice_image(witness.image_members))
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +69,8 @@ def transport(elem: SliceRingElement, iso: GroupIsomorphism, check: bool = False
 # class -> multiplicity dict over the target table.
 
 
-def _push(name, elem, witness, out_group, image, morphism_map, check) -> SliceRingElement:
-    """Push `elem` along `witness` into the slice ring of `out_group`;
-    with checking on, compare against the G-set image under `morphism_map`."""
+def _push(name, elem, witness, out_group, image) -> SliceRingElement:
+    """Push `elem` along `witness` into the slice ring of `out_group`."""
     out_table = slice_classes(out_group)
     cache = witness.basis_images.setdefault(name, {})
 
@@ -96,16 +80,7 @@ def _push(name, elem, witness, out_group, image, morphism_map, check) -> SliceRi
             hit = cache[cls] = image(elem.table, out_table, cls)
         return hit
 
-    out = elem.linear_image(out_table, basis_image)
-    if check:
-        # the G-set path: map each class's projection, decompose into orbits
-        other = out_table.zero()
-        for cls, q in elem.coeffs.items():
-            f = morphism_map(elem.table.projection(cls), witness)
-            other = other + morphism_to_ring(f, out_table).scaled(q)
-        if other != out:
-            raise GroupError(f"{name}: closed form and oracle disagree")
-    return out
+    return elem.linear_image(out_table, basis_image)
 
 
 def _slice_image(member_map):

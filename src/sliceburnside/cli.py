@@ -276,8 +276,11 @@ def _cmd_check_family(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = run_all(deep=args.deep)
-    for result in results:
-        print(result.line())
+    if args.format == "json":
+        _print_json([vars(r) for r in results])
+    else:
+        for result in results:
+            print(result.line())
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -354,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full verification suite")
     p.add_argument("--deep", action="store_true",
-                   help="force the oracle comparison inside every operation")
+                   help="also compare every biset operation with the G-set oracle")
     p.set_defaults(fn=_cmd_verify)
     return parser
 

@@ -1,7 +1,7 @@
 """Deflation constants of the slice ring, B-groups and T-slices, all read off
-G's own lattice by one kernel that takes the slice's top T.  The supplement
-sum also has a Frattini-quotient form, which the verification suite checks
-against the direct one.
+G's own lattice by one kernel that takes the slice's top T and is also the
+only zero test.  The supplement sum also has a Frattini-quotient form, which
+the verification suite checks against the direct one.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from .groups import (
     quotient,
     set_product,
 )
+
+_ZERO = Fraction(0)
 
 
 def supplement_moebius_sum(group: FiniteGroup, s_members, n_members) -> int:
@@ -79,25 +81,21 @@ def deflation_constant(group: FiniteGroup, s_members, n_members) -> Fraction:
 
 def deflation_constant_at(lat, s: int, n: int, t: int) -> Fraction:
     """The constant of the slice (T, S) mod T n N inside T, for S <= T and N
-    normalized by T: normalizers in T are G's normalizer masks cut to T."""
-    # the constant vanishes with the lower sum, which is the cheaper of the two
+    normalized by T: normalizers in T are G's normalizer masks cut to T.
+    The prefactor of normalizer indices is positive, so the constant is 0
+    exactly when one of the two Moebius sums is; the cheaper lower sum goes
+    first, and the join and normalizer masks are read only past both."""
     lower = _lower_moebius_sum(lat, s, n)
-    if lower == 0:
-        return Fraction(0)
+    supplement = lower and _supplement_sum(lat, s, n, t)
+    if supplement == 0:
+        return _ZERO  # shared: almost every constant met by a closure is 0
     masks, nm = lat.masks, lat.normalizer_mask
     t_mask = masks[t]
     sm = lat.join(s, lat._index[t_mask & masks[n]])
     return Fraction(
-        (nm(sm) & t_mask).bit_count() * lower * _supplement_sum(lat, s, n, t),
+        (nm(sm) & t_mask).bit_count() * lower * supplement,
         masks[sm].bit_count() * (nm(s) & t_mask).bit_count(),
     )
-
-
-def deflation_is_nonzero_at(lat, s: int, n: int, t: int) -> bool:
-    """Zero test of `deflation_constant_at`: the prefactor of normalizer
-    indices is positive, so the constant vanishes exactly when one of the
-    two Moebius sums does."""
-    return _lower_moebius_sum(lat, s, n) != 0 and _supplement_sum(lat, s, n, t) != 0
 
 
 def _lower_moebius_sum(lat, s: int, n: int) -> int:
@@ -238,7 +236,7 @@ def is_t_slice_of(group: FiniteGroup, t_members, s_members) -> bool:
     t_mask, nm = lat.masks[t], lat.normalizer_mask
     # subgroups are sorted by order, so below[t] starts with the trivial one
     return not any(
-        nm(x) & t_mask == t_mask and deflation_is_nonzero_at(lat, s, x, t)
+        nm(x) & t_mask == t_mask and deflation_constant_at(lat, s, x, t) != 0
         for x in lat.below[t][1:]
     )
 

@@ -779,14 +779,14 @@ def automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
 # Constructors
 
 
-def cyclic_group(n: int, label: str | None = None) -> FiniteGroup:
+def cyclic_group(n: int) -> FiniteGroup:
     if n <= 0:
         raise GroupError("cyclic group needs a positive order")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(table, label or f"C{n}")
+    return FiniteGroup(table, f"C{n}")
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup, label: str | None = None) -> FiniteGroup:
+def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     n, m = a.order, b.order
     table = [
         [
@@ -795,31 +795,33 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, label: str | None = None) -> 
         ]
         for x in range(n * m)
     ]
-    return FiniteGroup(table, label or f"{a.label}x{b.label}")
+    return FiniteGroup(table, f"{a.label}x{b.label}")
 
 
-def abelian_group(factors, label: str | None = None) -> FiniteGroup:
+def abelian_group(factors) -> FiniteGroup:
     factors = [int(f) for f in factors]
     if not factors or any(f <= 0 for f in factors):
         raise GroupError("abelian factors must be positive")
     g = cyclic_group(factors[0])
     for f in factors[1:]:
         g = direct_product(g, cyclic_group(f))
-    g.label = label or "x".join(f"C{f}" for f in factors)
+    g.label = "x".join(f"C{f}" for f in factors)
     return g
 
 
-def elementary_abelian(p: int, k: int, label: str | None = None) -> FiniteGroup:
+def elementary_abelian(p: int, k: int) -> FiniteGroup:
     if not _is_prime(p):
         raise GroupError("elementary abelian base must be prime")
     if k < 0:
         raise GroupError("elementary abelian rank must be nonnegative")
     if k == 0:
-        return cyclic_group(1, label or "C1")
-    return abelian_group([p] * k, label or f"E{p}^{k}")
+        return cyclic_group(1)
+    g = abelian_group([p] * k)
+    g.label = f"E{p}^{k}"
+    return g
 
 
-def dihedral_group(total_order: int, label: str | None = None) -> FiniteGroup:
+def dihedral_group(total_order: int) -> FiniteGroup:
     """Dihedral group of the given total order 2n (n >= 1)."""
     if total_order <= 0 or total_order % 2 != 0:
         raise GroupError("dihedral total order must be a positive even number")
@@ -833,10 +835,10 @@ def dihedral_group(total_order: int, label: str | None = None) -> FiniteGroup:
         return (i1 - i2) % n + n * (1 - j2)
 
     table = [[mul(x, y) for y in range(total_order)] for x in range(total_order)]
-    return FiniteGroup(table, label or f"D{total_order}")
+    return FiniteGroup(table, f"D{total_order}")
 
 
-def modular_group_p3(p: int, label: str | None = None) -> FiniteGroup:
+def modular_group_p3(p: int) -> FiniteGroup:
     """The order p^3 group <a,b | a^(p^2)=b^p=1, b a b^-1 = a^(1+p)>."""
     if not _is_prime(p):
         raise GroupError("parameter must be prime")
@@ -850,10 +852,10 @@ def modular_group_p3(p: int, label: str | None = None) -> FiniteGroup:
 
     n = p2 * p
     table = [[mul(x, y) for y in range(n)] for x in range(n)]
-    return FiniteGroup(table, label or f"M{p**3}")
+    return FiniteGroup(table, f"M{p**3}")
 
 
-def heisenberg_group_p3(p: int, label: str | None = None) -> FiniteGroup:
+def heisenberg_group_p3(p: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over the p-element field."""
     if not _is_prime(p):
         raise GroupError("parameter must be prime")
@@ -869,10 +871,10 @@ def heisenberg_group_p3(p: int, label: str | None = None) -> FiniteGroup:
 
     n = p**3
     table = [[mul(x, y) for y in range(n)] for x in range(n)]
-    return FiniteGroup(table, label or f"H{p**3}")
+    return FiniteGroup(table, f"H{p**3}")
 
 
-def quaternion_group(label: str = "Q8") -> FiniteGroup:
+def quaternion_group() -> FiniteGroup:
     """The quaternion group of order 8, from its regular permutation action."""
     g = from_permutation_generators(
         [
@@ -880,7 +882,7 @@ def quaternion_group(label: str = "Q8") -> FiniteGroup:
             [(0, 4, 2, 6), (1, 7, 3, 5)],
         ]
     )
-    g.label = label
+    g.label = "Q8"
     return g
 
 

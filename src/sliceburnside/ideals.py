@@ -28,7 +28,6 @@ from .groups import (
 )
 from .constants import (
     deflation_constant_at,
-    deflation_is_nonzero_at,
     is_cyclic_members,
 )
 from .linalg import rational_rank
@@ -356,9 +355,9 @@ class GroupUniverse:
         hit = self._deflates.get(key)
         if hit is None:
             lat = self.lattices[gi]
-            hit = self._deflates[key] = deflation_is_nonzero_at(
+            hit = self._deflates[key] = deflation_constant_at(
                 lat, lat.class_reps[cls], n_idx, len(lat.subgroups) - 1
-            )
+            ) != 0
         return hit
 
     def surjection_sources(self) -> dict[tuple[int, int], list[tuple[int, int]]]:

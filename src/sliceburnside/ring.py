@@ -6,10 +6,10 @@ are computed in closed form from the subgroup lattice and stored only as
 sparse columns; the dense mark matrix is built on request.  Basis products
 and restrictions are integer sums over the conjugate pairs of a class, which
 the table keeps as `orbits`, through one kernel `orbit_sum`, with no
-double-coset sweep.  The G-set count
-`gsets.hom_count` is kept only as the oracle that checks them.  An element
-stores integer numerators over one common denominator, and marks and the
-`coeffs` view are `fractions.Fraction`s; nothing here ever touches floats.
+double-coset sweep.  `projection` and `morphism_to_ring` only feed the
+G-set oracles of `verify`.  An element stores integer numerators over one
+common denominator, and marks and the `coeffs` view are
+`fractions.Fraction`s; nothing here ever touches floats.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class SliceClassTable:
         Closed form (Bouc): the mark of (V,U) at (T,S) is the number of
         cosets gU with S <= gU and T <= gV, i.e. the number of g with both
         inclusions, divided by |U|.  One pass over `class_of` visits every
-        conjugate of every column.  `gsets.hom_count` is the oracle.
+        conjugate of every column.  `verify.oracle_marks` is the oracle.
         """
         if self._mark_columns is None:
             lat = self.lattice

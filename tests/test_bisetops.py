@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sliceburnside import bisetops, gsets
+from sliceburnside import bisetops, gsets, verify
 from sliceburnside.constants import deflation_idempotent_scalar
 from sliceburnside.groups import (
     GroupError,
@@ -20,7 +20,7 @@ from sliceburnside.groups import (
     slice_normalizer,
     subgroup_as_group,
 )
-from sliceburnside.ring import SliceClassTable, SliceRingElement, morphism_to_ring, slice_classes
+from sliceburnside.ring import SliceClassTable, SliceRingElement, slice_classes
 
 from test_marks import rational_coeffs, small_perm_groups
 
@@ -37,8 +37,8 @@ def test_induction_and_restriction_by_whole_group_are_identity():
     th = slice_classes(emb.source)
     for cls in range(th.size):
         xi = th.idempotent(cls)
-        up = bisetops.induce(xi, emb, check=True)
-        back = bisetops.restrict(up, emb, check=True)
+        up = bisetops.induce(xi, emb)
+        back = bisetops.restrict(up, emb)
         assert back == xi
 
 
@@ -50,7 +50,7 @@ def test_induction_basis_rule_example():
     th = slice_classes(emb.source)
     t = slice_classes(c4)
     elem = th.basis_element(th.class_index((0, 1), (0,)))
-    out = bisetops.induce(elem, emb, check=True)
+    out = bisetops.induce(elem, emb)
     assert out == t.basis_element(t.class_index(two.members, (0,)))
 
 
@@ -62,7 +62,7 @@ def test_restriction_of_regular_projection_to_trivial_subgroup():
     t = slice_classes(c2)
     th = slice_classes(emb.source)
     elem = t.basis_element(t.class_index((0, 1), (0,)))
-    out = bisetops.restrict(elem, emb, check=True)
+    out = bisetops.restrict(elem, emb)
     # the two-point source falls into two orbits over the trivial group
     assert out == th.basis_element(0).scaled(2)
 
@@ -75,7 +75,7 @@ def test_inflation_basis_rule_example():
     tq = slice_classes(q.group)
     t = slice_classes(c4)
     elem = tq.basis_element(tq.class_index((0, 1), (0, 1)))
-    out = bisetops.inflate(elem, q, check=True)
+    out = bisetops.inflate(elem, q)
     assert out == t.one()
 
 
@@ -84,7 +84,7 @@ def test_deflation_of_proper_slice_idempotent_vanishes():
     t = slice_classes(c2)
     q = quotient(c2, (0, 1))
     xi = t.idempotent(t.class_index((0, 1), (0,)))
-    assert bisetops.deflate(xi, q, check=True).is_zero()
+    assert bisetops.deflate(xi, q).is_zero()
     scalar = deflation_idempotent_scalar(c2, (0, 1), (0,), (0, 1))
     assert scalar == 0
 
@@ -95,7 +95,7 @@ def test_deflation_of_top_idempotent_scalar_agrees_both_ways():
     q = quotient(c2, (0, 1))
     tq = slice_classes(q.group)
     xi = t.idempotent(t.class_index((0, 1), (0, 1)))
-    out = bisetops.deflate(xi, q, check=True)
+    out = bisetops.deflate(xi, q)
     scalar = deflation_idempotent_scalar(c2, (0, 1), (0, 1), (0, 1))
     assert out == tq.idempotent(0).scaled(scalar)
     assert scalar == Fraction(1, 2)
@@ -109,7 +109,7 @@ def test_transport_by_inner_automorphism_fixes_every_class():
     iso = GroupIsomorphism(d8, d8, images)
     iso.check()
     for cls in range(t.size):
-        assert bisetops.transport(t.basis_element(cls), iso, check=True) == t.basis_element(cls)
+        assert bisetops.transport(t.basis_element(cls), iso) == t.basis_element(cls)
 
 
 def test_transport_permutes_mark_matrix_consistently():
@@ -263,23 +263,35 @@ def test_every_operation_matches_its_oracle_on_d8():
     xs = [t8.idempotent(c).scaled(c + 1) for c in range(t8.size)]
     elem = xs[0] + xs[3] - xs[-1]
     cases = [
-        (bisetops.induce, slice_classes(sub.source).idempotent(1), sub),
-        (bisetops.restrict, elem, sub),
-        (bisetops.inflate, slice_classes(q.group).idempotent(0), q),
-        (bisetops.deflate, elem, q),
-        (bisetops.transport, elem, iso),
+        (bisetops.induce, slice_classes(sub.source).idempotent(1), sub, gsets.induce_morphism, d8),
+        (bisetops.restrict, elem, sub, gsets.restrict_morphism, sub.source),
+        (bisetops.inflate, slice_classes(q.group).idempotent(0), q, gsets.inflate_morphism, d8),
+        (bisetops.deflate, elem, q, gsets.deflate_morphism, q.group),
+        (bisetops.transport, elem, iso, gsets.transport_morphism, d8),
     ]
-    for fn, x, witness in cases:
+    for fn, x, witness, morphism_map, out_group in cases:
         direct = fn(x, witness)
         assert not direct.is_zero()
-        assert fn(x, witness, check=True) == direct
+        assert verify.oracle_image(x, witness, morphism_map, out_group) == direct
     # an isomorphism is an embedding: restriction along it is transport back
-    assert bisetops.restrict(elem, iso, check=True) == bisetops.transport(elem, iso.inverse())
+    assert bisetops.restrict(elem, iso) == bisetops.transport(elem, iso.inverse())
+    assert verify.oracle_image(elem, iso, gsets.restrict_morphism, d8) == (
+        bisetops.transport(elem, iso.inverse())
+    )
+
+
+def test_operations_have_one_path_and_no_gset_import():
+    for name in ("induce", "restrict", "inflate", "deflate", "transport"):
+        assert list(inspect.signature(getattr(bisetops, name)).parameters) == [
+            "elem", "witness"
+        ], name
+    assert not hasattr(bisetops, "gsets")
+    assert not hasattr(bisetops, "morphism_to_ring")
 
 
 def test_operations_run_without_the_gset_oracle(monkeypatch):
-    # every production path is a closed form: with checking off nothing
-    # reaches the G-set layer, with checking on the broken oracle is hit
+    # every production path is a closed form: nothing reaches the G-set
+    # layer, while the oracle of the same push hits the broken layer
     def refuse(*args, **kwargs):
         raise AssertionError("the G-set oracle was called")
 
@@ -298,16 +310,16 @@ def test_operations_run_without_the_gset_oracle(monkeypatch):
     q = quotient(d8, lat.subgroups[lat.normal[1]].members)
     iso = GroupIsomorphism(d8, d8, automorphisms(d8)[-1])
     cases = [
-        (bisetops.induce, every_class(sub.source), sub),
-        (bisetops.restrict, every_class(d8), sub),
-        (bisetops.inflate, every_class(q.group), q),
-        (bisetops.deflate, every_class(d8), q),
-        (bisetops.transport, every_class(d8), iso),
+        (bisetops.induce, every_class(sub.source), sub, "induce_morphism", d8),
+        (bisetops.restrict, every_class(d8), sub, "restrict_morphism", sub.source),
+        (bisetops.inflate, every_class(q.group), q, "inflate_morphism", d8),
+        (bisetops.deflate, every_class(d8), q, "deflate_morphism", q.group),
+        (bisetops.transport, every_class(d8), iso, "transport_morphism", d8),
     ]
-    for fn, x, witness in cases:
+    for fn, x, witness, morphism_map, out_group in cases:
         assert not fn(x, witness).is_zero()
         with pytest.raises(AssertionError, match="G-set oracle"):
-            fn(x, witness, check=True)
+            verify.oracle_image(x, witness, getattr(gsets, morphism_map), out_group)
 
 
 def test_operations_free_their_groups_and_caches():
@@ -321,9 +333,13 @@ def test_operations_free_their_groups_and_caches():
         q = quotient(g, lat.subgroups[lat.normal[1]].members)
         iso = GroupIsomorphism(g, g, automorphisms(g)[-1])
         elem = table.idempotent(0) + table.one()
-        bisetops.induce(bisetops.restrict(elem, emb, check=True), emb, check=True)
-        bisetops.inflate(bisetops.deflate(elem, q, check=True), q, check=True)
-        bisetops.transport(elem, iso, check=True)
+        bisetops.induce(bisetops.restrict(elem, emb), emb)
+        bisetops.inflate(bisetops.deflate(elem, q), q)
+        bisetops.transport(elem, iso)
+        # the oracle's coset spaces and projections are cached on the tables
+        verify.oracle_image(elem, emb, gsets.restrict_morphism, emb.source)
+        verify.oracle_image(elem, q, gsets.deflate_morphism, q.group)
+        verify.oracle_image(elem, iso, gsets.transport_morphism, g)
         return [weakref.ref(x) for x in (g, table, emb.source, q.group)]
 
     refs = build()
@@ -370,17 +386,17 @@ def test_operations_equal_the_per_term_extension(group, data):
     g = data.draw(st.integers(0, group.order - 1))
     inner = GroupIsomorphism(group, group, tuple(group.conj(g, x) for x in group.elements()))
     cases = [
-        ("induction", bisetops.induce, sub.source, sub),
-        ("restriction", bisetops.restrict, group, sub),
-        ("inflation", bisetops.inflate, q.group, q),
-        ("deflation", bisetops.deflate, group, q),
-        ("transport", bisetops.transport, group, inner),
+        ("induction", bisetops.induce, sub.source, sub, gsets.induce_morphism, group),
+        ("restriction", bisetops.restrict, group, sub, gsets.restrict_morphism, sub.source),
+        ("inflation", bisetops.inflate, q.group, q, gsets.inflate_morphism, group),
+        ("deflation", bisetops.deflate, group, q, gsets.deflate_morphism, q.group),
+        ("transport", bisetops.transport, group, inner, gsets.transport_morphism, group),
     ]
-    for name, fn, source, witness in cases:
+    for name, fn, source, witness, morphism_map, out_group in cases:
         table = slice_classes(source)
         elem = SliceRingElement(table, data.draw(rational_coeffs(table.size)))
         out = fn(elem, witness)
         assert out.coeffs == per_term_extend(elem, witness.basis_images[name])
         assert all(type(v) is Fraction and v != 0 for v in out.coeffs.values())
-        # the oracle branch sums the G-set images one scaled term at a time
-        assert fn(elem, witness, check=True) == out
+        # the oracle sums the G-set images one scaled term at a time
+        assert verify.oracle_image(elem, witness, morphism_map, out_group) == out

@@ -93,6 +93,21 @@ def test_verify_runs_deep_when_either_flag_is_given(capsys, monkeypatch, argv, d
     assert seen == [deep]
 
 
+@pytest.mark.parametrize("passed,code", [(True, 0), (False, 1)])
+def test_verify_prints_one_json_list_under_format_json(capsys, monkeypatch, passed, code):
+    results = [
+        verify.CheckResult("fake", True, "ok", 0.5),
+        verify.CheckResult("other", passed, "detail", 1.25),
+    ]
+    monkeypatch.setattr(cli, "run_all", lambda deep=False: results)
+    got, out, _ = run_cli(capsys, "--format", "json", "verify", "--deep")
+    assert got == code
+    assert json.loads(out) == [
+        {"name": "fake", "passed": True, "details": "ok", "seconds": 0.5},
+        {"name": "other", "passed": passed, "details": "detail", "seconds": 1.25},
+    ]
+
+
 def test_mconst_command(capsys):
     code, out, _ = run_cli(capsys, "mconst", "cyclic:2", "", "g1")
     assert code == 0

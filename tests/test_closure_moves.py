@@ -102,12 +102,12 @@ def test_second_closure_reuses_the_deflation_tests(monkeypatch):
     u = GroupUniverse(2, 16)
     first = bounded_closure(u, cyclic_group(2), (0,))
     calls = []
-    original = ideals.deflation_is_nonzero_at
+    original = ideals.deflation_constant_at
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(ideals, "deflation_is_nonzero_at", counted)
+    monkeypatch.setattr(ideals, "deflation_constant_at", counted)
     assert bounded_closure(u, cyclic_group(2), (0,)) == first
     assert len(calls) == 0

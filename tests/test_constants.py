@@ -10,7 +10,6 @@ from sliceburnside.constants import (
     complement_count_formula_check,
     deflation_constant,
     deflation_idempotent_scalar,
-    deflation_is_nonzero_at,
     deflation_vanishes_predicted,
     elementary_abelian_classical_value,
     elementary_abelian_supplement_value,
@@ -36,6 +35,7 @@ from sliceburnside.groups import (
     set_product,
     subgroup_as_group,
 )
+from sliceburnside.ideals import GroupUniverse
 from sliceburnside.ring import slice_classes
 
 from test_marks import small_perm_groups
@@ -267,19 +267,6 @@ def test_vanishing_criterion_rejects_non_p_groups():
         deflation_vanishes_predicted(cyclic_group(6), (0,), (0, 3))
 
 
-def test_fast_zero_test_matches_constant():
-    for spec in ["dihedral:8", "abelian:9x3", "heis:3"]:
-        g = group_from_spec(spec)
-        lat = all_subgroups(g)
-        top = len(lat.subgroups) - 1
-        for s_idx in lat.class_reps:
-            s = lat.subgroups[s_idx].members
-            for n in nontrivial_normal_subgroups(g):
-                assert deflation_is_nonzero_at(lat, s_idx, lat.index_of(n.members), top) == (
-                    deflation_constant(g, s, n.members) != 0
-                )
-
-
 @pytest.mark.parametrize("p, rank", [(p, rank) for p in (2, 3) for rank in (1, 2, 3, 4)])
 def test_classical_closed_form_every_rank(p, rank):
     # k = rank makes the closed form's last exponent negative
@@ -451,9 +438,6 @@ def assert_constants_match_oracle(group):
         for s, sub in enumerate(lat.subgroups):
             expected = oracle_deflation_constant(group, sub.members, n_members)
             assert deflation_constant(group, sub.members, n_members) == expected
-            assert deflation_is_nonzero_at(lat, s, n, len(lat.subgroups) - 1) == (
-                expected != 0
-            )
             assert supplement_moebius_sum(group, sub.members, n_members) == (
                 _oracle_supplement_sum(lat, s, n)
             )
@@ -488,6 +472,18 @@ def test_constants_match_the_member_set_oracle_on_q8():
 @given(group=small_perm_groups())
 def test_constants_match_the_member_set_oracle_on_small_perm_groups(group):
     assert_constants_match_oracle(group)
+
+
+def test_universe_deflation_tests_match_the_member_set_oracle():
+    # the closure's zero test is the constant's kernel compared with 0
+    u = GroupUniverse(2, 16)
+    for gi, g in enumerate(u.groups):
+        lat = u.lattices[gi]
+        for cls, s in enumerate(lat.class_reps):
+            s_members = lat.subgroups[s].members
+            for n in lat.normal[1:]:
+                expected = oracle_deflation_constant(g, s_members, lat.subgroups[n].members)
+                assert u.deflates(gi, cls, n) == (expected != 0), (g.label, cls, n)
 
 
 def oracle_t_slice(group, t_members, s_members):
@@ -592,7 +588,6 @@ def test_constants_build_no_member_sets(monkeypatch):
             n_members = lat.subgroups[n].members
             for s in lat.class_reps:
                 deflation_constant(g, lat.subgroups[s].members, n_members)
-                deflation_is_nonzero_at(lat, s, n, len(lat.subgroups) - 1)
             for cls in range(0, table.size, 7):
                 big, small = table.rep_subgroups(cls)
                 deflation_idempotent_scalar(g, big.members, small.members, n_members)

@@ -1,4 +1,4 @@
-"""The closed-form mark matrix against the G-set oracle `gsets.hom_count`,
+"""The closed-form mark matrix against the G-set oracle `verify.oracle_marks`,
 and the sparse-column mark vectors against the dense matrix, which is only
 built for callers that ask for it."""
 
@@ -9,19 +9,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from sliceburnside import cli, gsets, verify
+from sliceburnside import cli, verify
 from sliceburnside.groups import from_permutation_generators, group_from_spec
 from sliceburnside.ideals import FAMILIES, burnside_image_rank, intersection_dimension
 from sliceburnside.ring import SliceClassTable, SliceRingElement, slice_classes
 
 
-def oracle_marks(table):
-    projs = [table.projection(c) for c in range(table.size)]
-    return [[gsets.hom_count(a, b) for b in projs] for a in projs]
-
-
 def assert_marks_match_oracle(table):
-    oracle = oracle_marks(table)
+    oracle = verify.oracle_marks(table)
     matrix = table.mark_matrix()
     for r in range(table.size):
         for c in range(table.size):

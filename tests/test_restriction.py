@@ -1,5 +1,6 @@
 """Restriction's Mackey closed form on lattice masks against the G-set
-orbit path `gsets.restrict_morphism`, which stays on as its oracle."""
+orbit path `verify.oracle_image` with `gsets.restrict_morphism`, which
+stays on as its oracle."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,21 +8,17 @@ from hypothesis import strategies as st
 
 from sliceburnside import bisetops, gsets, verify
 from sliceburnside.groups import group_from_spec, subgroup_as_group
-from sliceburnside.ring import morphism_to_ring, slice_classes
+from sliceburnside.ring import slice_classes
 
 from test_marks import small_perm_groups
-
-
-def orbit_restriction(table, emb, cls):
-    f = gsets.restrict_morphism(table.projection(cls), emb)
-    return morphism_to_ring(f, slice_classes(emb.source))
 
 
 def assert_restriction_matches_orbit_path(table, h):
     emb = subgroup_as_group(table.lattice.subgroups[h])
     for cls in range(table.size):
-        got = bisetops.restrict(table.basis_element(cls), emb, check=True)
-        assert got == orbit_restriction(table, emb, cls), (table.group.label, h, cls)
+        elem = table.basis_element(cls)
+        oracle = verify.oracle_image(elem, emb, gsets.restrict_morphism, emb.source)
+        assert bisetops.restrict(elem, emb) == oracle, (table.group.label, h, cls)
 
 
 @pytest.mark.parametrize("idx", range(len(verify.CORPUS_SPECS) + 1))

@@ -2,30 +2,49 @@ from types import SimpleNamespace
 
 import pytest
 
-from sliceburnside import bisetops, verify
+from sliceburnside import cli, gsets, verify
 from sliceburnside.groups import group_from_spec
 
-OPERATIONS = ("induce", "restrict", "inflate", "deflate", "transport")
+MORPHISM_MAPS = (
+    "induce_morphism", "restrict_morphism", "inflate_morphism", "deflate_morphism",
+    "transport_morphism",
+)
+
+
+def _only_d8(monkeypatch):
+    one_group = SimpleNamespace(groups=[group_from_spec("dihedral:8")], p_groups=[])
+    monkeypatch.setattr(verify, "corpus", lambda: one_group)
 
 
 @pytest.mark.parametrize("deep", [False, True])
-def test_biset_transport_hands_deep_to_every_operation(monkeypatch, deep):
-    one_group = SimpleNamespace(groups=[group_from_spec("dihedral:8")], p_groups=[])
-    monkeypatch.setattr(verify, "corpus", lambda: one_group)
-    seen = {name: set() for name in OPERATIONS}
+def test_biset_transport_asks_the_oracle_only_when_deep(monkeypatch, deep):
+    _only_d8(monkeypatch)
+    seen = set()
+    original = verify.oracle_image
 
-    def spy(name, op):
-        def wrapped(elem, witness, check=False):
-            seen[name].add(check)
-            return op(elem, witness, check=check)
+    def spy(elem, witness, morphism_map, out_group):
+        seen.add(morphism_map.__name__)
+        return original(elem, witness, morphism_map, out_group)
 
-        return wrapped
-
-    for name in OPERATIONS:
-        monkeypatch.setattr(bisetops, name, spy(name, getattr(bisetops, name)))
+    monkeypatch.setattr(verify, "oracle_image", spy)
     result = verify.check_biset_transport(deep=deep)
     assert result.passed, result.details
-    assert seen == {name: {deep} for name in OPERATIONS}
+    assert seen == (set(MORPHISM_MAPS) if deep else set())
+
+
+def test_a_wrong_gset_map_fails_criterion_03_only_when_deep(capsys, monkeypatch):
+    # the identity of the target collapses every slice (T, S) to (T, T)
+    _only_d8(monkeypatch)
+    monkeypatch.setattr(
+        gsets, "transport_morphism", lambda f, iso: gsets.identity_morphism(f.target)
+    )
+    assert verify.check_biset_transport(deep=False).passed
+    monkeypatch.setattr(verify, "ALL_CHECKS", (verify.check_biset_transport,))
+    assert cli.main(["verify", "--deep"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("[FAIL] biset-transport")
+    assert "D8: transport at class 1: closed form and oracle disagree" in out
+    assert "restriction" not in out
 
 
 def test_run_all_hands_deep_only_to_criterion_03(monkeypatch):
