@@ -223,15 +223,14 @@ def check_biset_transport(deep: bool = False) -> CheckResult:
     failures: list[str] = []
     configs = 0
 
-    def agrees(op, elem, witness, expected, where) -> bool:
+    def agrees(op, morphism_map, elem, witness, expected, where) -> bool:
         out = op(elem, witness)
-        # the oracle of bisetops.<name> is gsets.<name>_morphism
-        oracle_map = getattr(gsets, f"{op.__name__}_morphism")
-        if deep and out != oracle_image(elem, witness, oracle_map, out.table.group):
+        if deep and out != oracle_image(elem, witness, morphism_map, out.table.group):
             failures.append(f"{where}: closed form and oracle disagree")
-        if out != expected:
+        ok = out == expected
+        if not ok:
             failures.append(where)
-        return out == expected
+        return ok
 
     for g in corpus().groups:
         table = slice_classes(g)
@@ -249,12 +248,11 @@ def check_biset_transport(deep: bool = False) -> CheckResult:
                 for c in range(table_h.size)
             ]
             for cls in range(table.size):
-                rhs = table_h.zero()
-                for hcls in range(table_h.size):
-                    if h_to_g[hcls] == cls:
-                        rhs = rhs + table_h.idempotent(hcls)
+                parts = [c for c in range(table_h.size) if h_to_g[c] == cls]
+                rhs = sum((table_h.idempotent(c) for c in parts), table_h.zero())
                 where = f"{g.label}: restriction to {h_idx} at class {cls}"
-                if not agrees(bisetops.restrict, table.idempotent(cls), emb, rhs, where):
+                if not agrees(bisetops.restrict, gsets.restrict_morphism,
+                              table.idempotent(cls), emb, rhs, where):
                     break
                 configs += 1
             for hcls in range(table_h.size):
@@ -267,7 +265,8 @@ def check_biset_transport(deep: bool = False) -> CheckResult:
                 )
                 rhs = table.idempotent(h_to_g[hcls]).scaled(ratio)
                 where = f"{g.label}: induction from {h_idx} at class {hcls}"
-                if not agrees(bisetops.induce, table_h.idempotent(hcls), emb, rhs, where):
+                if not agrees(bisetops.induce, gsets.induce_morphism,
+                              table_h.idempotent(hcls), emb, rhs, where):
                     break
                 configs += 1
 
@@ -284,12 +283,11 @@ def check_biset_transport(deep: bool = False) -> CheckResult:
                 for c in range(table.size)
             ]
             for qcls in range(table_q.size):
-                rhs = table.zero()
-                for cls in range(table.size):
-                    if push[cls] == qcls:
-                        rhs = rhs + table.idempotent(cls)
+                parts = [c for c in range(table.size) if push[c] == qcls]
+                rhs = sum((table.idempotent(c) for c in parts), table.zero())
                 where = f"{g.label}: inflation mod {n_idx} at class {qcls}"
-                if not agrees(bisetops.inflate, table_q.idempotent(qcls), q, rhs, where):
+                if not agrees(bisetops.inflate, gsets.inflate_morphism,
+                              table_q.idempotent(qcls), q, rhs, where):
                     break
                 configs += 1
             for cls in range(table.size):
@@ -299,7 +297,8 @@ def check_biset_transport(deep: bool = False) -> CheckResult:
                 )
                 rhs = table_q.idempotent(push[cls]).scaled(scalar)
                 where = f"{g.label}: deflation mod {n_idx} at class {cls}"
-                if not agrees(bisetops.deflate, table.idempotent(cls), q, rhs, where):
+                if not agrees(bisetops.deflate, gsets.deflate_morphism,
+                              table.idempotent(cls), q, rhs, where):
                     break
                 configs += 1
 
@@ -316,7 +315,8 @@ def check_biset_transport(deep: bool = False) -> CheckResult:
                     )
                 )
                 where = f"{g.label}: transport at class {cls}"
-                if not agrees(bisetops.transport, table.idempotent(cls), iso, rhs, where):
+                if not agrees(bisetops.transport, gsets.transport_morphism,
+                              table.idempotent(cls), iso, rhs, where):
                     break
                 configs += 1
     return _result("biset-transport", t0, failures, f"{configs} configurations")

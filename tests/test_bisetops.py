@@ -25,6 +25,13 @@ from sliceburnside.ring import SliceClassTable, SliceRingElement, slice_classes
 from test_marks import rational_coeffs, small_perm_groups
 
 
+def checked(op, morphism_map, elem, witness):
+    """`op(elem, witness)`, asserted equal to the G-set oracle's image."""
+    out = op(elem, witness)
+    assert verify.oracle_image(elem, witness, morphism_map, out.table.group) == out
+    return out
+
+
 def _full_embedding(g):
     lat = all_subgroups(g)
     return subgroup_as_group(lat.subgroups[lat.index_of(range(g.order))])
@@ -37,8 +44,8 @@ def test_induction_and_restriction_by_whole_group_are_identity():
     th = slice_classes(emb.source)
     for cls in range(th.size):
         xi = th.idempotent(cls)
-        up = bisetops.induce(xi, emb)
-        back = bisetops.restrict(up, emb)
+        up = checked(bisetops.induce, gsets.induce_morphism, xi, emb)
+        back = checked(bisetops.restrict, gsets.restrict_morphism, up, emb)
         assert back == xi
 
 
@@ -50,7 +57,7 @@ def test_induction_basis_rule_example():
     th = slice_classes(emb.source)
     t = slice_classes(c4)
     elem = th.basis_element(th.class_index((0, 1), (0,)))
-    out = bisetops.induce(elem, emb)
+    out = checked(bisetops.induce, gsets.induce_morphism, elem, emb)
     assert out == t.basis_element(t.class_index(two.members, (0,)))
 
 
@@ -62,7 +69,7 @@ def test_restriction_of_regular_projection_to_trivial_subgroup():
     t = slice_classes(c2)
     th = slice_classes(emb.source)
     elem = t.basis_element(t.class_index((0, 1), (0,)))
-    out = bisetops.restrict(elem, emb)
+    out = checked(bisetops.restrict, gsets.restrict_morphism, elem, emb)
     # the two-point source falls into two orbits over the trivial group
     assert out == th.basis_element(0).scaled(2)
 
@@ -75,7 +82,7 @@ def test_inflation_basis_rule_example():
     tq = slice_classes(q.group)
     t = slice_classes(c4)
     elem = tq.basis_element(tq.class_index((0, 1), (0, 1)))
-    out = bisetops.inflate(elem, q)
+    out = checked(bisetops.inflate, gsets.inflate_morphism, elem, q)
     assert out == t.one()
 
 
@@ -84,7 +91,7 @@ def test_deflation_of_proper_slice_idempotent_vanishes():
     t = slice_classes(c2)
     q = quotient(c2, (0, 1))
     xi = t.idempotent(t.class_index((0, 1), (0,)))
-    assert bisetops.deflate(xi, q).is_zero()
+    assert checked(bisetops.deflate, gsets.deflate_morphism, xi, q).is_zero()
     scalar = deflation_idempotent_scalar(c2, (0, 1), (0,), (0, 1))
     assert scalar == 0
 
@@ -95,7 +102,7 @@ def test_deflation_of_top_idempotent_scalar_agrees_both_ways():
     q = quotient(c2, (0, 1))
     tq = slice_classes(q.group)
     xi = t.idempotent(t.class_index((0, 1), (0, 1)))
-    out = bisetops.deflate(xi, q)
+    out = checked(bisetops.deflate, gsets.deflate_morphism, xi, q)
     scalar = deflation_idempotent_scalar(c2, (0, 1), (0, 1), (0, 1))
     assert out == tq.idempotent(0).scaled(scalar)
     assert scalar == Fraction(1, 2)
@@ -109,7 +116,8 @@ def test_transport_by_inner_automorphism_fixes_every_class():
     iso = GroupIsomorphism(d8, d8, images)
     iso.check()
     for cls in range(t.size):
-        assert bisetops.transport(t.basis_element(cls), iso) == t.basis_element(cls)
+        out = checked(bisetops.transport, gsets.transport_morphism, t.basis_element(cls), iso)
+        assert out == t.basis_element(cls)
 
 
 def test_transport_permutes_mark_matrix_consistently():
@@ -333,12 +341,17 @@ def test_operations_free_their_groups_and_caches():
         q = quotient(g, lat.subgroups[lat.normal[1]].members)
         iso = GroupIsomorphism(g, g, automorphisms(g)[-1])
         elem = table.idempotent(0) + table.one()
-        bisetops.induce(bisetops.restrict(elem, emb), emb)
-        bisetops.inflate(bisetops.deflate(elem, q), q)
+        down = bisetops.restrict(elem, emb)
+        flat = bisetops.deflate(elem, q)
+        bisetops.induce(down, emb)
+        bisetops.inflate(flat, q)
         bisetops.transport(elem, iso)
-        # the oracle's coset spaces and projections are cached on the tables
+        # the oracle caches coset spaces and projections on the tables of G,
+        # the subgroup and the quotient
         verify.oracle_image(elem, emb, gsets.restrict_morphism, emb.source)
+        verify.oracle_image(down, emb, gsets.induce_morphism, g)
         verify.oracle_image(elem, q, gsets.deflate_morphism, q.group)
+        verify.oracle_image(flat, q, gsets.inflate_morphism, g)
         verify.oracle_image(elem, iso, gsets.transport_morphism, g)
         return [weakref.ref(x) for x in (g, table, emb.source, q.group)]
 
