@@ -8,8 +8,9 @@ transport send (T, S) to the class of (f(T), f(S)) for the witness's member
 map f.  Restriction to H is Mackey's formula, the sum over x in H\\G/S of
 (H & xTx^-1, H & xSx^-1), which is the basis product's orbit sum
 (`SliceClassTable.orbit_sum`) with H in place of (T_i, S_i).  The closed
-form is the only path; `verify.oracle_image` compares it with the orbit
-decomposition of the G-set image.
+form is the only path; on every run, criterion 03 of `verify` compares the
+image of each basis class it configures with `verify.oracle_image`, the
+orbit decomposition of the G-set image.
 """
 
 from __future__ import annotations

@@ -214,9 +214,6 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
-
     def check(self) -> None:
         """Verify identity, closure under product and inverse, and Lagrange."""
         g = self.parent
@@ -372,9 +369,6 @@ class GroupQuotient:
     projection: tuple[int, ...]
     kernel: tuple[int, ...]
     basis_images: dict = _cache_field()
-
-    def __call__(self, x: int) -> int:
-        return self.projection[x]
 
     def image_members(self, members) -> tuple[int, ...]:
         return tuple(sorted(set(self.projection[x] for x in members)))

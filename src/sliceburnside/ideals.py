@@ -448,11 +448,12 @@ class ConditionReport:
 def check_conditions(family: SliceFamily, universe: GroupUniverse) -> ConditionReport:
     """Exhaustively check the ideal-family closure conditions on the universe.
 
-    Checked: invariance of membership under automorphisms (sampled per
-    group), closure under surjection preimages (via quotients by every
-    normal subgroup), closure under deflations with nonzero constant, and
-    closure of products of a member with an arbitrary slice when the
-    product order stays within the bound.  Violations carry witnesses.
+    Checked: invariance of membership under automorphisms (on every orbit
+    of the universe's canonical class map, in every group), closure under
+    surjection preimages (via quotients by every normal subgroup), closure
+    under deflations with nonzero constant, and closure of products of a
+    member with an arbitrary slice when the product order stays within the
+    bound.  Violations carry witnesses.
     """
     report = ConditionReport(family.id, universe.prime, universe.bound)
     member: dict[tuple[int, int], bool] = {}

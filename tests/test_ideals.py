@@ -14,6 +14,7 @@ from sliceburnside.ideals import (
     BROKEN_CYCLIC_FAMILY,
     FAMILIES,
     GroupUniverse,
+    SliceFamily,
     bounded_closure,
     burnside_image_rank,
     check_conditions,
@@ -119,6 +120,18 @@ def test_broken_family_fails_with_preimage_witness():
     payload = report.to_json()
     assert payload["universe_bounded"] is True
     assert payload["passed"] is False
+
+
+def test_family_that_names_an_element_fails_isomorphism_invariance():
+    # whether S holds the element g1 depends on the labelling, not on (T, S)
+    u = GroupUniverse(2, 8)
+    report = check_conditions(SliceFamily("HAS_G1", lambda g, t, s: 1 in s), u)
+    assert not report.passed
+    assert len(report.iso_violations) == 5
+    assert report.iso_violations[0] == {
+        "group": "C2xC2",
+        "classes": ["C2xC2:S=0.1", "C2xC2:S=0.2", "C2xC2:S=0.3"],
+    }
 
 
 def test_closure_from_trivial_seed_reaches_everything():
