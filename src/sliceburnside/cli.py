@@ -30,6 +30,7 @@ from .groups import (
     subgroup_as_group,
 )
 from .ideals import (
+    FAMILIES,
     GroupUniverse,
     bounded_closure,
     check_conditions,
@@ -215,18 +216,28 @@ def _cmd_bgroups(args) -> int:
     return _print_labels(args, found)
 
 
+def _ideal_family(fid: str):
+    """The family named `fid`, refused unless it is an ideal family."""
+    family = family_by_id(fid)
+    if fid not in FAMILIES:
+        raise GroupError(f"{fid!r} is not an ideal family")
+    return family
+
+
 def _cmd_ideal_dim(args) -> int:
+    family = _ideal_family(args.family)
     g = group_from_spec(args.spec, order_cap=args.order_cap)
     ok, _ = is_p_group(g)
     if not ok and args.family.startswith("J"):
         print("warning: ideal families are stated for p-groups", file=sys.stderr)
-    print(ideal_dimension(g, family_by_id(args.family)))
+    print(ideal_dimension(g, family))
     return 0
 
 
 def _cmd_minimal_groups(args) -> int:
+    family = _ideal_family(args.family)
     universe = _universe(args, args.bound)
-    mins = minimal_groups(family_by_id(args.family), universe)
+    mins = minimal_groups(family, universe)
     return _print_labels(args, [g.label for g in mins])
 
 
@@ -267,7 +278,7 @@ def _cmd_check_family(args) -> int:
         state = "PASS" if report.passed else "FAIL"
         print(f"{state}: family {report.family_id} over p={report.prime}, bound {report.bound}")
         print(f"slices checked: {report.slices_checked}")
-        for kind in ("preimage", "deflation", "product", "iso"):
+        for kind in ("preimage", "deflation", "iso"):
             for witness in getattr(report, f"{kind}_violations"):
                 print(f"  {kind} violation: {witness}")
     return 0 if report.passed else 1

@@ -2,6 +2,10 @@
 over a bounded universe of p-groups, generated-ideal closures, dimensions,
 minimal groups, and the embedding of the ordinary Burnside ring.
 
+The closure moves are the functor moves, surjection preimages and
+nonzero-constant deflations; products with other groups are not a separate
+condition (`bounded_closure` gives the argument).
+
 Everything quantified "for all finite groups" in the theory is checked here
 over an explicit finite universe; reports and results are universe-bounded.
 """
@@ -199,9 +203,7 @@ class GroupUniverse:
             self._orbit.append({k: tuple(v) for k, v in orbit.items()})
         # maps and closure moves, each filled on first use
         self._quotient_maps: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-        self._product_maps: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         self._quotient_moves: dict[tuple[int, int], tuple] = {}
-        self._product_moves: dict[tuple[int, int], tuple] = {}
         self._deflates: dict[tuple[int, int, int], bool] = {}
         self._surjection_sources: dict[tuple[int, int], list[tuple[int, int]]] | None = None
 
@@ -288,18 +290,14 @@ class GroupUniverse:
         return hit
 
     def product_map(self, bi: int, ti: int) -> tuple[int, tuple[int, ...]]:
-        """(target group index, composed element map) for G_bi x G_ti."""
-        key = (bi, ti)
-        hit = self._product_maps.get(key)
-        if hit is None:
-            prod = direct_product(self.groups[bi], self.groups[ti])
-            found = self.find_group(prod)
-            if found is None:
-                raise GroupError("product group is outside the universe")
-            pi, iso = found
-            hit = (pi, iso.images)
-            self._product_maps[key] = hit
-        return hit
+        """(target group index, composed element map) for G_bi x G_ti, built
+        afresh on each call. No closure move calls it: it is the tests'
+        oracle for the preimage argument of `bounded_closure`."""
+        found = self.find_group(direct_product(self.groups[bi], self.groups[ti]))
+        if found is None:
+            raise GroupError("product group is outside the universe")
+        pi, iso = found
+        return pi, iso.images
 
     # -- closure moves -------------------------------------------------------------
 
@@ -319,33 +317,6 @@ class GroupUniverse:
                 image = qlat.class_of[qlat.index_of({comp[x] for x in s_members})]
                 moves.append((n_idx, (qi, self.canonical_class(qi, image))))
             hit = self._quotient_moves[key] = tuple(moves)
-        return hit
-
-    def product_moves(self, ti: int, s_cls: int) -> tuple[tuple[int, int, tuple[int, int]], ...]:
-        """(B, A, canonical class of (B x T, A x S)) for the slice (T, S) of
-        class `s_cls` of T = G_ti and every universe slice (B, A) with
-        |B||T| within the bound, in universe order."""
-        key = (ti, s_cls)
-        hit = self._product_moves.get(key)
-        if hit is None:
-            t_order = self.groups[ti].order
-            lat_t = self.lattices[ti]
-            s_members = lat_t.subgroups[lat_t.class_reps[s_cls]].members
-            moves = []
-            for bi, b_group in enumerate(self.groups):
-                if b_group.order * t_order > self.bound:
-                    continue
-                pi, images = self.product_map(bi, ti)
-                lat_b, plat = self.lattices[bi], self.lattices[pi]
-                for a_cls, a_rep in enumerate(lat_b.class_reps):
-                    idx = plat.index_of(
-                        images[a * t_order + s]
-                        for a in lat_b.subgroups[a_rep].members
-                        for s in s_members
-                    )
-                    pcls = self.canonical_class(pi, plat.class_of[idx])
-                    moves.append((bi, a_cls, (pi, pcls)))
-            hit = self._product_moves[key] = tuple(moves)
         return hit
 
     def deflates(self, gi: int, cls: int, n_idx: int) -> bool:
@@ -418,17 +389,11 @@ class ConditionReport:
     slices_checked: int = 0
     preimage_violations: list = field(default_factory=list)
     deflation_violations: list = field(default_factory=list)
-    product_violations: list = field(default_factory=list)
     iso_violations: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not (
-            self.preimage_violations
-            or self.deflation_violations
-            or self.product_violations
-            or self.iso_violations
-        )
+        return not (self.preimage_violations or self.deflation_violations or self.iso_violations)
 
     def to_json(self) -> dict:
         return {
@@ -440,7 +405,6 @@ class ConditionReport:
             "passed": self.passed,
             "preimage_violations": self.preimage_violations,
             "deflation_violations": self.deflation_violations,
-            "product_violations": self.product_violations,
             "iso_violations": self.iso_violations,
         }
 
@@ -450,10 +414,10 @@ def check_conditions(family: SliceFamily, universe: GroupUniverse) -> ConditionR
 
     Checked: invariance of membership under automorphisms (on every orbit
     of the universe's canonical class map, in every group), closure under
-    surjection preimages (via quotients by every normal subgroup), closure
-    under deflations with nonzero constant, and closure of products of a
-    member with an arbitrary slice when the product order stays within the
-    bound.  Violations carry witnesses.
+    surjection preimages (via quotients by every normal subgroup) and
+    closure under deflations with nonzero constant.  Products with other
+    groups need no sweep of their own (see `bounded_closure`).  Violations
+    carry witnesses.
     """
     report = ConditionReport(family.id, universe.prime, universe.bound)
     member: dict[tuple[int, int], bool] = {}
@@ -501,20 +465,6 @@ def check_conditions(family: SliceFamily, universe: GroupUniverse) -> ConditionR
                         "quotient": universe.describe_class(qi, qcls),
                     }
                 )
-
-    # product closure for members, within the bound
-    for (ti, s_cls), member_here in member.items():
-        if not member_here:
-            continue
-        for bi, a_cls, (pi, pcls) in universe.product_moves(ti, s_cls):
-            if not member[pi, pcls]:
-                report.product_violations.append(
-                    {
-                        "member": universe.describe_class(ti, s_cls),
-                        "factor": universe.describe_class(bi, a_cls),
-                        "product": universe.describe_class(pi, pcls),
-                    }
-                )
     return report
 
 
@@ -526,8 +476,13 @@ def bounded_closure(
     universe: GroupUniverse, seed_group: FiniteGroup, seed_s_members
 ) -> set[tuple[int, int]]:
     """Least fixpoint within the universe of the closure moves: add sources
-    of surjections onto members, add deflation images with nonzero constant,
-    and add in-bound products of a member with any slice.
+    of surjections onto members, and add deflation images with nonzero
+    constant.
+
+    Products with other groups need no move of their own.  For a member
+    (T, S) and a universe slice (B, A) with |B||T| within the bound, the
+    projection B x T -> T has kernel N = B x 1 and sends A x S onto S, so
+    (B x T, A x S) is a surjection source of (T, S) and already added.
 
     The result is a lower bound for the trace of the generated ideal on the
     universe (derivations may leave any finite bound).
@@ -553,8 +508,6 @@ def bounded_closure(
             for n_idx, tgt in universe.quotient_moves(gi, cls):
                 if tgt not in members and universe.deflates(gi, cls, n_idx):
                     add(tgt)
-            for _, _, prod in universe.product_moves(gi, cls):
-                add(prod)
     return members
 
 

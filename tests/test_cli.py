@@ -207,28 +207,39 @@ def test_check_family_command(capsys):
     )
     assert len(lines) - 2 == sum(
         len(payload[f"{kind}_violations"])
-        for kind in ("preimage", "deflation", "product", "iso")
+        for kind in ("preimage", "deflation", "iso")
     )
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("ideal-dim", "heis:3", "--family", "S_CYCLIC"),
-        ("minimal-groups", "--family", "S_CYCLIC", "--prime", "2", "--bound", "8"),
-        ("check-family", "--family", "S_CYCLIC", "--prime", "2", "--bound", "8"),
+        ("ideal-dim", "heis:3", "--family", "J2"),
+        ("minimal-groups", "--family", "J2", "--prime", "2", "--bound", "8"),
+        ("check-family", "--family", "J2", "--prime", "2", "--bound", "8"),
     ],
     ids=lambda argv: argv[0],
 )
 def test_every_family_command_looks_up_the_same_ids(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
-    assert code in (0, 1) and out and not err
+    assert code == 0 and out and not err
     at = argv.index("--family") + 1
-    bad = argv[:at] + ("NO_SUCH_FAMILY",) + argv[at + 1 :]
-    code, out, err = run_cli(capsys, *bad)
+
+    def with_family(fid):
+        return argv[:at] + (fid,) + argv[at + 1 :]
+
+    code, out, err = run_cli(capsys, *with_family("NO_SUCH_FAMILY"))
     assert code == 2
     assert out == ""
     assert "unknown family 'NO_SUCH_FAMILY'" in err
+    # the broken cyclic family is a family to check, not an ideal
+    code, out, err = run_cli(capsys, *with_family("S_CYCLIC"))
+    if argv[0] == "check-family":
+        assert code == 1 and out
+    else:
+        assert code == 2
+        assert out == ""
+        assert "'S_CYCLIC' is not an ideal family" in err
 
 
 def test_usage_errors_exit_two(capsys):

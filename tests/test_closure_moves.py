@@ -1,7 +1,9 @@
-"""The closure moves a universe owns (quotient, product and deflation moves
-and the surjection index), shared by `bounded_closure` and
-`check_conditions`: their outputs are pinned by digest, and the deflation
-tests are evaluated once per universe."""
+"""The closure moves a universe owns (quotient and deflation moves and the
+surjection index), shared by `bounded_closure` and `check_conditions`:
+their outputs are pinned by digest, and the deflation tests are evaluated
+once per universe.  Products with other groups are not a move; the product
+sweep that once was one is rebuilt here from `GroupUniverse.product_map` as
+the oracle that every product is already reached as a surjection source."""
 
 import hashlib
 import json
@@ -9,7 +11,7 @@ import json
 import pytest
 
 from sliceburnside import cli, ideals
-from sliceburnside.groups import cyclic_group
+from sliceburnside.groups import all_subgroups, cyclic_group, elementary_abelian
 from sliceburnside.ideals import (
     BROKEN_CYCLIC_FAMILY,
     FAMILIES,
@@ -45,22 +47,22 @@ def test_closure_cli_output_is_pinned(argv, capsys):
 
 REPORT_DIGESTS = {
     (2, 8): {
-        "J1": "4001b478498304d2c8c26cbdde4c207f1c9cba33925588d10d0fe26fa4b2e2b5",
-        "J2": "26d0baea580dd3a712746090d6c9bd875262cbe2fce56a90e594516a1272c956",
-        "J3": "c828146bd83235b93fc6384ba5e9817319dced490be02fd143746283695111d2",
-        "J4": "138b6ec8ee598ef10ae4ec42267e5bb65dbfe07feb45c95ffc5a2ded3111b86b",
-        "FULL": "5fe87cc71c1616ec72b5fa4f0e638ec4c3636de14d614ff23f5a0aeff5c6295e",
-        "ZERO": "d2142895722f01bcc022575eb1577f2cade932513ba86350c43e05ffcd905288",
-        "S_CYCLIC": "9560b7eadedd538e535916aa978cc4255e306c3ba24bd7a2fe89fe572d5a74bb",
+        "J1": "134e04d06e62c6bd421e8eba3d446fcd06a6c97d28e09bc6ee7fd78e3943637f",
+        "J2": "371a5349e970bedb7d376153589dd6fcd7c90e3f1b7c7277864e63fc8b231149",
+        "J3": "2602a9e45fd2669b8c6c23f34aa8b478c15c498608e7a3f1b5dfef22b5dca3c6",
+        "J4": "798762cffdc8da7707c559674ef6193ca9f730fd079648efced4269f4cc11102",
+        "FULL": "d8f079392c3b0f7bfddb7f78b7af76d4ec8a536c2c327db33d338dd163339aa4",
+        "ZERO": "88594f778c9fbd7fb6a8482a14c451d982089155ecab9dc19dcf905c78e204de",
+        "S_CYCLIC": "b9a261894cd9fcfa38f03b65ab64abfe2e0ae882b0221f4f2b77b29861962a26",
     },
     (3, 27): {
-        "J1": "ee1e778b04e5481b8f3a4f2429b504b4f5af1ed0bb2ef81dbb3560a44b1a466d",
-        "J2": "f09e34eb4904e69d3f8b06068ba457972b43ef81e6f8a8c99f005e5e5dd22d0a",
-        "J3": "8d9eb39b6d9a9595603397baf2114480afa69f2125acadf8ee112b2728aad91b",
-        "J4": "37def0a805ea767b460b43b277fedff26b5e1440a28ee98797bd95d2943a2b61",
-        "FULL": "428a3ab8b8cfafa70a7c9194300c66c3d2656cef40d761cebc59d2e9310d3c84",
-        "ZERO": "3af39d851f7971a743e371cd6060d94beebc57a96209ea2644817a561f67db64",
-        "S_CYCLIC": "aa944cf0e6bcf6a654139c559c0a4c7a97b7f5c598e766ef1debf16b5e72b6a4",
+        "J1": "433b48374d8989caa0326727ae9377341b83b857e2b806e8b91dd2d16679f321",
+        "J2": "27a9b370cf983c8e8a61477b35da2669693ee8142af11f47d71ffd2cd3033850",
+        "J3": "c70c9d5c3c442bfc60f4fa4c5c515b66d9558744881985708f9fa82e1497be24",
+        "J4": "0abc99ce408ebcdcad7309539da7e2337c4faad770b5bf2ca31e8418fe00ee2c",
+        "FULL": "8c0da70101c9f2ba2e0e581c65c0d2254a62f32d7d8b806d7279a4a1f986eca6",
+        "ZERO": "956f49d60217fabf232cde3b79ca5a488105c329bfc5b2669b9a781a0d03e698",
+        "S_CYCLIC": "8cb092406c3b04319b7ae553ceb58af49a9e6788f984aa080e02efbfc682edef",
     },
 }
 
@@ -76,16 +78,17 @@ def test_condition_reports_are_pinned(prime, bound):
     assert got == REPORT_DIGESTS[prime, bound]
 
 
+def s_p_or_p3(p: int) -> SliceFamily:
+    return SliceFamily("S_P_OR_P3", lambda g, t, s: len(tuple(s)) in (p, p**3))
+
+
 def test_every_kind_of_violation_is_reported_and_pinned():
-    # |S| in {p, p^3} is not an ideal family in any of three ways; only it
-    # reaches the deflation witnesses (constant computed for the report)
-    p = 2
-    family = SliceFamily("S_P_OR_P3", lambda g, t, s: len(tuple(s)) in (p, p**3))
-    report = check_conditions(family, GroupUniverse(p, 16))
+    # |S| in {p, p^3} is not an ideal family in two ways; only it reaches
+    # the deflation witnesses (constant computed for the report)
+    report = check_conditions(s_p_or_p3(2), GroupUniverse(2, 16))
     assert report.slices_checked == 235
     assert len(report.preimage_violations) == 1751
     assert len(report.deflation_violations) == 607
-    assert len(report.product_violations) == 65
     assert report.iso_violations == []
     assert report.deflation_violations[0] == {
         "source": "C2:S=0.1",
@@ -94,7 +97,7 @@ def test_every_kind_of_violation_is_reported_and_pinned():
         "quotient": "C1:S=0",
     }
     assert report_digest(report) == (
-        "60ada059a9c8c6d2e84fae3fc5e48de6d16806525b4de68058fe52553e140334"
+        "49a9e964c67912b07b16c7368feb6b4a319e1b0989209a7896c9aba0e1735ef5"
     )
 
 
@@ -111,3 +114,90 @@ def test_second_closure_reuses_the_deflation_tests(monkeypatch):
     monkeypatch.setattr(ideals, "deflation_constant_at", counted)
     assert bounded_closure(u, cyclic_group(2), (0,)) == first
     assert len(calls) == 0
+
+
+def product_classes(universe, maps, ti, s_cls):
+    """(factor description, canonical class of (B x T, A x S)) for the
+    slice (T, S) of class `s_cls` of T = G_ti and every universe slice
+    (B, A) with |B||T| within the bound; `maps` keeps each (B, T) product
+    map once it is built."""
+    t_order = universe.groups[ti].order
+    lat_t = universe.lattices[ti]
+    s_members = lat_t.subgroups[lat_t.class_reps[s_cls]].members
+    for bi, b_group in enumerate(universe.groups):
+        if b_group.order * t_order > universe.bound:
+            continue
+        if (bi, ti) not in maps:
+            maps[bi, ti] = universe.product_map(bi, ti)
+        pi, images = maps[bi, ti]
+        lat_b, plat = universe.lattices[bi], universe.lattices[pi]
+        for a_cls, a_rep in enumerate(lat_b.class_reps):
+            idx = plat.index_of(
+                images[a * t_order + s]
+                for a in lat_b.subgroups[a_rep].members
+                for s in s_members
+            )
+            pcls = universe.canonical_class(pi, plat.class_of[idx])
+            yield universe.describe_class(bi, a_cls), (pi, pcls)
+
+
+def product_violations(family, universe):
+    """The product sweep `check_conditions` no longer runs: (member,
+    factor, product) for each in-bound product of a member slice that is
+    not a member."""
+    maps = {}
+    out = []
+    for ti, g in enumerate(universe.groups):
+        lat = universe.lattices[ti]
+        full = tuple(range(g.order))
+        for s_cls, rep in enumerate(lat.class_reps):
+            if not family(g, full, lat.subgroups[rep].members):
+                continue
+            for factor, (pi, pcls) in product_classes(universe, maps, ti, s_cls):
+                p_group, plat = universe.groups[pi], universe.lattices[pi]
+                p_members = plat.subgroups[plat.class_reps[pcls]].members
+                if not family(p_group, tuple(range(p_group.order)), p_members):
+                    out.append(
+                        (
+                            universe.describe_class(ti, s_cls),
+                            factor,
+                            universe.describe_class(pi, pcls),
+                        )
+                    )
+    return out
+
+
+@pytest.mark.parametrize("prime,bound", [(2, 8), (3, 27), (2, 16)])
+@pytest.mark.parametrize("family", ["S_CYCLIC", "S_P_OR_P3"])
+def test_every_product_violation_is_a_preimage_violation(prime, bound, family):
+    fam = BROKEN_CYCLIC_FAMILY if family == "S_CYCLIC" else s_p_or_p3(prime)
+    u = GroupUniverse(prime, bound)
+    swept = product_violations(fam, u)
+    assert swept
+    sources = {v["source"] for v in check_conditions(fam, u).preimage_violations}
+    assert {product for _, _, product in swept} <= sources
+    if (family, prime, bound) == ("S_P_OR_P3", 2, 16):
+        assert len(swept) == 65
+
+
+def criterion_07_seeds(p: int) -> dict:
+    e3 = elementary_abelian(p, 3)
+    rank2 = next(s for s in all_subgroups(e3).subgroups if len(s) == p * p)
+    return {
+        "FULL": (cyclic_group(1), (0,)),
+        "J1": (cyclic_group(p), (0,)),
+        "J2": (elementary_abelian(p, 2), tuple(range(p * p))),
+        "J3": (e3, rank2.members),
+    }
+
+
+@pytest.mark.parametrize("prime,bound", [(2, 16), (3, 81)])
+def test_closures_hold_every_in_bound_product_of_a_member(prime, bound):
+    u = GroupUniverse(prime, bound)
+    maps = {}
+    for fid, seed in criterion_07_seeds(prime).items():
+        members = bounded_closure(u, *seed)
+        for gi, canon_cls in members:
+            for cls in u.class_orbit(gi, canon_cls):
+                for factor, product in product_classes(u, maps, gi, cls):
+                    assert product in members, (fid, u.describe_class(gi, cls), factor)
