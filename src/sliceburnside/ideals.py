@@ -3,8 +3,9 @@ over a bounded universe of p-groups, generated-ideal closures, dimensions,
 minimal groups, and the embedding of the ordinary Burnside ring.
 
 The closure moves are the functor moves, surjection preimages and
-nonzero-constant deflations; products with other groups are not a separate
-condition (`bounded_closure` gives the argument).
+nonzero-constant deflations, each taken one minimal normal subgroup at a
+time; products with other groups are not a separate condition
+(`bounded_closure` gives both arguments).
 
 Everything quantified "for all finite groups" in the theory is checked here
 over an explicit finite universe; reports and results are universe-bounded.
@@ -31,6 +32,7 @@ from .groups import (
     quotient,
 )
 from .constants import (
+    _minimal_normal,
     deflation_constant_at,
     is_cyclic_members,
 )
@@ -204,6 +206,8 @@ class GroupUniverse:
         # maps and closure moves, each filled on first use
         self._quotient_maps: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         self._quotient_moves: dict[tuple[int, int], tuple] = {}
+        self._minimal_normals: dict[int, list[int]] = {}
+        self._minimal_moves: dict[tuple[int, int], tuple] = {}
         self._deflates: dict[tuple[int, int, int], bool] = {}
         self._surjection_sources: dict[tuple[int, int], list[tuple[int, int]]] | None = None
 
@@ -304,20 +308,33 @@ class GroupUniverse:
     def quotient_moves(self, gi: int, cls: int) -> tuple[tuple[int, tuple[int, int]], ...]:
         """(N, canonical image slice) of the slice (G, S) of class `cls` under
         G -> G/N, for every nontrivial normal subgroup N of G = G_gi."""
-        key = (gi, cls)
-        hit = self._quotient_moves.get(key)
+        hit = self._quotient_moves.get((gi, cls))
         if hit is None:
-            lat = self.lattices[gi]
-            s_members = lat.subgroups[lat.class_reps[cls]].members
-            moves = []
             # subgroups are sorted by order, so the trivial one comes first
-            for n_idx in lat.normal[1:]:
-                qi, comp = self.quotient_map(gi, n_idx)
-                qlat = self.lattices[qi]
-                image = qlat.class_of[qlat.index_of({comp[x] for x in s_members})]
-                moves.append((n_idx, (qi, self.canonical_class(qi, image))))
-            hit = self._quotient_moves[key] = tuple(moves)
+            normals = self.lattices[gi].normal[1:]
+            hit = self._quotient_moves[gi, cls] = self._images(gi, cls, normals)
         return hit
+
+    def minimal_moves(self, gi: int, cls: int) -> tuple[tuple[int, tuple[int, int]], ...]:
+        """`quotient_moves` for the minimal normal subgroups N of G_gi only:
+        the closure moves (`bounded_closure` gives the argument)."""
+        hit = self._minimal_moves.get((gi, cls))
+        if hit is None:
+            if gi not in self._minimal_normals:
+                self._minimal_normals[gi] = _minimal_normal(self.lattices[gi])
+            hit = self._minimal_moves[gi, cls] = self._images(gi, cls, self._minimal_normals[gi])
+        return hit
+
+    def _images(self, gi: int, cls: int, normals) -> tuple[tuple[int, tuple[int, int]], ...]:
+        lat = self.lattices[gi]
+        s_members = lat.subgroups[lat.class_reps[cls]].members
+        moves = []
+        for n_idx in normals:
+            qi, comp = self.quotient_map(gi, n_idx)
+            qlat = self.lattices[qi]
+            image = qlat.class_of[qlat.index_of({comp[x] for x in s_members})]
+            moves.append((n_idx, (qi, self.canonical_class(qi, image))))
+        return tuple(moves)
 
     def deflates(self, gi: int, cls: int, n_idx: int) -> bool:
         """Whether deflating the slice (G, S) of class `cls` by the normal
@@ -332,14 +349,15 @@ class GroupUniverse:
         return hit
 
     def surjection_sources(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """Canonical slices that surject onto each canonical slice, keyed by
-        the target: a member target forces its sources into an ideal."""
+        """Canonical slices that surject onto each canonical slice by one
+        minimal step (`minimal_moves`), keyed by the target: a member
+        target forces its sources into an ideal."""
         if self._surjection_sources is None:
             sources: dict[tuple[int, int], list[tuple[int, int]]] = {}
             for gi, canon in enumerate(self._canon):
                 for cls, canon_cls in enumerate(canon):
                     src = (gi, canon_cls)
-                    for _, tgt in self.quotient_moves(gi, cls):
+                    for _, tgt in self.minimal_moves(gi, cls):
                         if tgt != src:
                             sources.setdefault(tgt, []).append(src)
             self._surjection_sources = sources
@@ -417,7 +435,9 @@ def check_conditions(family: SliceFamily, universe: GroupUniverse) -> ConditionR
     surjection preimages (via quotients by every normal subgroup) and
     closure under deflations with nonzero constant.  Products with other
     groups need no sweep of their own (see `bounded_closure`).  Violations
-    carry witnesses.
+    carry witnesses.  The sweep takes every nontrivial normal N, not only
+    the minimal ones `bounded_closure` needs: a family that is not closed
+    is reported at each N that witnesses it.
     """
     report = ConditionReport(family.id, universe.prime, universe.bound)
     member: dict[tuple[int, int], bool] = {}
@@ -477,7 +497,15 @@ def bounded_closure(
 ) -> set[tuple[int, int]]:
     """Least fixpoint within the universe of the closure moves: add sources
     of surjections onto members, and add deflation images with nonzero
-    constant.
+    constant, both along minimal normal subgroups only (`minimal_moves`).
+
+    Every other quotient is a chain of minimal steps.  For a nontrivial
+    normal M of G and a minimal normal N0 <= M, G -> G/M factors through
+    G/N0, and the image of S mod M is the image of SN0/N0 mod M/N0.  The
+    deflation constants are transitive, m(G,S,M) = m(G,S,N0) *
+    m(G/N0,SN0/N0,M/N0) (Bouc, *Biset functors for finite groups*), so a
+    nonzero constant mod M is a chain of nonzero minimal ones, and a
+    member image mod M pulls back to G one minimal step at a time.
 
     Products with other groups need no move of their own.  For a member
     (T, S) and a universe slice (B, A) with |B||T| within the bound, the
@@ -505,7 +533,7 @@ def bounded_closure(
             add(src)
         for cls in universe.class_orbit(gi, canon_cls):
             # deflation constants are tested only while the image is missing
-            for n_idx, tgt in universe.quotient_moves(gi, cls):
+            for n_idx, tgt in universe.minimal_moves(gi, cls):
                 if tgt not in members and universe.deflates(gi, cls, n_idx):
                     add(tgt)
     return members

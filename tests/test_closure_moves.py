@@ -1,17 +1,32 @@
 """The closure moves a universe owns (quotient and deflation moves and the
-surjection index), shared by `bounded_closure` and `check_conditions`:
-their outputs are pinned by digest, and the deflation tests are evaluated
-once per universe.  Products with other groups are not a move; the product
-sweep that once was one is rebuilt here from `GroupUniverse.product_map` as
-the oracle that every product is already reached as a surjection source."""
+surjection index).  `check_conditions` sweeps every nontrivial normal
+subgroup, `bounded_closure` only the minimal ones, and both read their
+images through one `GroupUniverse.quotient_map`; the outputs of both are
+pinned by digest, and the deflation tests are evaluated once per universe.
+The closure along every normal subgroup is rebuilt here from
+`quotient_moves` and `deflates` as the oracle of the minimal moves, with a
+property test of the two facts they rest on.  Products with other groups
+are not a move; the product sweep that once was one is rebuilt here from
+`GroupUniverse.product_map` as the oracle that every product is already
+reached as a surjection source."""
 
+import functools
 import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sliceburnside import cli, ideals
-from sliceburnside.groups import all_subgroups, cyclic_group, elementary_abelian
+from sliceburnside.constants import _minimal_normal, deflation_constant
+from sliceburnside.groups import (
+    all_subgroups,
+    cyclic_group,
+    elementary_abelian,
+    quotient,
+    set_product,
+)
 from sliceburnside.ideals import (
     BROKEN_CYCLIC_FAMILY,
     FAMILIES,
@@ -19,6 +34,7 @@ from sliceburnside.ideals import (
     SliceFamily,
     bounded_closure,
     check_conditions,
+    constructor_known_p_groups,
 )
 
 
@@ -105,15 +121,116 @@ def test_second_closure_reuses_the_deflation_tests(monkeypatch):
     u = GroupUniverse(2, 16)
     first = bounded_closure(u, cyclic_group(2), (0,))
     calls = []
+    quotients = []
     original = ideals.deflation_constant_at
+    original_quotient = ideals.quotient
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
+    def counted_quotient(*args):
+        quotients.append(args)
+        return original_quotient(*args)
+
     monkeypatch.setattr(ideals, "deflation_constant_at", counted)
+    monkeypatch.setattr(ideals, "quotient", counted_quotient)
     assert bounded_closure(u, cyclic_group(2), (0,)) == first
     assert len(calls) == 0
+    # the moves stay cached on the universe: no quotient is built again
+    assert len(quotients) == 0
+
+
+def all_normal_closures(universe, seeds):
+    """The closure of each seed under the moves along every nontrivial
+    normal subgroup, from the `quotient_moves` and `deflates` that
+    `check_conditions` uses: the oracle of `bounded_closure`, which moves
+    along minimal normal subgroups only."""
+    sources = {}
+    for gi, lat in enumerate(universe.lattices):
+        for cls in range(len(lat.class_reps)):
+            src = (gi, universe.canonical_class(gi, cls))
+            for _, tgt in universe.quotient_moves(gi, cls):
+                if tgt != src:
+                    sources.setdefault(tgt, set()).add(src)
+    for seed in seeds:
+        members = {seed}
+        queue = [seed]
+        while queue:
+            gi, canon_cls = queue.pop()
+            reached = set(sources.get((gi, canon_cls), ()))
+            for cls in universe.class_orbit(gi, canon_cls):
+                reached.update(
+                    tgt
+                    for n_idx, tgt in universe.quotient_moves(gi, cls)
+                    if universe.deflates(gi, cls, n_idx)
+                )
+            queue.extend(reached - members)
+            members |= reached
+        yield members
+
+
+def assert_principal_closures_match(prime, bound):
+    """Every principal closure of the (prime, bound) universe equals the
+    closure along every normal subgroup; returns the number compared."""
+    u = GroupUniverse(prime, bound)
+    seeds = sorted(u.all_abstract_classes())
+    for (gi, canon_cls), oracle in zip(seeds, all_normal_closures(u, seeds)):
+        lat = u.lattices[gi]
+        s_members = lat.subgroups[lat.class_reps[canon_cls]].members
+        got = bounded_closure(u, u.groups[gi], s_members)
+        assert got == oracle, u.describe_class(gi, canon_cls)
+    return len(seeds)
+
+
+@pytest.mark.parametrize("prime,bound,count", [(2, 8, 33), (3, 27, 34), (2, 16, 215)])
+def test_principal_closures_equal_the_all_normal_closure(prime, bound, count):
+    assert assert_principal_closures_match(prime, bound) == count
+
+
+def test_minimal_moves_are_the_quotient_moves_by_minimal_normal_subgroups():
+    u = GroupUniverse(2, 16)
+    for gi, lat in enumerate(u.lattices):
+        minimal = set(_minimal_normal(lat))
+        for cls in range(len(lat.class_reps)):
+            assert u.minimal_moves(gi, cls) == tuple(
+                move for move in u.quotient_moves(gi, cls) if move[0] in minimal
+            )
+
+
+@functools.cache
+def nontrivial_universe_groups():
+    return [g for p, b in ((2, 16), (3, 27)) for g in constructor_known_p_groups(p, b)
+            if g.order > 1]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_quotient_and_nonzero_deflation_is_a_chain_of_minimal_steps(data):
+    # the two facts `bounded_closure` rests on, for N0 <= M with N0 minimal
+    g = data.draw(st.sampled_from(nontrivial_universe_groups()), label="group")
+    lat = all_subgroups(g)
+    s = lat.subgroups[data.draw(st.integers(0, len(lat.subgroups) - 1), label="S")].members
+    m_idx = data.draw(st.sampled_from(lat.normal[1:]), label="M")
+    n0_idx = data.draw(
+        st.sampled_from([i for i in _minimal_normal(lat) if lat.contains_pair(i, m_idx)]),
+        label="N0",
+    )
+    m, n0 = lat.subgroups[m_idx].members, lat.subgroups[n0_idx].members
+    q1 = quotient(g, n0)
+    sn0 = q1.image_members(set_product(g, s, n0))
+    m_mod_n0 = q1.image_members(m)
+    q2 = quotient(q1.group, m_mod_n0)
+    assert (deflation_constant(g, s, m) != 0) == (
+        deflation_constant(g, s, n0) != 0 and deflation_constant(q1.group, sn0, m_mod_n0) != 0
+    )
+    # G/M -> (G/N0)/(M/N0) is a bijection, and it sends the image of S mod M
+    # to the image of SN0/N0 mod M/N0
+    qm = quotient(g, m)
+    phi = {qm.projection[x]: q2.projection[q1.projection[x]] for x in range(g.order)}
+    assert len(phi) == len(set(phi.values())) == qm.group.order == q2.group.order
+    assert all(phi[qm.projection[x]] == q2.projection[q1.projection[x]] for x in range(g.order))
+    assert sorted(phi[y] for y in qm.image_members(s)) == list(q2.image_members(sn0))
 
 
 def product_classes(universe, maps, ti, s_cls):
@@ -201,3 +318,11 @@ def test_closures_hold_every_in_bound_product_of_a_member(prime, bound):
             for cls in u.class_orbit(gi, canon_cls):
                 for factor, product in product_classes(u, maps, gi, cls):
                     assert product in members, (fid, u.describe_class(gi, cls), factor)
+
+
+def test_criterion_07_closures_equal_the_all_normal_closure_at_3_81():
+    u = GroupUniverse(3, 81)
+    seeds = criterion_07_seeds(3)
+    located = [u.locate_slice(*seed) for seed in seeds.values()]
+    for fid, seed, oracle in zip(seeds, seeds.values(), all_normal_closures(u, located)):
+        assert bounded_closure(u, *seed) == oracle, fid
