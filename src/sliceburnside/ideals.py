@@ -4,8 +4,8 @@ minimal groups, and the embedding of the ordinary Burnside ring.
 
 The closure moves are the functor moves, surjection preimages and
 nonzero-constant deflations, each taken one minimal normal subgroup at a
-time; products with other groups are not a separate condition
-(`bounded_closure` gives both arguments).
+once per abstract slice; products with other groups are not a separate
+condition (`bounded_closure` gives the arguments and their precondition).
 
 Everything quantified "for all finite groups" in the theory is checked here
 over an explicit finite universe; reports and results are universe-bounded.
@@ -14,10 +14,12 @@ over an explicit finite universe; reports and results are universe-bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .groups import (
     FiniteGroup,
     GroupError,
+    GroupIsomorphism,
     _is_prime,
     abelian_group,
     all_subgroups,
@@ -197,18 +199,12 @@ class GroupUniverse:
         self._canon: list[tuple[int, ...]] = [
             self._canonical_map(i) for i in range(len(self.groups))
         ]
-        self._orbit: list[dict[int, tuple[int, ...]]] = []
-        for gi, canon in enumerate(self._canon):
-            orbit: dict[int, list[int]] = {}
-            for cls, rep in enumerate(canon):
-                orbit.setdefault(rep, []).append(cls)
-            self._orbit.append({k: tuple(v) for k, v in orbit.items()})
+        self._minimal_normals = [_minimal_normal(lat) for lat in self.lattices]
         # maps and closure moves, each filled on first use
         self._quotient_maps: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         self._quotient_moves: dict[tuple[int, int], tuple] = {}
-        self._minimal_normals: dict[int, list[int]] = {}
         self._minimal_moves: dict[tuple[int, int], tuple] = {}
-        self._deflates: dict[tuple[int, int, int], bool] = {}
+        self._constants: dict[tuple[int, int, int], Fraction] = {}
         self._surjection_sources: dict[tuple[int, int], list[tuple[int, int]]] | None = None
 
     # -- canonicalization ----------------------------------------------------
@@ -246,13 +242,13 @@ class GroupUniverse:
     def canonical_class(self, gi: int, cls: int) -> int:
         return self._canon[gi][cls]
 
-    def class_orbit(self, gi: int, canon_cls: int) -> tuple[int, ...]:
-        return self._orbit[gi][canon_cls]
-
     # -- locating foreign groups ----------------------------------------------
 
     def find_group(self, group: FiniteGroup):
-        """Universe index and isomorphism for an external group, or None."""
+        """Universe index and isomorphism for a group, or None; identity for its own groups."""
+        for gi, h in enumerate(self.groups):
+            if h is group:
+                return gi, GroupIsomorphism(h, h, tuple(range(h.order)))
         for gi, h in enumerate(self.groups):
             if h.order != group.order:
                 continue
@@ -320,8 +316,6 @@ class GroupUniverse:
         the closure moves (`bounded_closure` gives the argument)."""
         hit = self._minimal_moves.get((gi, cls))
         if hit is None:
-            if gi not in self._minimal_normals:
-                self._minimal_normals[gi] = _minimal_normal(self.lattices[gi])
             hit = self._minimal_moves[gi, cls] = self._images(gi, cls, self._minimal_normals[gi])
         return hit
 
@@ -336,41 +330,37 @@ class GroupUniverse:
             moves.append((n_idx, (qi, self.canonical_class(qi, image))))
         return tuple(moves)
 
-    def deflates(self, gi: int, cls: int, n_idx: int) -> bool:
-        """Whether deflating the slice (G, S) of class `cls` by the normal
-        subgroup N of G = G_gi has a nonzero constant."""
+    def constant(self, gi: int, cls: int, n_idx: int) -> Fraction:
+        """The deflation constant of the slice (G, S) of class `cls` by the
+        normal subgroup N of G = G_gi; a move exists where it is nonzero."""
         key = (gi, cls, n_idx)
-        hit = self._deflates.get(key)
+        hit = self._constants.get(key)
         if hit is None:
             lat = self.lattices[gi]
-            hit = self._deflates[key] = deflation_constant_at(
+            hit = self._constants[key] = deflation_constant_at(
                 lat, lat.class_reps[cls], n_idx, len(lat.subgroups) - 1
-            ) != 0
+            )
         return hit
 
     def surjection_sources(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
         """Canonical slices that surject onto each canonical slice by one
         minimal step (`minimal_moves`), keyed by the target: a member
-        target forces its sources into an ideal."""
+        target forces its sources into an ideal.  Only canonical classes are
+        read: their moves stand for their Aut-orbits (see `bounded_closure`)."""
         if self._surjection_sources is None:
             sources: dict[tuple[int, int], list[tuple[int, int]]] = {}
-            for gi, canon in enumerate(self._canon):
-                for cls, canon_cls in enumerate(canon):
-                    src = (gi, canon_cls)
-                    for _, tgt in self.minimal_moves(gi, cls):
-                        if tgt != src:
-                            sources.setdefault(tgt, []).append(src)
+            for src in sorted(self.all_abstract_classes()):
+                for _, tgt in self.minimal_moves(*src):
+                    if tgt != src:
+                        sources.setdefault(tgt, []).append(src)
             self._surjection_sources = sources
         return self._surjection_sources
 
     # -- inventory -----------------------------------------------------------------
 
     def all_abstract_classes(self) -> set[tuple[int, int]]:
-        out = set()
-        for gi, lat in enumerate(self.lattices):
-            for cls in range(len(lat.class_reps)):
-                out.add((gi, self.canonical_class(gi, cls)))
-        return out
+        """(group index, canonical class) of every abstract slice."""
+        return {(gi, cls) for gi, canon in enumerate(self._canon) for cls in set(canon)}
 
     def family_trace(
         self, family: SliceFamily, max_order: int | None = None
@@ -450,7 +440,10 @@ def check_conditions(family: SliceFamily, universe: GroupUniverse) -> ConditionR
 
     # isomorphism invariance: classes merged by automorphisms must agree
     for gi, g in enumerate(universe.groups):
-        for orbit in universe._orbit[gi].values():
+        orbits: dict[int, list[int]] = {}
+        for cls in range(len(universe.lattices[gi].class_reps)):
+            orbits.setdefault(universe.canonical_class(gi, cls), []).append(cls)
+        for orbit in orbits.values():
             if len({member[gi, c] for c in orbit}) > 1:
                 report.iso_violations.append(
                     {
@@ -473,18 +466,17 @@ def check_conditions(family: SliceFamily, universe: GroupUniverse) -> ConditionR
                     }
                 )
             # deflation closure: member source with nonzero constant
-            if member_here and not quotient_member and universe.deflates(gi, cls, n_idx):
-                m = deflation_constant_at(
-                    lat, lat.class_reps[cls], n_idx, len(lat.subgroups) - 1
-                )
-                report.deflation_violations.append(
-                    {
-                        "source": universe.describe_class(gi, cls),
-                        "via_normal": list(lat.subgroups[n_idx].members),
-                        "constant": str(m),
-                        "quotient": universe.describe_class(qi, qcls),
-                    }
-                )
+            if member_here and not quotient_member:
+                m = universe.constant(gi, cls, n_idx)
+                if m != 0:
+                    report.deflation_violations.append(
+                        {
+                            "source": universe.describe_class(gi, cls),
+                            "via_normal": list(lat.subgroups[n_idx].members),
+                            "constant": str(m),
+                            "quotient": universe.describe_class(qi, qcls),
+                        }
+                    )
     return report
 
 
@@ -507,6 +499,15 @@ def bounded_closure(
     nonzero constant mod M is a chain of nonzero minimal ones, and a
     member image mod M pulls back to G one minimal step at a time.
 
+    Each member is moved once, from its canonical class.  An automorphism a
+    of G permutes its minimal normal subgroups, induces G/N -> G/a(N)
+    sending the image of S to that of a(S), and keeps the constants,
+    m(G,S,N) = m(G,a(S),a(N)) (Bouc), so every class of an Aut-orbit reaches
+    the same abstract slices.  Precondition: the two images in the universe
+    group differ by one of its automorphisms, so its canonical classes must
+    be exact.  That holds while every orbit of more than one class lies in
+    a group of order at most p^3, whose quotients all have exact classes.
+
     Products with other groups need no move of their own.  For a member
     (T, S) and a universe slice (B, A) with |B||T| within the bound, the
     projection B x T -> T has kernel N = B x 1 and sends A x S onto S, so
@@ -517,7 +518,6 @@ def bounded_closure(
     """
     seed = universe.locate_slice(seed_group, seed_s_members)
     sources = universe.surjection_sources()
-    inventory = len(universe.all_abstract_classes())
     members: set[tuple[int, int]] = set()
     queue: list[tuple[int, int]] = []
 
@@ -527,15 +527,14 @@ def bounded_closure(
             queue.append(pair)
 
     add(seed)
-    while queue and len(members) < inventory:
+    while queue:
         gi, canon_cls = queue.pop()
         for src in sources.get((gi, canon_cls), ()):
             add(src)
-        for cls in universe.class_orbit(gi, canon_cls):
-            # deflation constants are tested only while the image is missing
-            for n_idx, tgt in universe.minimal_moves(gi, cls):
-                if tgt not in members and universe.deflates(gi, cls, n_idx):
-                    add(tgt)
+        # deflation constants are computed only while the image is missing
+        for n_idx, tgt in universe.minimal_moves(gi, canon_cls):
+            if tgt not in members and universe.constant(gi, canon_cls, n_idx) != 0:
+                add(tgt)
     return members
 
 

@@ -2,13 +2,13 @@
 surjection index).  `check_conditions` sweeps every nontrivial normal
 subgroup, `bounded_closure` only the minimal ones, and both read their
 images through one `GroupUniverse.quotient_map`; the outputs of both are
-pinned by digest, and the deflation tests are evaluated once per universe.
-The closure along every normal subgroup is rebuilt here from
-`quotient_moves` and `deflates` as the oracle of the minimal moves, with a
-property test of the two facts they rest on.  Products with other groups
-are not a move; the product sweep that once was one is rebuilt here from
-`GroupUniverse.product_map` as the oracle that every product is already
-reached as a surjection source."""
+pinned by digest, and the deflation constants are evaluated once per
+universe.  The closure along every normal subgroup of every raw class is
+rebuilt here from `quotient_moves` and `constant` as the oracle of the
+minimal moves of canonical classes, with tests of the facts they rest on.
+Products with other groups are not a move; the product sweep that once was
+one is rebuilt here from `GroupUniverse.product_map` as the oracle that
+every product is already reached as a surjection source."""
 
 import functools
 import hashlib
@@ -141,29 +141,40 @@ def test_second_closure_reuses_the_deflation_tests(monkeypatch):
     assert len(quotients) == 0
 
 
-def all_normal_closures(universe, seeds):
-    """The closure of each seed under the moves along every nontrivial
-    normal subgroup, from the `quotient_moves` and `deflates` that
-    `check_conditions` uses: the oracle of `bounded_closure`, which moves
-    along minimal normal subgroups only."""
-    sources = {}
+def class_orbits(universe):
+    """{(group index, canonical class): the raw subgroup classes of its
+    Aut-orbit}."""
+    orbits = {}
     for gi, lat in enumerate(universe.lattices):
         for cls in range(len(lat.class_reps)):
-            src = (gi, universe.canonical_class(gi, cls))
+            orbits.setdefault((gi, universe.canonical_class(gi, cls)), []).append(cls)
+    return orbits
+
+
+def all_normal_closures(universe, seeds):
+    """The closure of each seed under the moves along every nontrivial
+    normal subgroup, taken from every raw class of each member's orbit, from
+    the `quotient_moves` and `constant` that `check_conditions` uses: the
+    oracle of `bounded_closure`, which moves along minimal normal subgroups
+    from canonical classes only."""
+    orbits = class_orbits(universe)
+    sources = {}
+    for (gi, canon_cls), orbit in orbits.items():
+        for cls in orbit:
             for _, tgt in universe.quotient_moves(gi, cls):
-                if tgt != src:
-                    sources.setdefault(tgt, set()).add(src)
+                if tgt != (gi, canon_cls):
+                    sources.setdefault(tgt, set()).add((gi, canon_cls))
     for seed in seeds:
         members = {seed}
         queue = [seed]
         while queue:
             gi, canon_cls = queue.pop()
             reached = set(sources.get((gi, canon_cls), ()))
-            for cls in universe.class_orbit(gi, canon_cls):
+            for cls in orbits[gi, canon_cls]:
                 reached.update(
                     tgt
                     for n_idx, tgt in universe.quotient_moves(gi, cls)
-                    if universe.deflates(gi, cls, n_idx)
+                    if universe.constant(gi, cls, n_idx) != 0
                 )
             queue.extend(reached - members)
             members |= reached
@@ -186,6 +197,47 @@ def assert_principal_closures_match(prime, bound):
 @pytest.mark.parametrize("prime,bound,count", [(2, 8, 33), (3, 27, 34), (2, 16, 215)])
 def test_principal_closures_equal_the_all_normal_closure(prime, bound, count):
     assert assert_principal_closures_match(prime, bound) == count
+
+
+@pytest.mark.parametrize("prime,bound", [(2, 16), (3, 27), (3, 81)])
+def test_every_class_of_an_orbit_has_the_minimal_moves_of_its_canonical_class(prime, bound):
+    # the fact that lets `bounded_closure` move canonical classes only: an
+    # automorphism carries the (target, constant) pairs of one class to another
+    u = GroupUniverse(prime, bound)
+
+    def moves(gi, cls):
+        return sorted((tgt, u.constant(gi, cls, n_idx)) for n_idx, tgt in u.minimal_moves(gi, cls))
+
+    merged = 0
+    for (gi, canon_cls), orbit in class_orbits(u).items():
+        if len(orbit) > 1:
+            # the precondition: orbits of more than one class only up to p^3
+            assert u.groups[gi].order <= prime**3
+            merged += 1
+        expected = moves(gi, canon_cls)
+        for cls in orbit:
+            assert moves(gi, cls) == expected, u.describe_class(gi, cls)
+    assert merged > 0
+
+
+def test_a_universe_group_locates_without_an_isomorphism_search(monkeypatch):
+    u = GroupUniverse(3, 27)
+    g = next(h for h in u.groups if h.label == "C3xC3xC3")
+    lat = u.lattices[u.groups.index(g)]
+    s_members = lat.subgroups[lat.class_reps[-2]].members
+    calls = []
+    original = ideals.find_isomorphism
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, "find_isomorphism", counted)
+    located = u.locate_slice(g, s_members)
+    assert len(calls) == 0
+    # a freshly built copy is found by the search, at the same slice
+    assert u.locate_slice(elementary_abelian(3, 3), s_members) == located
+    assert len(calls) > 0
 
 
 def test_minimal_moves_are_the_quotient_moves_by_minimal_normal_subgroups():
@@ -312,10 +364,11 @@ def criterion_07_seeds(p: int) -> dict:
 def test_closures_hold_every_in_bound_product_of_a_member(prime, bound):
     u = GroupUniverse(prime, bound)
     maps = {}
+    orbits = class_orbits(u)
     for fid, seed in criterion_07_seeds(prime).items():
         members = bounded_closure(u, *seed)
         for gi, canon_cls in members:
-            for cls in u.class_orbit(gi, canon_cls):
+            for cls in orbits[gi, canon_cls]:
                 for factor, product in product_classes(u, maps, gi, cls):
                     assert product in members, (fid, u.describe_class(gi, cls), factor)
 
