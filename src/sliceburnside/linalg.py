@@ -1,34 +1,40 @@
-"""Exact rank computation over the rationals for integer matrices."""
+"""Exact rank over the rationals of integer matrices, by sparse fraction-free
+elimination: the embedded mark columns it ranks are mostly zeros."""
 
 from __future__ import annotations
 
+from math import gcd
 from operator import index
 
 
 def rational_rank(rows) -> int:
-    """Rank over the rationals of a matrix given as rows of ints, by
-    fraction-free (Bareiss) elimination; a non-integer entry raises
-    `TypeError`."""
-    matrix = [[index(v) for v in row] for row in rows]
-    if not matrix:
-        return 0
-    rank, prev = 0, 1
-    for col in range(len(matrix[0])):
-        pivot = next(
-            (r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        prow = matrix[rank]
-        p = prow[col]
-        # each entry stays a minor of the original matrix, so the division
-        # by the previous pivot is exact
-        for r in range(rank + 1, len(matrix)):
-            f = matrix[r][col]
-            matrix[r] = [(p * a - f * b) // prev for a, b in zip(matrix[r], prow)]
-        prev = p
+    """Rank over Q of a matrix given as rows of ints; a non-integer entry,
+    zero or not, raises `TypeError`.  Each row is a dict of its nonzeros.
+    The pivot is the pending row with the fewest nonzeros, at its least
+    column; every row holding that column becomes a·row − b·pivot, with
+    a, b the two entries there over their gcd, and is divided by the gcd
+    of its entries.  A step scales a row by a nonzero integer and subtracts
+    a multiple of another row, so the row space over Q is kept and the rank
+    is the number of pivots; the sparsest pivot keeps the fill-in small."""
+    pending = [{c: v for c, v in enumerate(map(index, row)) if v} for row in rows]
+    rank = 0
+    while pending := [row for row in pending if row]:
+        pivot = pending.pop(min(range(len(pending)), key=lambda i: len(pending[i])))
+        col = min(pivot)
+        p = pivot[col]
         rank += 1
-        if rank == len(matrix):
-            break
+        for i, row in enumerate(pending):
+            f = row.get(col)
+            if f is None:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            new = {c: a * v for c, v in row.items()}
+            for c, v in pivot.items():
+                if x := new.get(c, 0) - b * v:
+                    new[c] = x
+                else:
+                    del new[c]
+            d = gcd(*new.values())
+            pending[i] = {c: v // d for c, v in new.items()} if d > 1 else new
     return rank

@@ -108,7 +108,8 @@ def test_closed_form_matches_oracle_on_small_perm_groups(group, data):
 
 
 @pytest.mark.parametrize(
-    "spec, classes, j4_dimension", [("elab:2^4", 67, 51), ("heis:3", 11, 5)]
+    "spec, classes, j4_dimension",
+    [("elab:2^4", 67, 51), ("heis:3", 11, 5), ("elab:2^5", 374, 342)],
 )
 def test_marks_ranks_and_idempotents_never_build_the_dense_matrix(
     spec, classes, j4_dimension, monkeypatch
