@@ -3,8 +3,8 @@ over a bounded universe of p-groups, generated-ideal closures, dimensions,
 minimal groups, and the embedding of the ordinary Burnside ring.
 
 The closure moves are the functor moves, surjection preimages and
-nonzero-constant deflations, each taken one minimal normal subgroup at a
-once per abstract slice; products with other groups are not a separate
+nonzero-constant deflations, taken one minimal normal subgroup at a time
+and once per abstract slice; products with other groups are not a separate
 condition (`bounded_closure` gives the arguments and their precondition).
 
 Everything quantified "for all finite groups" in the theory is checked here
@@ -572,21 +572,11 @@ def minimal_groups(family: SliceFamily, universe: GroupUniverse) -> list[FiniteG
 # Burnside-ring embedding
 
 
-def burnside_embedding(group: FiniteGroup) -> list[SliceRingElement]:
-    """Images of the Burnside-ring basis: the class of G/S maps to the
-    class of its identity morphism, the diagonal slice (S, S)."""
-    table = slice_classes(group)
-    return [table.basis_element(table.class_of[i, i]) for i in table.lattice.class_reps]
-
-
-def _embedded_columns(table: SliceClassTable) -> list[list[int]]:
-    """Mark columns of the embedded Burnside basis, one dense row each."""
+def _embedded_columns(table: SliceClassTable) -> list[dict[int, int]]:
+    """The table's own mark columns of the embedded Burnside basis: G/S maps
+    to the class of its identity morphism, the diagonal slice (S, S)."""
     columns = table.mark_columns()
-    out = []
-    for elem in burnside_embedding(table.group):
-        (cls,) = elem.coeffs
-        out.append([columns[cls].get(r, 0) for r in range(table.size)])
-    return out
+    return [columns[table.class_of[i, i]] for i in table.lattice.class_reps]
 
 
 def burnside_image_rank(group: FiniteGroup) -> int:
@@ -601,6 +591,5 @@ def intersection_dimension(group: FiniteGroup, family: SliceFamily) -> int:
     table = slice_classes(group)
     full_rows = _embedded_columns(table)
     members = set(member_classes(table, family))
-    non_member_rows = [r for r in range(table.size) if r not in members]
-    restricted_rows = [[row[r] for r in non_member_rows] for row in full_rows]
+    restricted_rows = [{r: m for r, m in row.items() if r not in members} for row in full_rows]
     return rational_rank(full_rows) - rational_rank(restricted_rows)

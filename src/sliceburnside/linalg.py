@@ -1,5 +1,6 @@
-"""Exact rank over the rationals of integer matrices, by sparse fraction-free
-elimination: the embedded mark columns it ranks are mostly zeros."""
+"""Exact rank over the rationals of sparse integer matrices, by fraction-free
+elimination.  A row is a `{column: int}` mapping, the format of the mark
+columns it ranks, which are mostly zeros; absent columns are zero."""
 
 from __future__ import annotations
 
@@ -8,15 +9,15 @@ from operator import index
 
 
 def rational_rank(rows) -> int:
-    """Rank over Q of a matrix given as rows of ints; a non-integer entry,
-    zero or not, raises `TypeError`.  Each row is a dict of its nonzeros.
+    """Rank over Q of a matrix given as `{column: int}` rows, which it copies
+    and never modifies; a non-integer value, zero or not, raises `TypeError`.
     The pivot is the pending row with the fewest nonzeros, at its least
     column; every row holding that column becomes a·row − b·pivot, with
     a, b the two entries there over their gcd, and is divided by the gcd
     of its entries.  A step scales a row by a nonzero integer and subtracts
     a multiple of another row, so the row space over Q is kept and the rank
     is the number of pivots; the sparsest pivot keeps the fill-in small."""
-    pending = [{c: v for c, v in enumerate(map(index, row)) if v} for row in rows]
+    pending = [{c: v for c, x in row.items() if (v := index(x))} for row in rows]
     rank = 0
     while pending := [row for row in pending if row]:
         pivot = pending.pop(min(range(len(pending)), key=lambda i: len(pending[i])))

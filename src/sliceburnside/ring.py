@@ -85,13 +85,18 @@ class SliceClassTable:
         except KeyError:
             raise GroupError("not a slice: the pair is not nested") from None
 
+    def _require_class(self, cls: int) -> int:
+        if cls not in range(self.size):
+            raise GroupError(f"no slice class {cls!r}: the table has {self.size}")
+        return cls
+
     # -- elements ------------------------------------------------------------
 
     def zero(self) -> "SliceRingElement":
         return _element(self, 1, {})
 
     def basis_element(self, cls: int) -> "SliceRingElement":
-        return _element(self, 1, {cls: 1})
+        return _element(self, 1, {self._require_class(cls): 1})
 
     def one(self) -> "SliceRingElement":
         full = tuple(range(self.group.order))
@@ -343,6 +348,7 @@ class SliceRingElement:
         return not self.numerators
 
     def mark(self, cls: int) -> Fraction:
+        self.table._require_class(cls)
         columns = self.table.mark_columns()
         total = sum(n * columns[c].get(cls, 0) for c, n in self.numerators.items())
         return Fraction(total, self.denominator)

@@ -1,6 +1,7 @@
 """Sparse fraction-free integer rank against two oracles: Gaussian
 elimination in Fractions, and the dense Bareiss elimination that the sparse
-kernel replaced."""
+kernel replaced.  The strategies and oracles work on dense rows; `as_columns`
+turns them into the kernel's `{column: value}` rows, zeros included."""
 
 from fractions import Fraction
 from operator import index
@@ -10,10 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceburnside.groups import group_from_spec
-from sliceburnside.ideals import FAMILIES, _embedded_columns, member_classes
+from sliceburnside.ideals import (
+    FAMILIES,
+    _embedded_columns,
+    burnside_image_rank,
+    intersection_dimension,
+    member_classes,
+)
 from sliceburnside.linalg import rational_rank
 from sliceburnside.ring import slice_classes
 from test_ring import GHOST_GROUPS
+
+
+def as_columns(rows):
+    """Dense rows as `{column: value}` rows, explicit zeros kept."""
+    return [dict(enumerate(row)) for row in rows]
+
+
+def dense(row, ncols):
+    return [row.get(c, 0) for c in range(ncols)]
 
 
 def fraction_rank(rows):
@@ -116,42 +132,65 @@ def sparse_wide_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(rows=integer_matrices())
 def test_rank_matches_fraction_elimination(rows):
-    assert rational_rank(rows) == fraction_rank(rows) == bareiss_rank(rows)
+    assert rational_rank(as_columns(rows)) == fraction_rank(rows) == bareiss_rank(rows)
 
 
 @settings(max_examples=300, deadline=None)
 @given(rows=sparse_wide_matrices())
 def test_sparse_wide_rank_matches_both_oracles(rows):
-    assert rational_rank(rows) == fraction_rank(rows) == bareiss_rank(rows)
+    assert rational_rank(as_columns(rows)) == fraction_rank(rows) == bareiss_rank(rows)
 
 
 @pytest.mark.parametrize("spec", GHOST_GROUPS)
 def test_embedded_columns_rank_matches_bareiss(spec):
     table = slice_classes(group_from_spec(spec))
-    full_rows = _embedded_columns(table)
-    assert rational_rank(full_rows) == bareiss_rank(full_rows) == len(full_rows)
+    full_rows = [dense(row, table.size) for row in _embedded_columns(table)]
+    assert rational_rank(as_columns(full_rows)) == bareiss_rank(full_rows) == len(full_rows)
     for fid in ("J4", "J1"):
         members = set(member_classes(table, FAMILIES[fid]))
         keep = [r for r in range(table.size) if r not in members]
         restricted = [[row[r] for r in keep] for row in full_rows]
-        assert rational_rank(restricted) == bareiss_rank(restricted)
+        assert rational_rank(as_columns(restricted)) == bareiss_rank(restricted)
 
 
 def test_rank_examples():
     assert rational_rank([]) == 0
-    assert rational_rank([[0, 0], [0, 0]]) == 0
-    assert rational_rank([[2, 4], [1, 2], [-3, -6]]) == 1
-    assert rational_rank([[0, 1, 2], [0, 2, 5], [0, 0, 0]]) == 2
-    assert rational_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
+    assert rational_rank(as_columns([[0, 0], [0, 0]])) == 0
+    assert rational_rank(as_columns([[2, 4], [1, 2], [-3, -6]])) == 1
+    assert rational_rank(as_columns([[0, 1, 2], [0, 2, 5], [0, 0, 0]])) == 2
+    assert rational_rank(as_columns([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
 
 
 def test_rank_rejects_non_integers():
     with pytest.raises(TypeError):
-        rational_rank([[Fraction(1, 2), 1]])
+        rational_rank([{0: Fraction(1, 2), 1: 1}])
     with pytest.raises(TypeError):
-        rational_rank([[1.0, 2]])
+        rational_rank([{0: 1.0, 1: 2}])
     # zeros are read through operator.index too, before the sparse filter
     with pytest.raises(TypeError):
-        rational_rank([[0.0, 1]])
+        rational_rank([{0: 0.0, 1: 1}])
     with pytest.raises(TypeError):
-        rational_rank([[Fraction(0), 1]])
+        rational_rank([{0: Fraction(0), 1: 1}])
+
+
+@pytest.mark.parametrize("spec", GHOST_GROUPS)
+def test_embedded_columns_are_the_mark_vectors_of_the_diagonal_slices(spec):
+    table = slice_classes(group_from_spec(spec))
+    reps = table.lattice.class_reps
+    rows = _embedded_columns(table)
+    assert len(rows) == len(reps)
+    for i, row in zip(reps, rows):
+        expected = table.basis_element(table.class_of[i, i]).mark_vector()
+        assert dense(row, table.size) == list(expected)
+
+
+@pytest.mark.parametrize("spec", GHOST_GROUPS)
+def test_ranking_leaves_the_cached_mark_columns_unchanged(spec):
+    group = group_from_spec(spec)
+    table = slice_classes(group)
+    columns = table.mark_columns()
+    before = [dict(column) for column in columns]
+    burnside_image_rank(group)
+    intersection_dimension(group, FAMILIES["J4"])
+    assert table.mark_columns() is columns
+    assert columns == before

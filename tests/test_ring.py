@@ -431,3 +431,18 @@ def test_orbit_sums_match_double_coset_sums_on_small_groups(group, data):
     ]
     assert_orbit_sums_match_double_cosets(table, pairs, restrictions)
     assert_mark_vector_entries(SliceRingElement(table, data.draw(rational_coeffs(table.size))))
+
+
+def test_class_indices_outside_the_table_are_rejected():
+    table = slice_classes(group_from_spec("cyclic:4"))
+    assert table.size == 6
+    elem = table.basis_element(5)
+    for bad in (-1, 6, 10**6):
+        # -1 would alias class 5 under a key of its own, and 6 has no row
+        with pytest.raises(GroupError):
+            table.basis_element(bad)
+        # a missing row is not a zero mark
+        with pytest.raises(GroupError):
+            elem.mark(bad)
+    assert (elem * elem).numerators.keys() == {5}
+    assert [elem.mark(r) for r in range(table.size)] == list(elem.mark_vector())
