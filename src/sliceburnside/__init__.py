@@ -11,6 +11,7 @@ from .groups import (
     Subgroup,
     SubgroupLattice,
     all_subgroups,
+    automorphism_generators,
     automorphisms,
     cyclic_group,
     dihedral_group,

@@ -287,16 +287,6 @@ def deflation_vanishes_predicted(group: FiniteGroup, s_members, n_members) -> bo
     return first or second
 
 
-def elementary_abelian_classical_value(p: int, n: int, k: int) -> Fraction:
-    """Closed form for the classical constant on an elementary abelian group
-    of rank n deflated by a rank-k subgroup (the exponent goes negative at
-    k = n, so the factors are fractions)."""
-    out = Fraction(1)
-    for i in range(1, k + 1):
-        out *= 1 - Fraction(p) ** (n - 1 - i)
-    return out
-
-
 def elementary_abelian_supplement_value(p: int, n: int, k: int) -> int:
     """Closed form for the supplement sum on an elementary abelian group of
     rank n with a rank-k subgroup."""

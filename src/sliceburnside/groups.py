@@ -5,6 +5,10 @@ All derived structure (generators, subgroup lattice, automorphisms, the
 standalone groups of its subgroups) is cached on the group object; caches
 are filled before sharing in normal use.
 
+One depth-first search over generator images finds the first isomorphism
+extending a prefix of images; `automorphism_generators` runs it along a
+stabiliser chain, and `automorphisms` is the closure of what it finds.
+
 A subgroup lattice grows from the cyclic subgroups by one cyclic extension a
 round; sorted by order, it reads containment and the maximal subgroups off
 that order.  The lattice of a group made by `quotient` or
@@ -65,6 +69,7 @@ class FiniteGroup:
         self._lattice_source = None
         self._slice_table = None
         self._subgroup_groups: dict[int, GroupEmbedding] = {}
+        self._automorphism_generators: tuple[tuple[int, ...], ...] | None = None
         self._automorphisms: list[tuple[int, ...]] | None = None
         # G / Frattini(G), for the Frattini form of the supplement sum
         self._frattini_quotient: GroupQuotient | None = None
@@ -705,29 +710,29 @@ def _hom_from_generator_images(
     return tuple(img)
 
 
-def _iso_search(g: FiniteGroup, h: FiniteGroup, collect_all: bool) -> list[tuple[int, ...]]:
-    """Isomorphisms g -> h as image tuples, depth first over generator
+def _iso_search(g: FiniteGroup, h: FiniteGroup, prefix=()) -> tuple[int, ...] | None:
+    """The first isomorphism g -> h, as an image tuple, that sends generator
+    i to prefix[i] for each i < len(prefix), depth first over generator
     images in index order.  Candidates are pruned only by conditions every
     isomorphism meets (element keys, commutators with earlier generators),
-    so the leaves found and their order do not depend on the pruning."""
+    so the witness found does not depend on the pruning."""
     gens = g.generators()
     if not gens:
-        return [(h.identity,)] if h.order == 1 else []
+        return (h.identity,) if h.order == 1 else None
     g_keys = g._element_keys()
     by_key: dict[tuple[int, int], list[int]] = {}
     for y, key in enumerate(h._element_keys()):
         by_key.setdefault(key, []).append(y)
-    results: list[tuple[int, ...]] = []
 
     def extend(level: int, images: list[int], img: tuple[int, ...]):
         # img maps <gens[:level]>; at the last level that is all of g
         if level == len(gens):
-            results.append(img)
-            return
+            return img
         x = gens[level]
         checks = [(images[i], img[_commutator(g, gens[i], x)]) for i in range(level)]
         checks = [(a, c) for a, c in checks if c != -1]
-        for y in by_key.get(g_keys[x], []):
+        candidates = [prefix[level]] if level < len(prefix) else by_key.get(g_keys[x], [])
+        for y in candidates:
             if any(_commutator(h, a, y) != c for a, c in checks):
                 continue
             partial = _hom_from_generator_images(
@@ -739,33 +744,79 @@ def _iso_search(g: FiniteGroup, h: FiniteGroup, collect_all: bool) -> list[tuple
             vals = [v for v in partial if v != -1]
             if len(vals) != len(set(vals)):
                 continue
-            extend(level + 1, images + [y], partial)
-            if results and not collect_all:
-                return
+            found = extend(level + 1, images + [y], partial)
+            if found is not None:
+                return found
+        return None
 
-    extend(0, [], ())
-    return results
+    return extend(0, [], ())
 
 
 def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> GroupIsomorphism | None:
     """An explicit isomorphism g -> h, or None."""
     if _invariant_profile(g) != _invariant_profile(h):
         return None
-    found = _iso_search(g, h, collect_all=False)
-    if not found:
-        return None
-    return GroupIsomorphism(g, h, found[0])
+    found = _iso_search(g, h)
+    return None if found is None else GroupIsomorphism(g, h, found)
 
 
 def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
     return find_isomorphism(g, h) is not None
 
 
+def permutation_orbit(point: int, perms) -> list[int]:
+    """The orbit of `point` under the group that the image tuples `perms`
+    generate, in order of discovery (finite, so no inverses are needed)."""
+    orbit, seen = [point], {point}
+    for x in orbit:
+        for perm in perms:
+            y = perm[x]
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return orbit
+
+
+def automorphism_generators(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """A strong generating set of Aut(G) along the generators x_0, x_1, ...
+    of `group.generators()` (Sims), as image tuples.  Deepest level first,
+    level i adds one automorphism fixing x_0..x_{i-1} for each image of x_i
+    outside the orbit of x_i under the generators found so far.  So the ones
+    fixing x_0..x_{i-1} generate that stabiliser, and |Aut(G)| is the
+    product over i of the orbit lengths of x_i under them.  Cached."""
+    if group._automorphism_generators is None:
+        gens, keys = group.generators(), group._element_keys()
+        found: list[tuple[int, ...]] = []
+        for i, x in reversed(list(enumerate(gens))):
+            reached = set(permutation_orbit(x, found))
+            for y in range(group.order):
+                if y in reached or keys[y] != keys[x]:
+                    continue
+                aut = _iso_search(group, group, gens[:i] + (y,))
+                if aut is not None:
+                    found.append(aut)
+                    reached = set(permutation_orbit(x, found))
+        group._automorphism_generators = tuple(found)
+    return group._automorphism_generators
+
+
 def automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """Every automorphism, as an image tuple.  Cached; intended for small
-    groups (the search is exhaustive)."""
+    """Every automorphism, as an image tuple: the closure of
+    `automorphism_generators`, sorted by the images of `group.generators()`
+    (depth-first search order).  Cached; meant for small groups."""
     if group._automorphisms is None:
-        group._automorphisms = _iso_search(group, group, collect_all=True)
+        # an automorphism is fixed by its generator images, so key on them
+        gens, perms = group.generators(), automorphism_generators(group)
+        perm_gens = [tuple(perm[x] for x in gens) for perm in perms]
+        found = {gens: tuple(range(group.order))}
+        queue = list(found.values())
+        for a in queue:
+            for perm, images in zip(perms, perm_gens):
+                key = tuple(map(a.__getitem__, images))
+                if key not in found:
+                    found[key] = b = tuple(map(a.__getitem__, perm))
+                    queue.append(b)
+        group._automorphisms = [found[key] for key in sorted(found)]
     return group._automorphisms
 
 

@@ -201,16 +201,8 @@ def canonical_projection(group: FiniteGroup, s_members, t_members) -> GSetMorphi
     return GSetMorphism(src, tgt, mapping)
 
 
-def one_point_gset(group: FiniteGroup) -> GSet:
-    return GSet(group, [[0]] * group.order, point_reps=[group.identity])
-
-
 def identity_morphism(x: GSet) -> GSetMorphism:
     return GSetMorphism(x, x, range(x.size))
-
-
-def empty_gset(group: FiniteGroup) -> GSet:
-    return GSet(group, [[] for _ in range(group.order)])
 
 
 def morphism_product(f: GSetMorphism, g: GSetMorphism) -> GSetMorphism:
@@ -234,22 +226,6 @@ def morphism_product(f: GSetMorphism, g: GSetMorphism) -> GSetMorphism:
     mapping = [
         f.mapping[p // sz] * tt + g.mapping[p % sz] for p in range(sx * sz)
     ]
-    return GSetMorphism(GSet(grp, src_act), GSet(grp, tgt_act), mapping)
-
-
-def disjoint_union_morphism(f: GSetMorphism, g: GSetMorphism) -> GSetMorphism:
-    if f.group is not g.group:
-        raise GroupError("disjoint union needs morphisms over one group object")
-    grp = f.group
-    src_act = [
-        list(f.source.act_rows[e]) + [x + f.source.size for x in g.source.act_rows[e]]
-        for e in range(grp.order)
-    ]
-    tgt_act = [
-        list(f.target.act_rows[e]) + [x + f.target.size for x in g.target.act_rows[e]]
-        for e in range(grp.order)
-    ]
-    mapping = list(f.mapping) + [x + f.target.size for x in g.mapping]
     return GSetMorphism(GSet(grp, src_act), GSet(grp, tgt_act), mapping)
 
 

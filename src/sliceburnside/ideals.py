@@ -7,6 +7,9 @@ nonzero-constant deflations, taken one minimal normal subgroup at a time
 and once per abstract slice; products with other groups are not a separate
 condition (`bounded_closure` gives the arguments and their precondition).
 
+Up to order p^3 a canonical class is the least of its orbit under the
+generators of Aut(G), so it stands for an abstract slice; above, it is raw.
+
 Everything quantified "for all finite groups" in the theory is checked here
 over an explicit finite universe; reports and results are universe-bounded.
 """
@@ -23,13 +26,14 @@ from .groups import (
     _is_prime,
     abelian_group,
     all_subgroups,
-    automorphisms,
+    automorphism_generators,
     cyclic_group,
     dihedral_group,
     direct_product,
     find_isomorphism,
     heisenberg_group_p3,
     modular_group_p3,
+    permutation_orbit,
     quaternion_group,
     quotient,
 )
@@ -216,27 +220,18 @@ class GroupUniverse:
         # membership tests during closure happen at or below this order
         if g.order > self.prime**3:
             return tuple(range(nclasses))
-        if g.is_abelian() and g.exponent() in (1, self.prime):
-            # subgroups of an elementary abelian group of equal order are
-            # equivalent under automorphisms
-            canon = []
-            for cls in range(nclasses):
-                size = len(lat.subgroups[lat.class_reps[cls]])
-                canon.append(
-                    min(
-                        c
-                        for c in range(nclasses)
-                        if len(lat.subgroups[lat.class_reps[c]]) == size
-                    )
-                )
-            return tuple(canon)
-        auts = automorphisms(g)
-        canon = []
-        for rep in lat.class_reps:
-            members = lat.subgroups[rep].members
-            canon.append(
-                min(lat.class_of[lat.index_of(aut[x] for x in members)] for aut in auts)
-            )
+        # the least class of each orbit under the generators' class
+        # permutations: classes ascend, so one not yet reached is the least
+        perms = [
+            [lat.class_of[lat.index_of(aut[x] for x in lat.subgroups[rep].members)]
+             for rep in lat.class_reps]
+            for aut in automorphism_generators(g)
+        ]
+        canon = [-1] * nclasses
+        for cls in range(nclasses):
+            if canon[cls] < 0:
+                for c in permutation_orbit(cls, perms):
+                    canon[c] = cls
         return tuple(canon)
 
     def canonical_class(self, gi: int, cls: int) -> int:

@@ -67,7 +67,7 @@ class SliceClassTable:
     # -- naming ------------------------------------------------------------
 
     def rep_subgroups(self, cls: int):
-        t, s = self.reps[cls]
+        t, s = self.reps[self._require_class(cls)]
         return self.lattice.subgroups[t], self.lattice.subgroups[s]
 
     def label(self, cls: int) -> str:
@@ -209,9 +209,9 @@ class SliceClassTable:
         hit = self._basis_products.get((i, j))
         if hit is None:
             class_of = self.class_of
-            ti, si = self.reps[i]
+            ti, si = self.reps[self._require_class(i)]
             hit = self._basis_products[(i, j)] = self.orbit_sum(
-                ti, si, j, lambda t, s: class_of[t, s]
+                ti, si, self._require_class(j), lambda t, s: class_of[t, s]
             )
         return hit
 
@@ -219,7 +219,7 @@ class SliceClassTable:
 
     def idempotent(self, cls: int) -> "SliceRingElement":
         """The primitive idempotent whose mark vector is the class indicator."""
-        hit = self._idempotents[cls]
+        hit = self._idempotents[self._require_class(cls)]
         if hit is not None:
             return hit
         lat = self.lattice
@@ -244,22 +244,6 @@ class SliceClassTable:
 
     def idempotents(self) -> list["SliceRingElement"]:
         return [self.idempotent(c) for c in range(self.size)]
-
-    # -- ghost map ----------------------------------------------------------------
-
-    def from_mark_vector(self, vector) -> "SliceRingElement":
-        """Inverse of the ghost map, via the idempotent basis; verified by
-        round-trip (a failure means the class enumeration is broken)."""
-        vector = [Fraction(v) for v in vector]
-        if len(vector) != self.size:
-            raise GroupError("mark vector has the wrong length")
-        out = self.zero()
-        for cls, v in enumerate(vector):
-            if v:
-                out = out + self.idempotent(cls).scaled(v)
-        if list(out.mark_vector()) != vector:
-            raise GroupError("mark matrix failed to invert; enumeration bug")
-        return out
 
 
 def slice_classes(group: FiniteGroup) -> SliceClassTable:

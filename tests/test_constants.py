@@ -11,7 +11,6 @@ from sliceburnside.constants import (
     deflation_constant,
     deflation_idempotent_scalar,
     deflation_vanishes_predicted,
-    elementary_abelian_classical_value,
     elementary_abelian_supplement_value,
     is_b_group,
     is_t_slice,
@@ -38,6 +37,7 @@ from sliceburnside.groups import (
 from sliceburnside.ideals import GroupUniverse
 from sliceburnside.ring import slice_classes
 
+from helpers import elementary_abelian_classical_value
 from test_marks import small_perm_groups
 
 P_GROUP_SPECS = ["cyclic:2", "cyclic:4", "cyclic:8", "elab:2^2", "elab:2^3",

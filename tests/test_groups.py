@@ -16,6 +16,7 @@ from sliceburnside.groups import (
     SpecParseError,
     Subgroup,
     all_subgroups,
+    automorphism_generators,
     automorphisms,
     cyclic_group,
     dihedral_group,
@@ -35,6 +36,7 @@ from sliceburnside.groups import (
 )
 from sliceburnside.ideals import constructor_known_p_groups
 
+from helpers import stabiliser_chain_order
 from test_marks import small_perm_groups
 
 SMALL_SPECS = [
@@ -775,6 +777,9 @@ def reference_isomorphisms(g, h):
 @pytest.mark.parametrize(
     "spec",
     [
+        "cyclic:1",
+        "elab:3^2",
+        "abelian:4x2",
         "elab:2^3",
         "dihedral:8",
         "Q8",
@@ -788,6 +793,38 @@ def reference_isomorphisms(g, h):
 def test_automorphisms_equal_the_reference_enumeration(spec):
     g = quaternion_group() if spec == "Q8" else group_from_spec(spec)
     assert automorphisms(g) == list(reference_isomorphisms(g, g))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cyclic:1", "cyclic:8", "elab:2^4", "dihedral:16", "heis:3 * cyclic:3",
+     "perm:(0 1 2 3),(0 1)", "perm:(0 1 2 3 4),(0 1 2)"],
+)
+def test_automorphism_generators_are_automorphisms(spec):
+    g = group_from_spec(spec)
+    gens = automorphism_generators(g)
+    assert automorphism_generators(g) is gens
+    for aut in gens:
+        GroupIsomorphism(g, g, aut).check()
+    assert set(gens) <= set(automorphisms(g))
+
+
+@pytest.mark.parametrize(
+    "spec,order",
+    [
+        ("elab:2^3", 168),  # |GL(3, 2)|
+        ("dihedral:8", 8),
+        ("heis:3", 432),
+        ("mod:3", 54),
+        ("elab:2^4", 20160),  # |GL(4, 2)|
+        ("abelian:4x2x2x2", 21504),
+        ("heis:3 * cyclic:3", 23328),
+        ("cyclic:9 * elab:3^2", 23328),
+    ],
+)
+def test_stabiliser_chain_orbit_lengths_multiply_to_the_automorphism_count(spec, order):
+    g = group_from_spec(spec)
+    assert stabiliser_chain_order(g) == len(automorphisms(g)) == order
 
 
 @pytest.mark.parametrize(

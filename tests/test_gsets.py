@@ -11,6 +11,8 @@ from sliceburnside.groups import (
 )
 from sliceburnside.ring import morphism_to_ring, slice_classes
 
+from helpers import disjoint_union_morphism, empty_gset, one_point_gset
+
 
 def _proj(table, t_members, s_members):
     return table.projection(table.class_index(t_members, s_members))
@@ -56,7 +58,7 @@ def test_morphism_to_ring_examples():
     table = slice_classes(c4)
     full = tuple(range(4))
     # identity of the one-point set
-    pt = gsets.identity_morphism(gsets.one_point_gset(c4))
+    pt = gsets.identity_morphism(one_point_gset(c4))
     assert morphism_to_ring(pt, table) == table.basis_element(
         table.class_index(full, full)
     )
@@ -70,7 +72,7 @@ def test_morphism_to_ring_examples():
     reg = gsets.coset_space(c4, [0])
     idm = gsets.identity_morphism(reg)
     both = gsets.GSetMorphism(
-        gsets.disjoint_union_morphism(idm, idm).source,
+        disjoint_union_morphism(idm, idm).source,
         reg,
         list(idm.mapping) + list(idm.mapping),
     )
@@ -99,7 +101,7 @@ def test_disjoint_union_relation():
     combined = pieces[0]
     total = morphism_to_ring(pieces[0], table)
     for f in pieces[1:]:
-        combined = gsets.disjoint_union_morphism(combined, f)
+        combined = disjoint_union_morphism(combined, f)
         total = total + morphism_to_ring(f, table)
     assert morphism_to_ring(combined, table) == total
 
@@ -108,7 +110,7 @@ def test_hom_count_examples():
     c4 = cyclic_group(4)
     table = slice_classes(c4)
     full = tuple(range(4))
-    pt = gsets.identity_morphism(gsets.one_point_gset(c4))
+    pt = gsets.identity_morphism(one_point_gset(c4))
     reg_proj = _proj(table, full, (0,))
     two_proj = _proj(table, full, (0, 2))
     # anything into the point morphism: exactly one
@@ -136,7 +138,7 @@ def test_hom_count_multiplicative_for_transitive_source():
 def test_product_with_point_is_identity():
     c6 = cyclic_group(6)
     table = slice_classes(c6)
-    pt = gsets.identity_morphism(gsets.one_point_gset(c6))
+    pt = gsets.identity_morphism(one_point_gset(c6))
     for cls in range(table.size):
         f = table.projection(cls)
         prod = gsets.morphism_product(f, pt)
@@ -146,9 +148,9 @@ def test_product_with_point_is_identity():
 def test_empty_gset_everywhere():
     c2 = cyclic_group(2)
     table = slice_classes(c2)
-    empty = gsets.empty_gset(c2)
+    empty = empty_gset(c2)
     empty.check()
-    f = gsets.GSetMorphism(empty, gsets.one_point_gset(c2), [])
+    f = gsets.GSetMorphism(empty, one_point_gset(c2), [])
     assert morphism_to_ring(f, table).is_zero()
     prod = gsets.morphism_product(f, gsets.identity_morphism(gsets.coset_space(c2, [0])))
     assert morphism_to_ring(prod, table).is_zero()
@@ -170,7 +172,7 @@ def test_elementary_op_basics():
     # induction of a one-point morphism gives the identity on cosets
     two = next(s for s in lat.subgroups if len(s) == 2)
     emb = subgroup_as_group(two)
-    pt_h = gsets.identity_morphism(gsets.one_point_gset(emb.source))
+    pt_h = gsets.identity_morphism(one_point_gset(emb.source))
     induced = gsets.induce_morphism(pt_h, emb)
     assert induced.source.size == 4
     img = morphism_to_ring(induced, table)

@@ -28,6 +28,34 @@ from sliceburnside.ideals import (
 )
 from sliceburnside.ring import slice_classes
 
+from test_groups import reference_isomorphisms
+
+
+def reference_canonical_map(universe, gi):
+    """The canonical class of each subgroup class by the two formulas the
+    orbit map replaced: the least class of equal order on an elementary
+    abelian group, and the minimum over every automorphism otherwise, up to
+    order p^3; raw classes above it."""
+    g, lat = universe.groups[gi], universe.lattices[gi]
+    reps = lat.class_reps
+    if g.order > universe.prime**3:
+        return tuple(range(len(reps)))
+    if g.is_abelian() and g.exponent() in (1, universe.prime):
+        sizes = [len(lat.subgroups[rep]) for rep in reps]
+        return tuple(sizes.index(size) for size in sizes)
+    auts = list(reference_isomorphisms(g, g))
+    return tuple(
+        min(lat.class_of[lat.index_of(a[x] for x in lat.subgroups[rep].members)] for a in auts)
+        for rep in reps
+    )
+
+
+@pytest.mark.parametrize("prime,bound", [(2, 8), (2, 16), (3, 27), (3, 81)])
+def test_canonical_classes_match_the_full_automorphism_formulas(prime, bound):
+    universe = GroupUniverse(prime, bound)
+    for gi in range(len(universe.groups)):
+        assert universe._canonical_map(gi) == reference_canonical_map(universe, gi), gi
+
 
 def test_family_membership_examples():
     e33 = elementary_abelian(3, 3)

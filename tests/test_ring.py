@@ -27,6 +27,7 @@ from sliceburnside.ring import (
     table_to_json,
 )
 
+from helpers import from_mark_vector
 from test_bisetops import per_term_extend
 from test_marks import rational_coeffs, small_perm_groups
 
@@ -162,11 +163,11 @@ def test_ghost_round_trip():
             for _ in range(4)
         }
         elem = SliceRingElement(t, coeffs)
-        assert t.from_mark_vector(elem.mark_vector()) == elem
+        assert from_mark_vector(t, elem.mark_vector()) == elem
     ones = t.one().mark_vector()
     assert all(v == 1 for v in ones)
     with pytest.raises(GroupError):
-        t.from_mark_vector([1])
+        from_mark_vector(t, [1])
 
 
 def test_elements_of_different_tables_do_not_mix():
@@ -279,7 +280,7 @@ def test_stored_coefficients_are_nonzero_fractions():
     derived = [
         elem + elem, elem - elem, elem + -elem, -elem, elem.scaled(3), elem.scaled(0),
         elem * elem, xi * elem, t.one(), t.basis_element(2), t.element_from_pairs(pairs),
-        t.from_mark_vector([Fraction(c, 3) for c in range(t.size)]),
+        from_mark_vector(t, [Fraction(c, 3) for c in range(t.size)]),
     ]
     for x in derived:
         assert_nonzero_fractions(x)
@@ -444,5 +445,14 @@ def test_class_indices_outside_the_table_are_rejected():
         # a missing row is not a zero mark
         with pytest.raises(GroupError):
             elem.mark(bad)
+        for reject in (table.label, table.rep_subgroups, table.idempotent):
+            with pytest.raises(GroupError):
+                reject(bad)
+        with pytest.raises(GroupError):
+            table.basis_mul(bad, 2)
+        with pytest.raises(GroupError):
+            table.basis_mul(0, bad)
+    # a rejected product leaves no cache entry behind
+    assert all(i in range(6) and j in range(6) for i, j in table._basis_products)
     assert (elem * elem).numerators.keys() == {5}
     assert [elem.mark(r) for r in range(table.size)] == list(elem.mark_vector())
