@@ -424,6 +424,61 @@ def test_constants_cli_output_is_pinned(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CONSTANTS_DIGESTS[argv]
 
 
+HEIS_C3 = "heis:3 * cyclic:3"
+
+# sha256 of stdout and the exit code for each (format, argv), recorded before
+# every command printed through one renderer; `closure` and `check-family`
+# run on universes small enough to keep the table quick
+CLI_DIGESTS = {
+    ("text", ("group", HEIS_C3)):
+        ("1162391b9604d9c0f14f8e3218465a387401a19ca688d2a62c47fe12362380b4", 0),
+    ("json", ("group", HEIS_C3)):
+        ("9c331990762ca54ae1a20974a80747ee58149da06ebeca059488c03e1384a68d", 0),
+    ("text", ("marks", "dihedral:8")):
+        ("3759ed64b93f2055f1906eac6f73f2b4e03748c0d69c29181aea68bfcefeed91", 0),
+    ("json", ("marks", "dihedral:8")):
+        ("e728479ee49526ef0709ea4eea3dad767ce2622a3c77d5b7eb6868854f40f2ba", 0),
+    ("text", ("mul", HEIS_C3, "T=*;S=g0", "T=*;S=g1")):
+        ("82a4c52802c9cfe8488421261b46b9757f09bb08c48da09be1ff509796dba933", 0),
+    ("json", ("mul", HEIS_C3, "T=*;S=g0", "T=*;S=g1")):
+        ("3a2f4fa83e6ffa86eea78d8f2754879c86ef485b3c6fda616857d6309a314088", 0),
+    ("text", ("ideal-dim", HEIS_C3, "--family", "J3")):
+        ("496ecdb854d49463f8655b210ddf17d3395d26b20a6f297b07cf99834c6336f0", 0),
+    ("json", ("ideal-dim", HEIS_C3, "--family", "J3")):
+        ("496ecdb854d49463f8655b210ddf17d3395d26b20a6f297b07cf99834c6336f0", 0),
+    ("text", ("minimal-groups", "--family", "J3", "--prime", "3", "--bound", "27")):
+        ("da03a812412f6beea8ae392744d9f47fac53f87d9fa4e3d000136f64ed958672", 0),
+    ("json", ("minimal-groups", "--family", "J3", "--prime", "3", "--bound", "27")):
+        ("31b55d151e906edc3c0ab33acf548373ab82c47184db070e3a65d7a34c9a3cc9", 0),
+    ("text", ("closure", "--seed", "cyclic:4:T=g2;S=", "--prime", "2", "--bound", "16")):
+        ("483ea6855a3fb562b54ba012a45faab2cf74f49f73ca3159216fb7e9a2163a41", 0),
+    ("json", ("closure", "--seed", "cyclic:4:T=g2;S=", "--prime", "2", "--bound", "16")):
+        ("c14a8cd47a8b9f8652f6b9953df8975704ef82c5ad15340c0096e72f99e775af", 0),
+    ("text", ("check-family", "--family", "J2", "--prime", "2", "--bound", "16")):
+        ("cd72c80ed5bf0e74565b85488958f37f5d8c9b33316beb60ab0c37a7b3621fea", 0),
+    ("json", ("check-family", "--family", "J2", "--prime", "2", "--bound", "16")):
+        ("142b9369f80aea2127a940737f4860115f4a2b2c4c98fc4cbb57fed9d264411c", 0),
+    ("text", ("check-family", "--family", "S_CYCLIC", "--prime", "2", "--bound", "8")):
+        ("c9f5b04da4aafa181cca3631a0d15f8241cb23b2be681abb243c3565842e4228", 1),
+    ("json", ("check-family", "--family", "S_CYCLIC", "--prime", "2", "--bound", "8")):
+        ("3cd5ada8aa005b77a4a07a10ef02354c7b652ac63f974984020983446855d63f", 1),
+    ("json", ("tslices", HEIS_C3)):
+        ("5ebcb1b8d8fd55e46901ee635caf49aa9d01ab3573cc511a0083892d6f753bd3", 0),
+    ("json", ("bgroups", "--prime", "3", "--max-order", "81")):
+        ("ea4d34a25e1a783868c6f695e96fcb9561caf0685b93bc45ef9242f859462cfa", 0),
+    ("json", ("mconst", HEIS_C3, "g1", "g2")):
+        ("225a5cd0c1c1ddac4d9a5c8fa7866d6ae70334e99a9b427a7d5780bae90e33cf", 0),
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, argv", list(CLI_DIGESTS), ids=lambda x: x if isinstance(x, str) else x[0]
+)
+def test_cli_output_is_pinned(fmt, argv, capsys):
+    code, out, _ = run_cli(capsys, "--format", fmt, *argv)
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == CLI_DIGESTS[fmt, argv]
+
+
 def readme_commands():
     """The `sliceburnside ...` lines of the README; `verify` runs in CI as is."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -436,3 +491,6 @@ def readme_commands():
 def test_readme_command_runs(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
+    code, out, err = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0, err
+    json.loads(out)
