@@ -92,21 +92,25 @@ def parse_slice(text: str, group) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return t_members, s_members
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _print_labels(args, labels) -> int:
-    if args.format == "json":
-        _print_json(labels)
+def _emit(args, payload, lines=None, code: int = 0) -> int:
+    """Print `payload` as JSON under `--format json`, and `lines` one per
+    line otherwise; a command without text lines prints JSON either way."""
+    if args.format == "json" or lines is None:
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for label in labels:
-            print(label)
-    return 0
+        for line in lines:
+            print(line)
+    return code
+
+
+def _group(args, spec: str | None = None):
+    """The group named by `spec` (by default the command's own), built
+    within `--order-cap`."""
+    return group_from_spec(args.spec if spec is None else spec, order_cap=args.order_cap)
 
 
 def _cmd_group(args) -> int:
-    g = group_from_spec(args.spec, order_cap=args.order_cap)
+    g = _group(args)
     lat = all_subgroups(g)
     table = slice_classes(g)
     info = {
@@ -119,55 +123,39 @@ def _cmd_group(args) -> int:
         "subgroup_classes": len(lat.class_reps),
         "slice_classes": table.size,
     }
-    if args.format == "json":
-        _print_json(info)
-    else:
-        for key, value in info.items():
-            print(f"{key}: {value}")
-    return 0
+    return _emit(args, info, [f"{key}: {value}" for key, value in info.items()])
 
 
 def _cmd_marks(args) -> int:
-    g = group_from_spec(args.spec, order_cap=args.order_cap)
-    table = slice_classes(g)
-    if args.format == "json":
-        payload = table_to_json(table)
-        payload["marks"] = table.mark_matrix()
-        _print_json(payload)
-    else:
+    table = slice_classes(_group(args))
+    if args.format == "text":
+        # the CSV is the one text output that is not a list of lines
         sys.stdout.write(mark_matrix_csv(table))
-    return 0
+        return 0
+    payload = table_to_json(table)
+    payload["marks"] = table.mark_matrix()
+    return _emit(args, payload)
 
 
 def _cmd_idempotents(args) -> int:
-    g = group_from_spec(args.spec, order_cap=args.order_cap)
-    table = slice_classes(g)
-    payload = {
-        table.label(c): element_to_json(table.idempotent(c))
-        for c in range(table.size)
-    }
-    _print_json(payload)
-    return 0
+    table = slice_classes(_group(args))
+    payload = {table.label(c): element_to_json(table.idempotent(c)) for c in range(table.size)}
+    return _emit(args, payload)
 
 
 def _cmd_mul(args) -> int:
-    g = group_from_spec(args.spec, order_cap=args.order_cap)
+    g = _group(args)
     table = slice_classes(g)
     ta, sa = parse_slice(args.slice_a, g)
     tb, sb = parse_slice(args.slice_b, g)
     a, b = table.class_index(ta, sa), table.class_index(tb, sb)
-    product = table.basis_element(a) * table.basis_element(b)
-    if args.format == "json":
-        _print_json(element_to_json(product))
-    else:
-        coeffs = product.coeffs
-        for cls in sorted(coeffs):
-            print(f"{table.label(cls)}: {fraction_str(coeffs[cls])}")
-    return 0
+    # labels in class order, as the text lines list them
+    payload = element_to_json(table.basis_element(a) * table.basis_element(b))
+    return _emit(args, payload, [f"{label}: {q}" for label, q in payload.items()])
 
 
 def _cmd_mconst(args) -> int:
-    g = group_from_spec(args.spec, order_cap=args.order_cap)
+    g = _group(args)
     s_members = _closure_of(args.s_gens, g)
     n_members = _closure_of(args.n_gens, g)
     m = deflation_constant(g, s_members, n_members)
@@ -180,11 +168,7 @@ def _cmd_mconst(args) -> int:
         "m_supplement": f"{circ}/1",
         "m_classical_on_S": fraction_str(classical),
     }
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        print(f"({payload['m']}, {payload['m_supplement']}, {payload['m_classical_on_S']})")
-    return 0
+    return _emit(args, payload, ["({m}, {m_supplement}, {m_classical_on_S})".format_map(payload)])
 
 
 def _closure_of(text: str, group) -> tuple[int, ...]:
@@ -192,14 +176,14 @@ def _closure_of(text: str, group) -> tuple[int, ...]:
 
 
 def _cmd_tslices(args) -> int:
-    g = group_from_spec(args.spec, order_cap=args.order_cap)
+    g = _group(args)
     table = slice_classes(g)
     found = []
     for cls in range(table.size):
         big, small = table.rep_subgroups(cls)
         if is_t_slice_of(g, big.members, small.members):
             found.append(table.label(cls))
-    return _print_labels(args, found)
+    return _emit(args, found, found)
 
 
 def _universe(args, bound: int) -> GroupUniverse:
@@ -213,7 +197,7 @@ def _universe(args, bound: int) -> GroupUniverse:
 def _cmd_bgroups(args) -> int:
     universe = _universe(args, args.max_order)
     found = [g.label for g in universe.groups if is_b_group(g)]
-    return _print_labels(args, found)
+    return _emit(args, found, found)
 
 
 def _ideal_family(fid: str):
@@ -226,19 +210,19 @@ def _ideal_family(fid: str):
 
 def _cmd_ideal_dim(args) -> int:
     family = _ideal_family(args.family)
-    g = group_from_spec(args.spec, order_cap=args.order_cap)
+    g = _group(args)
     ok, _ = is_p_group(g)
     if not ok and args.family.startswith("J"):
         print("warning: ideal families are stated for p-groups", file=sys.stderr)
-    print(ideal_dimension(g, family))
-    return 0
+    dim = ideal_dimension(g, family)
+    return _emit(args, dim, [dim])
 
 
 def _cmd_minimal_groups(args) -> int:
     family = _ideal_family(args.family)
     universe = _universe(args, args.bound)
-    mins = minimal_groups(family, universe)
-    return _print_labels(args, [g.label for g in mins])
+    labels = [g.label for g in minimal_groups(family, universe)]
+    return _emit(args, labels, labels)
 
 
 def _cmd_closure(args) -> int:
@@ -246,7 +230,7 @@ def _cmd_closure(args) -> int:
     spec, _, slice_text = args.seed.rpartition(":")
     if not spec:
         raise GroupError("seed must look like <spec>:T=...;S=...")
-    group = group_from_spec(spec, order_cap=args.order_cap)
+    group = _group(args, spec)
     t_members, s_members = parse_slice(slice_text, group)
     if len(t_members) != group.order:
         emb = subgroup_as_group(Subgroup.from_members(group, t_members))
@@ -254,44 +238,33 @@ def _cmd_closure(args) -> int:
         s_members = emb.preimage_members(s_members)
     universe = _universe(args, args.bound)
     members = bounded_closure(universe, group, s_members)
-    payload = sorted(universe.describe_class(gi, cls) for gi, cls in members)
-    if args.format == "json":
-        _print_json(
-            {
-                "universe_bounded": True,
-                "lower_bound_of_ideal_trace": True,
-                "members": payload,
-            }
-        )
-    else:
-        for line in payload:
-            print(line)
-    return 0
+    described = sorted(universe.describe_class(gi, cls) for gi, cls in members)
+    payload = {
+        "universe_bounded": True,
+        "lower_bound_of_ideal_trace": True,
+        "members": described,
+    }
+    return _emit(args, payload, described)
 
 
 def _cmd_check_family(args) -> int:
     universe = _universe(args, args.bound)
     report = check_conditions(family_by_id(args.family), universe)
-    if args.format == "json":
-        _print_json(report.to_json())
-    else:
-        state = "PASS" if report.passed else "FAIL"
-        print(f"{state}: family {report.family_id} over p={report.prime}, bound {report.bound}")
-        print(f"slices checked: {report.slices_checked}")
-        for kind in ("preimage", "deflation", "iso"):
-            for witness in getattr(report, f"{kind}_violations"):
-                print(f"  {kind} violation: {witness}")
-    return 0 if report.passed else 1
+    state = "PASS" if report.passed else "FAIL"
+    lines = [
+        f"{state}: family {report.family_id} over p={report.prime}, bound {report.bound}",
+        f"slices checked: {report.slices_checked}",
+    ]
+    for kind in ("preimage", "deflation", "iso"):
+        for witness in getattr(report, f"{kind}_violations"):
+            lines.append(f"  {kind} violation: {witness}")
+    return _emit(args, report.to_json(), lines, 0 if report.passed else 1)
 
 
 def _cmd_verify(args) -> int:
     results = run_all()
-    if args.format == "json":
-        _print_json([vars(r) for r in results])
-    else:
-        for result in results:
-            print(result.line())
-    return 0 if all(r.passed for r in results) else 1
+    code = 0 if all(r.passed for r in results) else 1
+    return _emit(args, [vars(r) for r in results], [r.line() for r in results], code)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -164,17 +164,9 @@ def is_abelian_members(group: FiniteGroup, members) -> bool:
     )
 
 
-def _minimal_normal(lat) -> list[int]:
-    # subgroups are sorted by order, so the trivial one comes first
-    normals = lat.normal[1:]
-    return [
-        i for i in normals if not any(j != i and lat.contains_pair(j, i) for j in normals)
-    ]
-
-
 def minimal_normal_subgroups(group: FiniteGroup) -> list:
     lat = all_subgroups(group)
-    return [lat.subgroups[i] for i in _minimal_normal(lat)]
+    return [lat.subgroups[i] for i in lat.minimal_normal]
 
 
 def complement_count(group: FiniteGroup, n_members) -> int:
@@ -197,7 +189,7 @@ def complement_count_formula_check(
     n = _normal_index(lat, n_members)
     if not is_abelian_members(group, n_members):
         raise GroupError("needs an abelian normal subgroup")
-    if n not in _minimal_normal(lat):
+    if n not in lat.minimal_normal:
         raise GroupError("needs a minimal normal subgroup")
     # subgroups are sorted by order, so the trivial one comes first
     direct = deflation_constant_at(lat, 0, n, _top(lat))

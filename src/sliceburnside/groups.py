@@ -14,13 +14,15 @@ round; sorted by order, it reads containment and the maximal subgroups off
 that order.  The lattice of a group made by `quotient` or
 `subgroup_as_group` is instead read off its parent's lattice: the subgroups
 above N, or below H, with their containment and conjugation rows.  Either
-way, the Moebius function is filled one column per subgroup on first use.
+way, the Moebius function is filled one column per subgroup, and the tuple
+of minimal normal subgroups once, on first use.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import takewhile
 from math import lcm
 
@@ -599,6 +601,16 @@ class SubgroupLattice:
             raise GroupError("moebius requires contained subgroup pair")
         return mu
 
+    @cached_property
+    def minimal_normal(self) -> tuple[int, ...]:
+        """The minimal normal subgroups, ascending: the nontrivial normal
+        subgroups with no normal subgroup strictly between them and 1."""
+        normal = set(self.normal)
+        # below[i] runs from the trivial subgroup up to i itself
+        return tuple(
+            i for i in self.normal[1:] if not any(j in normal for j in self.below[i][1:-1])
+        )
+
     def maximal_indices(self) -> tuple[int, ...]:
         full = len(self.subgroups) - 1
         return tuple(i for i in range(full) if self.above[i] == (i, full))
@@ -686,10 +698,6 @@ def _hom_from_generator_images(
     that lies in the generated subgroup (others map to -1)."""
     img = [-1] * g.order
     img[g.identity] = h.identity
-    for x, y in zip(gens, images):
-        if img[x] not in (-1, y):
-            return None
-        img[x] = y
     frontier = [g.identity]
     seen = {g.identity}
     while frontier:

@@ -37,11 +37,7 @@ from .groups import (
     quaternion_group,
     quotient,
 )
-from .constants import (
-    _minimal_normal,
-    deflation_constant_at,
-    is_cyclic_members,
-)
+from .constants import deflation_constant_at, is_cyclic_members
 from .linalg import rational_rank
 from .ring import SliceClassTable, SliceRingElement, slice_classes
 
@@ -125,9 +121,6 @@ def ideal_basis(group: FiniteGroup, family: SliceFamily) -> list[SliceRingElemen
 
 
 def _partitions(total: int):
-    if total == 0:
-        yield ()
-        return
     def rec(remaining, largest):
         if remaining == 0:
             yield ()
@@ -203,7 +196,6 @@ class GroupUniverse:
         self._canon: list[tuple[int, ...]] = [
             self._canonical_map(i) for i in range(len(self.groups))
         ]
-        self._minimal_normals = [_minimal_normal(lat) for lat in self.lattices]
         # maps and closure moves, each filled on first use
         self._quotient_maps: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         self._quotient_moves: dict[tuple[int, int], tuple] = {}
@@ -311,7 +303,8 @@ class GroupUniverse:
         the closure moves (`bounded_closure` gives the argument)."""
         hit = self._minimal_moves.get((gi, cls))
         if hit is None:
-            hit = self._minimal_moves[gi, cls] = self._images(gi, cls, self._minimal_normals[gi])
+            minimal = self.lattices[gi].minimal_normal
+            hit = self._minimal_moves[gi, cls] = self._images(gi, cls, minimal)
         return hit
 
     def _images(self, gi: int, cls: int, normals) -> tuple[tuple[int, tuple[int, int]], ...]:
@@ -357,14 +350,12 @@ class GroupUniverse:
         """(group index, canonical class) of every abstract slice."""
         return {(gi, cls) for gi, canon in enumerate(self._canon) for cls in set(canon)}
 
-    def family_trace(
-        self, family: SliceFamily, max_order: int | None = None
-    ) -> set[tuple[int, int]]:
+    def family_trace(self, family: SliceFamily, max_order: int) -> set[tuple[int, int]]:
         """Canonical abstract member classes (whole-group slices) in the
-        universe, optionally restricted by group order."""
+        universe's groups of order at most `max_order`."""
         out = set()
         for gi, g in enumerate(self.groups):
-            if max_order is not None and g.order > max_order:
+            if g.order > max_order:
                 continue
             lat = self.lattices[gi]
             full = tuple(range(g.order))

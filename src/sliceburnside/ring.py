@@ -6,7 +6,8 @@ are computed in closed form from the subgroup lattice and stored only as
 sparse columns; the dense mark matrix is built on request.  Basis products
 and restrictions are integer sums over the conjugate pairs of a class, which
 the table keeps as `orbits`, through one kernel `orbit_sum`, with no
-double-coset sweep.  `projection` and `morphism_to_ring` only feed the
+double-coset sweep.  `projection` (the `gsets.canonical_projection` of a
+class representative, kept per class) and `morphism_to_ring` only feed the
 G-set oracles of `verify`.  An element stores integer numerators over one
 common denominator, and marks and the `coeffs` view are
 `fractions.Fraction`s; nothing here ever touches floats.
@@ -58,7 +59,6 @@ class SliceClassTable:
         self.orbits = tuple(orbits)
         self.class_sizes = tuple(len(o) for o in orbits)
         self.size = len(reps)
-        self._coset_spaces: dict[int, gsets.GSet] = {}
         self._projections: dict[int, gsets.GSetMorphism] = {}
         self._mark_columns: list[dict[int, int]] | None = None
         self._basis_products: dict[tuple[int, int], dict[int, int]] = {}
@@ -112,24 +112,12 @@ class SliceClassTable:
 
     # -- coset machinery -----------------------------------------------------
 
-    def coset_space(self, sub_idx: int) -> gsets.GSet:
-        gs = self._coset_spaces.get(sub_idx)
-        if gs is None:
-            gs = gsets.coset_space(
-                self.group, self.lattice.subgroups[sub_idx].members
-            )
-            self._coset_spaces[sub_idx] = gs
-        return gs
-
     def projection(self, cls: int) -> gsets.GSetMorphism:
-        """The canonical projection realising the class representative."""
+        """The canonical projection G/S -> G/T of the class representative."""
         f = self._projections.get(cls)
         if f is None:
-            t, s = self.reps[cls]
-            src = self.coset_space(s)
-            tgt = self.coset_space(t)
-            mapping = [tgt._point_of[rep] for rep in src.point_reps]
-            f = gsets.GSetMorphism(src, tgt, mapping)
+            big, small = self.rep_subgroups(cls)
+            f = gsets.canonical_projection(self.group, small.members, big.members)
             self._projections[cls] = f
         return f
 

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sliceburnside import cli, ideals
-from sliceburnside.constants import _minimal_normal, deflation_constant
+from sliceburnside.constants import deflation_constant
 from sliceburnside.groups import (
     all_subgroups,
     cyclic_group,
@@ -243,7 +243,7 @@ def test_a_universe_group_locates_without_an_isomorphism_search(monkeypatch):
 def test_minimal_moves_are_the_quotient_moves_by_minimal_normal_subgroups():
     u = GroupUniverse(2, 16)
     for gi, lat in enumerate(u.lattices):
-        minimal = set(_minimal_normal(lat))
+        minimal = set(lat.minimal_normal)
         for cls in range(len(lat.class_reps)):
             assert u.minimal_moves(gi, cls) == tuple(
                 move for move in u.quotient_moves(gi, cls) if move[0] in minimal
@@ -265,7 +265,7 @@ def test_every_quotient_and_nonzero_deflation_is_a_chain_of_minimal_steps(data):
     s = lat.subgroups[data.draw(st.integers(0, len(lat.subgroups) - 1), label="S")].members
     m_idx = data.draw(st.sampled_from(lat.normal[1:]), label="M")
     n0_idx = data.draw(
-        st.sampled_from([i for i in _minimal_normal(lat) if lat.contains_pair(i, m_idx)]),
+        st.sampled_from([i for i in lat.minimal_normal if lat.contains_pair(i, m_idx)]),
         label="N0",
     )
     m, n0 = lat.subgroups[m_idx].members, lat.subgroups[n0_idx].members

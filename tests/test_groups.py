@@ -347,6 +347,35 @@ def test_frattini_normal_and_idempotent(spec):
     assert len(frattini(q.group)) == 1
 
 
+def reference_minimal_normal(lat):
+    """The pairwise scan of the normal subgroups that `minimal_normal` replaced."""
+    normals = lat.normal[1:]
+    return tuple(
+        i for i in normals if not any(j != i and lat.contains_pair(j, i) for j in normals)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    SMALL_SPECS + ["elab:2^4", "heis:3 * cyclic:3", "perm:(0 1 2 3),(0 1)", "perm:(0 1 2 3 4),(0 1 2)"],
+)
+def test_minimal_normal_subgroups_equal_the_pairwise_scan(spec):
+    lat = all_subgroups(group_from_spec(spec))
+    assert lat.minimal_normal == reference_minimal_normal(lat)
+
+
+def test_the_quaternion_group_has_one_minimal_normal_subgroup():
+    lat = all_subgroups(quaternion_group())
+    assert [len(lat.subgroups[i]) for i in lat.minimal_normal] == [2]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group=small_perm_groups())
+def test_minimal_normal_subgroups_equal_the_pairwise_scan_on_perm_groups(group):
+    lat = all_subgroups(group)
+    assert lat.minimal_normal == reference_minimal_normal(lat)
+
+
 def mask_of(members):
     return sum(1 << x for x in members)
 
