@@ -426,9 +426,8 @@ def test_constants_cli_output_is_pinned(argv, capsys):
 
 HEIS_C3 = "heis:3 * cyclic:3"
 
-# sha256 of stdout and the exit code for each (format, argv), recorded before
-# every command printed through one renderer; `closure` and `check-family`
-# run on universes small enough to keep the table quick
+# sha256 of stdout and the exit code for each (format, argv); `closure` and
+# `check-family` run on universes small enough to keep the table quick
 CLI_DIGESTS = {
     ("text", ("group", HEIS_C3)):
         ("1162391b9604d9c0f14f8e3218465a387401a19ca688d2a62c47fe12362380b4", 0),

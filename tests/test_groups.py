@@ -364,11 +364,6 @@ def test_minimal_normal_subgroups_equal_the_pairwise_scan(spec):
     assert lat.minimal_normal == reference_minimal_normal(lat)
 
 
-def test_the_quaternion_group_has_one_minimal_normal_subgroup():
-    lat = all_subgroups(quaternion_group())
-    assert [len(lat.subgroups[i]) for i in lat.minimal_normal] == [2]
-
-
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(group=small_perm_groups())
 def test_minimal_normal_subgroups_equal_the_pairwise_scan_on_perm_groups(group):
