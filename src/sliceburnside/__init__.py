@@ -69,7 +69,6 @@ from .ideals import (
     SliceFamily,
     bounded_closure,
     check_conditions,
-    ideal_basis,
     ideal_dimension,
     intersection_dimension,
     minimal_groups,

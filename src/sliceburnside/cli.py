@@ -2,15 +2,20 @@
 
 Slices on the command line are written as generator lists in the group's
 element indexing: `T=g0,g1;S=g0` (bare integers also accepted, `*` means
-the whole group, an empty list means the trivial subgroup).  Rationals
-print as `num/den` in lowest terms with a positive denominator.
+the whole group, an empty list means the trivial subgroup).  Every output
+format lives here: rationals print through `fraction_str` as `num/den` in
+lowest terms with a positive denominator, and tables, ring elements and
+mark matrices serialise to JSON and CSV.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
+from fractions import Fraction
 
 from .constants import (
     classical_deflation_constant,
@@ -38,13 +43,7 @@ from .ideals import (
     ideal_dimension,
     minimal_groups,
 )
-from .ring import (
-    element_to_json,
-    fraction_str,
-    mark_matrix_csv,
-    slice_classes,
-    table_to_json,
-)
+from .ring import SliceClassTable, SliceRingElement, slice_classes
 from .verify import run_all
 
 
@@ -92,6 +91,44 @@ def parse_slice(text: str, group) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return t_members, s_members
 
 
+# ---------------------------------------------------------------------------
+# Output formats
+
+
+def fraction_str(q) -> str:
+    q = Fraction(q)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def table_to_json(table: SliceClassTable) -> dict:
+    """The table's classes as {"T": [...], "S": [...]}, their labels and the
+    dense mark matrix."""
+    classes = [table.rep_subgroups(c) for c in range(table.size)]
+    return {
+        "group": table.group.label,
+        "order": table.group.order,
+        "classes": [{"T": list(big.members), "S": list(small.members)} for big, small in classes],
+        "labels": [table.label(c) for c in range(table.size)],
+        "marks": table.mark_matrix(),
+    }
+
+
+def element_to_json(elem: SliceRingElement) -> dict:
+    return {
+        elem.table.label(c): fraction_str(q)
+        for c, q in sorted(elem.coeffs.items())
+    }
+
+
+def mark_matrix_csv(table: SliceClassTable) -> str:
+    labels = [table.label(c) for c in range(table.size)]
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([""] + labels)
+    writer.writerows([label] + row for label, row in zip(labels, table.mark_matrix()))
+    return out.getvalue()
+
+
 def _emit(args, payload, lines=None, code: int = 0) -> int:
     """Print `payload` as JSON under `--format json`, and `lines` one per
     line otherwise; a command without text lines prints JSON either way."""
@@ -132,9 +169,7 @@ def _cmd_marks(args) -> int:
         # the CSV is the one text output that is not a list of lines
         sys.stdout.write(mark_matrix_csv(table))
         return 0
-    payload = table_to_json(table)
-    payload["marks"] = table.mark_matrix()
-    return _emit(args, payload)
+    return _emit(args, table_to_json(table))
 
 
 def _cmd_idempotents(args) -> int:
@@ -165,7 +200,7 @@ def _cmd_mconst(args) -> int:
     classical = classical_deflation_constant(emb.source, s_cap_n)
     payload = {
         "m": fraction_str(m),
-        "m_supplement": f"{circ}/1",
+        "m_supplement": fraction_str(circ),
         "m_classical_on_S": fraction_str(classical),
     }
     return _emit(args, payload, ["({m}, {m_supplement}, {m_classical_on_S})".format_map(payload)])

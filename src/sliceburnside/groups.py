@@ -1,9 +1,9 @@
 """Small finite groups as explicit multiplication tables over element indices.
 
 Groups are immutable after construction and safe to share between threads.
-All derived structure (generators, subgroup lattice, automorphisms, the
-standalone groups of its subgroups) is cached on the group object; caches
-are filled before sharing in normal use.
+All derived structure (generators, subgroup lattice, automorphism
+generators, the standalone groups of its subgroups) is cached on the group
+object; caches are filled before sharing in normal use.
 
 One depth-first search over generator images finds the first isomorphism
 extending a prefix of images; `automorphism_generators` runs it along a
@@ -72,7 +72,6 @@ class FiniteGroup:
         self._slice_table = None
         self._subgroup_groups: dict[int, GroupEmbedding] = {}
         self._automorphism_generators: tuple[tuple[int, ...], ...] | None = None
-        self._automorphisms: list[tuple[int, ...]] | None = None
         # G / Frattini(G), for the Frattini form of the supplement sum
         self._frattini_quotient: GroupQuotient | None = None
 
@@ -473,10 +472,17 @@ class SubgroupLattice:
     def __init__(self, group: FiniteGroup):
         self.group = group
         source, group._lattice_source = group._lattice_source, None
+        members = _enumerate_subgroups(group) if source is None else self._derive(*source)
+        self.subgroups = [Subgroup(group, m) for m in members]
+        masks = self.masks = [_mask_of(m) for m in members]
+        self._index = {m: i for i, m in enumerate(masks)}
         if source is None:
-            self._enumerate()
-        else:
-            self._derive(*source)
+            # sorted by order, so every subgroup of i has an index <= i
+            self.below = [
+                tuple(j for j in range(i + 1) if masks[j] & masks[i] == masks[j])
+                for i in range(len(masks))
+            ]
+            self.conj_table = self._build_conj_table()
         n = len(self.subgroups)
         # below[i] is ascending, so each above[j] is too
         above: list[list[int]] = [[] for _ in range(n)]
@@ -490,34 +496,21 @@ class SubgroupLattice:
 
     # -- construction ------------------------------------------------------
 
-    def _enumerate(self) -> None:
-        self.subgroups: list[Subgroup] = _enumerate_subgroups(self.group)
-        masks = self.masks = [s.mask for s in self.subgroups]
-        self._index = {m: i for i, m in enumerate(masks)}
-        # sorted by order, so every subgroup of i has an index <= i
-        self.below = [
-            tuple(j for j in range(i + 1) if masks[j] & masks[i] == masks[j])
-            for i in range(len(masks))
-        ]
-        self.conj_table = self._build_conj_table()
+    def _derive(self, parent: "SubgroupLattice", keep, reps) -> list[tuple[int, ...]]:
+        """Fill `below` and `conj_table` from the parent's and return the
+        member tuples of the subgroups.
 
-    def _derive(self, parent: "SubgroupLattice", keep, reps) -> None:
-        # The subgroups of G/N are those of G above N and the subgroups of H
-        # those of G below H; `keep` lists them ascending and element k stands
-        # for parent element reps[k] (the least of its coset, or mem[k]).
-        # Kept in parent order, they are already sorted by (order, members):
-        # reps is ascending, so member tuples compare as the parent's do.
+        The subgroups of G/N are those of G above N and the subgroups of H
+        those of G below H; `keep` lists them ascending and element k stands
+        for parent element reps[k] (the least of its coset, or mem[k]).
+        Kept in parent order, they are already sorted by (order, members):
+        reps is ascending, so member tuples compare as the parent's do."""
         at = {p: a for a, p in enumerate(keep)}
-        pmasks = parent.masks
-        self.subgroups = [
-            Subgroup(self.group, tuple(k for k, x in enumerate(reps) if pmasks[p] >> x & 1))
-            for p in keep
-        ]
-        masks = self.masks = [s.mask for s in self.subgroups]
-        self._index = {m: i for i, m in enumerate(masks)}
         self.below = [tuple(at[j] for j in parent.below[p] if j in at) for p in keep]
         rows = parent.conj_table
         self.conj_table = [[at[rows[x][p]] for p in keep] for x in reps]
+        pmasks = parent.masks
+        return [tuple(k for k, x in enumerate(reps) if pmasks[p] >> x & 1) for p in keep]
 
     def _build_conj_table(self) -> list[list[int]]:
         # conjugation by e*z is conjugation by e for central z, so the
@@ -638,19 +631,22 @@ def _extend_mask(group: FiniteGroup, a_members, gens) -> int:
     return mask
 
 
-def _enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
+def _enumerate_subgroups(group: FiniteGroup) -> list[tuple[int, ...]]:
     # the cyclic subgroups, then each subgroup A of the last round extended by
     # every <x> it does not contain, skipping an x in an extension of prime
-    # index over A already found: <A, x> is that extension (Lagrange)
+    # index over A already found: <A, x> is that extension (Lagrange); each
+    # subgroup is extended in exactly one round, so its members are read once
     found: dict[int, tuple[int, ...]] = {1 << group.identity: ()}
     for x in range(group.order):
         found.setdefault(_extend_mask(group, (group.identity,), (x,)), (x,))
     cyclic = list(found.values())[1:]
+    members: list[tuple[int, ...]] = []
     new_masks = list(found)
     while new_masks:
         batch = []
         for ma in new_masks:
             a_members, covered = _members_of(ma), ma
+            members.append(a_members)
             for gen in cyclic:
                 if covered >> gen[0] & 1:
                     continue
@@ -662,8 +658,7 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
                     found[m] = gens
                     batch.append(m)
         new_masks = batch
-    subs = [Subgroup(group, _members_of(m)) for m in found]
-    return sorted(subs, key=lambda s: (len(s.members), s.members))
+    return sorted(members, key=lambda m: (len(m), m))
 
 
 def all_subgroups(group: FiniteGroup) -> SubgroupLattice:
@@ -811,21 +806,20 @@ def automorphism_generators(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 def automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     """Every automorphism, as an image tuple: the closure of
     `automorphism_generators`, sorted by the images of `group.generators()`
-    (depth-first search order).  Cached; meant for small groups."""
-    if group._automorphisms is None:
-        # an automorphism is fixed by its generator images, so key on them
-        gens, perms = group.generators(), automorphism_generators(group)
-        perm_gens = [tuple(perm[x] for x in gens) for perm in perms]
-        found = {gens: tuple(range(group.order))}
-        queue = list(found.values())
-        for a in queue:
-            for perm, images in zip(perms, perm_gens):
-                key = tuple(map(a.__getitem__, images))
-                if key not in found:
-                    found[key] = b = tuple(map(a.__getitem__, perm))
-                    queue.append(b)
-        group._automorphisms = [found[key] for key in sorted(found)]
-    return group._automorphisms
+    (depth-first search order).  Built afresh on each call, from the cached
+    generators; meant for small groups."""
+    # an automorphism is fixed by its generator images, so key on them
+    gens, perms = group.generators(), automorphism_generators(group)
+    perm_gens = [tuple(perm[x] for x in gens) for perm in perms]
+    found = {gens: tuple(range(group.order))}
+    queue = list(found.values())
+    for a in queue:
+        for perm, images in zip(perms, perm_gens):
+            key = tuple(map(a.__getitem__, images))
+            if key not in found:
+                found[key] = b = tuple(map(a.__getitem__, perm))
+                queue.append(b)
+    return [found[key] for key in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .groups import (
 )
 from .constants import deflation_constant_at, is_cyclic_members
 from .linalg import rational_rank
-from .ring import SliceClassTable, SliceRingElement, slice_classes
+from .ring import SliceClassTable, slice_classes
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +111,6 @@ def ideal_dimension(group: FiniteGroup, family: SliceFamily) -> int:
     return len(member_classes(slice_classes(group), family))
 
 
-def ideal_basis(group: FiniteGroup, family: SliceFamily) -> list[SliceRingElement]:
-    table = slice_classes(group)
-    return [table.idempotent(c) for c in member_classes(table, family)]
-
-
 # ---------------------------------------------------------------------------
 # The bounded universe
 
@@ -129,6 +124,16 @@ def _partitions(total: int):
             for rest in rec(remaining - part, part):
                 yield (part,) + rest
     yield from rec(total, total)
+
+
+def _abelian_types(p: int, bound: int):
+    """One abelian group of each type of p-power order up to the bound, by
+    order, C1 first."""
+    exp = 0
+    while p**exp <= bound:
+        for part in _partitions(exp):
+            yield abelian_group([p**e for e in part]) if part else cyclic_group(1)
+        exp += 1
 
 
 def constructor_known_p_groups(p: int, bound: int) -> list[FiniteGroup]:
@@ -148,24 +153,10 @@ def constructor_known_p_groups(p: int, bound: int) -> list[FiniteGroup]:
             nonabelian_seeds.append(dihedral_group(order))
             order *= 2
 
-    candidates: list[FiniteGroup] = []
-    order = 1
-    exp = 0
-    while order <= bound:
-        for part in _partitions(exp):
-            candidates.append(abelian_group([p**e for e in part]) if part else cyclic_group(1))
-        order *= p
-        exp += 1
+    candidates = list(_abelian_types(p, bound))
     for seed in nonabelian_seeds:
-        candidates.append(seed)
-        cof = bound // seed.order
-        exp = 1
-        order = p
-        while order <= cof:
-            for part in _partitions(exp):
-                candidates.append(direct_product(abelian_group([p**e for e in part]), seed))
-            order *= p
-            exp += 1
+        for a in _abelian_types(p, bound // seed.order):
+            candidates.append(direct_product(a, seed) if a.order > 1 else seed)
 
     by_order: dict[int, list[FiniteGroup]] = {}
     for g in candidates:
@@ -350,20 +341,26 @@ class GroupUniverse:
         """(group index, canonical class) of every abstract slice."""
         return {(gi, cls) for gi, canon in enumerate(self._canon) for cls in set(canon)}
 
+    def _membership(self, family: SliceFamily, max_order: int) -> dict[tuple[int, int], bool]:
+        """{(group index, class): membership of the whole-group slice (G, S)}
+        over the universe's groups of order at most `max_order`, in (group,
+        class) order."""
+        member = {}
+        # the groups ascend by order
+        for gi, g in enumerate(self.groups):
+            if g.order > max_order:
+                break
+            lat = self.lattices[gi]
+            full = tuple(range(g.order))
+            for cls, rep in enumerate(lat.class_reps):
+                member[gi, cls] = family(g, full, lat.subgroups[rep].members)
+        return member
+
     def family_trace(self, family: SliceFamily, max_order: int) -> set[tuple[int, int]]:
         """Canonical abstract member classes (whole-group slices) in the
         universe's groups of order at most `max_order`."""
-        out = set()
-        for gi, g in enumerate(self.groups):
-            if g.order > max_order:
-                continue
-            lat = self.lattices[gi]
-            full = tuple(range(g.order))
-            for cls in range(len(lat.class_reps)):
-                s = lat.subgroups[lat.class_reps[cls]]
-                if family(g, full, s.members):
-                    out.add((gi, self.canonical_class(gi, cls)))
-        return out
+        member = self._membership(family, max_order)
+        return {(gi, self.canonical_class(gi, cls)) for (gi, cls), m in member.items() if m}
 
     def describe_class(self, gi: int, cls: int) -> str:
         lat = self.lattices[gi]
@@ -416,12 +413,7 @@ def check_conditions(family: SliceFamily, universe: GroupUniverse) -> ConditionR
     is reported at each N that witnesses it.
     """
     report = ConditionReport(family.id, universe.prime, universe.bound)
-    member: dict[tuple[int, int], bool] = {}
-    for gi, g in enumerate(universe.groups):
-        lat = universe.lattices[gi]
-        full = tuple(range(g.order))
-        for cls, rep in enumerate(lat.class_reps):
-            member[gi, cls] = family(g, full, lat.subgroups[rep].members)
+    member = universe._membership(family, universe.bound)
     report.slices_checked = len(member)
 
     # isomorphism invariance: classes merged by automorphisms must agree

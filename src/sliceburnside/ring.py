@@ -10,15 +10,15 @@ double-coset sweep.  `projection` (the `gsets.canonical_projection` of a
 class representative, kept per class) and `morphism_to_ring` only feed the
 G-set oracles of `verify`.  An element stores integer numerators over one
 common denominator, and marks and the `coeffs` view are
-`fractions.Fraction`s; nothing here ever touches floats.
+`fractions.Fraction`s; nothing here ever touches floats, and a coefficient
+or scalar that is not a `numbers.Rational` is refused.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 
 from .groups import FiniteGroup, GroupError, all_subgroups
 from . import gsets
@@ -249,7 +249,7 @@ class SliceRingElement:
     __slots__ = ("table", "denominator", "numerators")
 
     def __init__(self, table: SliceClassTable, coeffs: dict[int, Fraction]):
-        qs = {c: Fraction(q) for c, q in coeffs.items() if q}
+        qs = {c: q for c, x in coeffs.items() if (q := _rational(x))}
         den = lcm(*(q.denominator for q in qs.values()))
         self.table = table
         self.denominator = den
@@ -281,7 +281,7 @@ class SliceRingElement:
         return _element(self.table, self.denominator, {c: -n for c, n in self.numerators.items()})
 
     def scaled(self, scalar) -> "SliceRingElement":
-        s = Fraction(scalar)
+        s = _rational(scalar)
         nums = {c: n * s.numerator for c, n in self.numerators.items()}
         return _element(self.table, self.denominator * s.denominator, nums)
 
@@ -341,6 +341,14 @@ class SliceRingElement:
         return " + ".join(f"{coeffs[c]}*{self.table.label(c)}" for c in sorted(coeffs))
 
 
+def _rational(q) -> Fraction:
+    """`q` as a `Fraction`; a float, string or other non-`Rational` value,
+    zero or not, raises `TypeError`."""
+    if not isinstance(q, Rational):
+        raise TypeError(f"ring coefficients must be rational, got {type(q).__name__}")
+    return Fraction(q)
+
+
 def _element(table: SliceClassTable, den: int, nums: dict[int, int]) -> SliceRingElement:
     """The element with coefficients nums[c] / den for a positive `den`:
     zeros are dropped and the common factor is divided out."""
@@ -358,45 +366,4 @@ def morphism_to_ring(f: gsets.GSetMorphism, table: SliceClassTable) -> SliceRing
         raise GroupError("morphism and table have different groups")
     f.check_on_generators()
     return table.element_from_pairs(gsets.stabilizer_pairs(f))
-
-
-# ---------------------------------------------------------------------------
-# Serialisation
-
-
-def fraction_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def slice_class_json(table: SliceClassTable, cls: int) -> dict:
-    big, small = table.rep_subgroups(cls)
-    return {"T": list(big.members), "S": list(small.members)}
-
-
-def table_to_json(table: SliceClassTable) -> dict:
-    return {
-        "group": table.group.label,
-        "order": table.group.order,
-        "classes": [slice_class_json(table, c) for c in range(table.size)],
-        "labels": [table.label(c) for c in range(table.size)],
-    }
-
-
-def element_to_json(elem: SliceRingElement) -> dict:
-    return {
-        elem.table.label(c): fraction_str(q)
-        for c, q in sorted(elem.coeffs.items())
-    }
-
-
-def mark_matrix_csv(table: SliceClassTable) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    labels = [table.label(c) for c in range(table.size)]
-    writer.writerow([""] + labels)
-    matrix = table.mark_matrix()
-    for r in range(table.size):
-        writer.writerow([labels[r]] + [str(v) for v in matrix[r]])
-    return out.getvalue()
 

@@ -172,9 +172,46 @@ def test_subgroup_counts(spec, count):
     assert len(all_subgroups(g).subgroups) == count
 
 
-def test_subgroup_count_of_c3_to_the_fifth():
+def count_members_of(monkeypatch) -> list:
+    """Patch `groups._members_of` to record each call in the returned list."""
+    calls = []
+    members_of = groups._members_of
+
+    def counted(mask):
+        calls.append(mask)
+        return members_of(mask)
+
+    monkeypatch.setattr(groups, "_members_of", counted)
+    return calls
+
+
+def test_subgroup_count_of_c3_to_the_fifth(monkeypatch):
     # enumeration only; the whole lattice of its 2664 subgroups runs in CI
-    assert len(groups._enumerate_subgroups(group_from_spec("elab:3^5"))) == 2664
+    g = group_from_spec("elab:3^5")
+    calls = count_members_of(monkeypatch)
+    assert len(groups._enumerate_subgroups(g)) == 2664
+    # each subgroup's member tuple is read off its mask once
+    assert len(calls) == 2664
+
+
+@pytest.mark.parametrize("spec", ["elab:2^4", "heis:3 * cyclic:3", "perm:(0 1 2 3),(0 1)"])
+def test_lattice_builds_read_each_member_tuple_once(monkeypatch, spec):
+    # enumerated: one `_members_of` per subgroup; derived (a quotient and a
+    # subgroup): none, the member tuples come from the parent's masks
+    g = group_from_spec(spec)
+    calls = count_members_of(monkeypatch)
+    lat = all_subgroups(g)
+    assert len(calls) == len(set(calls)) == len(lat.subgroups)
+    assert lat.masks == [s.mask for s in lat.subgroups]
+    assert lat._index == {m: i for i, m in enumerate(lat.masks)}
+    calls.clear()
+    n = lat.normal[len(lat.normal) // 2]
+    for child in (quotient(g, lat.subgroups[n].members).group,
+                  subgroup_as_group(lat.subgroups[lat.maximal_indices()[0]]).source):
+        derived = all_subgroups(child)
+        assert derived.masks == [s.mask for s in derived.subgroups]
+        assert derived._index == {m: i for i, m in enumerate(derived.masks)}
+    assert calls == []
 
 
 def _bitwise_members(mask: int) -> tuple[int, ...]:

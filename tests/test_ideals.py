@@ -19,8 +19,8 @@ from sliceburnside.ideals import (
     burnside_image_rank,
     check_conditions,
     closure_trace,
+    constructor_known_p_groups,
     family_by_id,
-    ideal_basis,
     ideal_dimension,
     intersection_dimension,
     member_classes,
@@ -104,12 +104,43 @@ def test_quaternion_j3_dimension_is_zero():
     assert ideal_dimension(quaternion_group(), FAMILIES["J3"]) == 0
 
 
-def test_ideal_basis_consists_of_member_idempotents():
-    g = group_from_spec("dihedral:8")
-    table = slice_classes(g)
-    members = member_classes(table, FAMILIES["J3"])
-    basis = ideal_basis(g, FAMILIES["J3"])
-    assert [table.idempotent(c) for c in members] == basis
+# the oracle of `_abelian_types`: the lists its two-loop predecessor gave
+KNOWN_P_GROUP_LABELS = {
+    (2, 32): [
+        "C1", "C2", "C2xC2", "C4", "C2xC2xC2", "C4xC2", "C8", "M8", "Q8", "C16",
+        "C2xC2xC2xC2", "C2xM8", "C2xQ8", "C4xC2xC2", "C4xC4", "C8xC2", "D16", "C16xC2",
+        "C2xC2xC2xC2xC2", "C2xC2xM8", "C2xC2xQ8", "C2xD16", "C32", "C4xC2xC2xC2",
+        "C4xC4xC2", "C4xM8", "C4xQ8", "C8xC2xC2", "C8xC4", "D32",
+    ],
+    (3, 81): [
+        "C1", "C3", "C3xC3", "C9", "C27", "C3xC3xC3", "C9xC3", "H27", "M27", "C27xC3",
+        "C3xC3xC3xC3", "C3xH27", "C3xM27", "C81", "C9xC3xC3", "C9xC9",
+    ],
+    (5, 125): ["C1", "C5", "C25", "C5xC5", "C125", "C25xC5", "C5xC5xC5", "H125", "M125"],
+}
+
+
+@pytest.mark.parametrize("p,bound", sorted(KNOWN_P_GROUP_LABELS))
+def test_constructor_known_p_group_labels(p, bound):
+    labels = [g.label for g in constructor_known_p_groups(p, bound)]
+    assert labels == KNOWN_P_GROUP_LABELS[p, bound]
+
+
+def test_family_sweeps_read_no_group_past_their_order():
+    u = GroupUniverse(3, 81)
+    seen = []
+    family = SliceFamily("SEEN", lambda g, t, s: seen.append(g.order) or len(s) > 1)
+    trace = u.family_trace(family, max_order=27)
+    assert max(seen) == 27
+    assert trace == {
+        (gi, u.canonical_class(gi, cls))
+        for gi, (g, lat) in enumerate(zip(u.groups, u.lattices)) if g.order <= 27
+        for cls, rep in enumerate(lat.class_reps) if len(lat.subgroups[rep]) > 1
+    }
+    seen.clear()
+    report = check_conditions(family, u)
+    assert max(seen) == 81 and report.slices_checked == len(seen)
+    assert report.slices_checked == sum(len(lat.class_reps) for lat in u.lattices)
 
 
 def test_universe_groups_pairwise_nonisomorphic():

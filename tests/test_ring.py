@@ -1,15 +1,18 @@
+import ast
 import csv
 import io
 import json
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sliceburnside import bisetops, gsets, verify
+from sliceburnside import bisetops, gsets, ring, verify
+from sliceburnside.cli import element_to_json, fraction_str, mark_matrix_csv, table_to_json
 from sliceburnside.groups import (
     GroupError,
     cyclic_group,
@@ -17,15 +20,7 @@ from sliceburnside.groups import (
     group_from_spec,
     subgroup_as_group,
 )
-from sliceburnside.ring import (
-    SliceRingElement,
-    element_to_json,
-    fraction_str,
-    mark_matrix_csv,
-    morphism_to_ring,
-    slice_classes,
-    table_to_json,
-)
+from sliceburnside.ring import SliceRingElement, morphism_to_ring, slice_classes
 
 from helpers import from_mark_vector
 from test_bisetops import per_term_extend
@@ -288,6 +283,34 @@ def test_stored_coefficients_are_nonzero_fractions():
     assert t.element_from_pairs(pairs).coeffs == {
         t.class_index((0,), (0,)): 3, t.class_index(tuple(range(8)), (0,)): 1
     }
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, 0.0, 1.0, "1/2", complex(1, 0)])
+def test_non_rational_coefficients_are_refused(bad):
+    # a float would slip in as its binary expansion, e.g. 0.1 as
+    # 3602879701896397/36028797018963968
+    t = slice_classes(group_from_spec("cyclic:4"))
+    with pytest.raises(TypeError):
+        t.one().scaled(bad)
+    with pytest.raises(TypeError):
+        SliceRingElement(t, {0: bad})
+    with pytest.raises(TypeError):
+        SliceRingElement(t, {0: 1, 1: bad})
+    assert t.one().scaled(True) == t.one()
+
+
+def test_ring_module_imports_no_serialiser_library():
+    # every output format lives in `cli`
+    tree = ast.parse(Path(ring.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "fractions" in imported
+    assert not imported & {"csv", "io", "json"}
+    assert not {"fraction_str", "table_to_json", "element_to_json", "mark_matrix_csv"} & set(vars(ring))
 
 
 def assert_lowest_terms(elem):
