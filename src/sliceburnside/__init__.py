@@ -24,7 +24,6 @@ from .groups import (
     group_from_spec,
     heisenberg_group_p3,
     is_isomorphic,
-    is_normal,
     modular_group_p3,
     normalizer,
     quaternion_group,
@@ -37,7 +36,6 @@ from .gsets import (
     canonical_projection,
     coset_space,
     hom_count,
-    identity_morphism,
     morphism_product,
 )
 from .ring import (

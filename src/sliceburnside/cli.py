@@ -261,9 +261,10 @@ def _cmd_minimal_groups(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    # a slice never contains ':', so the spec ends at the last one
+    # a slice never contains ':', so the spec ends at the last one; when the
+    # spec's last factor is left without one, the seed named no slice
     spec, _, slice_text = args.seed.rpartition(":")
-    if not spec:
+    if ":" not in spec.rpartition("*")[2]:
         raise GroupError("seed must look like <spec>:T=...;S=...")
     group = _group(args, spec)
     t_members, s_members = parse_slice(slice_text, group)

@@ -1,13 +1,15 @@
 """Small finite groups as explicit multiplication tables over element indices.
 
 Groups are immutable after construction and safe to share between threads.
-All derived structure (generators, subgroup lattice, automorphism
-generators, the standalone groups of its subgroups) is cached on the group
-object; caches are filled before sharing in normal use.
+Derived structure (generators, element orders and keys, subgroup lattice,
+slice table, the standalone groups of its subgroups, the Frattini quotient)
+is cached on the group object; caches are filled before sharing in normal
+use.  The automorphism generators are not cached.
 
 One depth-first search over generator images finds the first isomorphism
 extending a prefix of images; `automorphism_generators` runs it along a
-stabiliser chain, and `automorphisms` is the closure of what it finds.
+stabiliser chain on each call, and `automorphisms` is the closure of what it
+finds, kept for the tests and the benchmark.
 
 A subgroup lattice grows from the cyclic subgroups by one cyclic extension a
 round; sorted by order, it reads containment and the maximal subgroups off
@@ -64,14 +66,13 @@ class FiniteGroup:
         # lazy caches
         self._gens: tuple[int, ...] | None = None
         self._orders: tuple[int, ...] | None = None
-        self._keys: tuple[tuple[int, int], ...] | None = None
+        self._keys: tuple[tuple[int, int, int], ...] | None = None
         self._lattice = None
         # (parent lattice, parent subgroups kept, parent element of each
         # element) for a quotient or subgroup, until its lattice is built
         self._lattice_source = None
         self._slice_table = None
         self._subgroup_groups: dict[int, GroupEmbedding] = {}
-        self._automorphism_generators: tuple[tuple[int, ...], ...] | None = None
         # G / Frattini(G), for the Frattini form of the supplement sum
         self._frattini_quotient: GroupQuotient | None = None
 
@@ -138,13 +139,21 @@ class FiniteGroup:
             self._orders = tuple(out)
         return self._orders
 
-    def _element_keys(self) -> tuple[tuple[int, int], ...]:
-        """(element order, centraliser size) of each element; every
-        isomorphism preserves them."""
+    def _element_keys(self) -> tuple[tuple[int, int, int], ...]:
+        """(element order, centraliser size, number of q-th roots) of each
+        element, q the least prime dividing |G|; every isomorphism preserves
+        them."""
         if self._keys is None:
             m, n = self._mul, self.order
+            q = next((d for d in range(2, n + 1) if n % d == 0), 1)
+            roots = [0] * n
+            for y in range(n):
+                power = y
+                for _ in range(q - 1):
+                    power = m[power][y]
+                roots[power] += 1
             self._keys = tuple(
-                (k, sum(m[x][y] == m[y][x] for y in range(n)))
+                (k, sum(m[x][y] == m[y][x] for y in range(n)), roots[x])
                 for x, k in enumerate(self._element_orders())
             )
         return self._keys
@@ -262,17 +271,6 @@ def slice_normalizer(group: FiniteGroup, t_members, s_members) -> tuple[int, ...
     return _members_of(nm(lat.index_of(t_members)) & nm(lat.index_of(s_members)))
 
 
-def is_normal(group: FiniteGroup, members) -> bool:
-    mask = _mask_of(members)
-    for g in group.generators():
-        m = 0
-        for x in members:
-            m |= 1 << group.conj(g, x)
-        if m != mask:
-            return False
-    return True
-
-
 def double_cosets(group: FiniteGroup, a_members, b_members) -> tuple[int, ...]:
     """Representatives of the double cosets A\\G/B, smallest element first.
     An element sweep kept only as the oracle for the orbit sums of
@@ -374,6 +372,8 @@ class GroupQuotient:
     group: FiniteGroup
     projection: tuple[int, ...]
     kernel: tuple[int, ...]
+    # the least element of each coset, by quotient element
+    section: tuple[int, ...]
     basis_images: dict = _cache_field()
 
     def image_members(self, members) -> tuple[int, ...]:
@@ -384,15 +384,6 @@ class GroupQuotient:
         return tuple(
             x for x in range(self.source.order) if self.projection[x] in wanted
         )
-
-    def section(self) -> tuple[int, ...]:
-        """One preimage element per coset (the smallest)."""
-        out = [None] * self.group.order
-        for x in range(self.source.order):
-            q = self.projection[x]
-            if out[q] is None:
-                out[q] = x
-        return tuple(out)
 
 
 class GroupIsomorphism(GroupEmbedding):
@@ -433,8 +424,9 @@ def quotient(group: FiniteGroup, n_members) -> GroupQuotient:
         for a in range(count)
     ]
     q = FiniteGroup(table, label=f"{group.label}/N{len(tuple(n_members))}")
-    q._lattice_source = (lat, lat.above[n_idx], tuple(reps))
-    return GroupQuotient(group, q, tuple(proj), tuple(sorted(n_members)))
+    section = tuple(reps)
+    q._lattice_source = (lat, lat.above[n_idx], section)
+    return GroupQuotient(group, q, tuple(proj), tuple(sorted(n_members)), section)
 
 
 def subgroup_as_group(sub: Subgroup) -> GroupEmbedding:
@@ -694,7 +686,6 @@ def _hom_from_generator_images(
     img = [-1] * g.order
     img[g.identity] = h.identity
     frontier = [g.identity]
-    seen = {g.identity}
     while frontier:
         nxt = []
         for a in frontier:
@@ -704,11 +695,9 @@ def _hom_from_generator_images(
                 ib = h.mul(ia, y)
                 if img[b] == -1:
                     img[b] = ib
+                    nxt.append(b)
                 elif img[b] != ib:
                     return None
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
         frontier = nxt
     return tuple(img)
 
@@ -723,7 +712,7 @@ def _iso_search(g: FiniteGroup, h: FiniteGroup, prefix=()) -> tuple[int, ...] | 
     if not gens:
         return (h.identity,) if h.order == 1 else None
     g_keys = g._element_keys()
-    by_key: dict[tuple[int, int], list[int]] = {}
+    by_key: dict[tuple[int, int, int], list[int]] = {}
     for y, key in enumerate(h._element_keys()):
         by_key.setdefault(key, []).append(y)
 
@@ -786,28 +775,26 @@ def automorphism_generators(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     level i adds one automorphism fixing x_0..x_{i-1} for each image of x_i
     outside the orbit of x_i under the generators found so far.  So the ones
     fixing x_0..x_{i-1} generate that stabiliser, and |Aut(G)| is the
-    product over i of the orbit lengths of x_i under them.  Cached."""
-    if group._automorphism_generators is None:
-        gens, keys = group.generators(), group._element_keys()
-        found: list[tuple[int, ...]] = []
-        for i, x in reversed(list(enumerate(gens))):
-            reached = set(permutation_orbit(x, found))
-            for y in range(group.order):
-                if y in reached or keys[y] != keys[x]:
-                    continue
-                aut = _iso_search(group, group, gens[:i] + (y,))
-                if aut is not None:
-                    found.append(aut)
-                    reached = set(permutation_orbit(x, found))
-        group._automorphism_generators = tuple(found)
-    return group._automorphism_generators
+    product over i of the orbit lengths of x_i under them."""
+    gens, keys = group.generators(), group._element_keys()
+    found: list[tuple[int, ...]] = []
+    for i, x in reversed(list(enumerate(gens))):
+        reached = set(permutation_orbit(x, found))
+        for y in range(group.order):
+            if y in reached or keys[y] != keys[x]:
+                continue
+            aut = _iso_search(group, group, gens[:i] + (y,))
+            if aut is not None:
+                found.append(aut)
+                reached = set(permutation_orbit(x, found))
+    return tuple(found)
 
 
 def automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     """Every automorphism, as an image tuple: the closure of
     `automorphism_generators`, sorted by the images of `group.generators()`
-    (depth-first search order).  Built afresh on each call, from the cached
-    generators; meant for small groups."""
+    (depth-first search order).  Built afresh on each call; meant for small
+    groups, and called only by the tests and the benchmark."""
     # an automorphism is fixed by its generator images, so key on them
     gens, perms = group.generators(), automorphism_generators(group)
     perm_gens = [tuple(perm[x] for x in gens) for perm in perms]

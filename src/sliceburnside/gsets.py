@@ -201,10 +201,6 @@ def canonical_projection(group: FiniteGroup, s_members, t_members) -> GSetMorphi
     return GSetMorphism(src, tgt, mapping)
 
 
-def identity_morphism(x: GSet) -> GSetMorphism:
-    return GSetMorphism(x, x, range(x.size))
-
-
 def morphism_product(f: GSetMorphism, g: GSetMorphism) -> GSetMorphism:
     """Componentwise product morphism on the diagonal action."""
     if f.group is not g.group:
@@ -402,7 +398,7 @@ def _deflated_gset(x: GSet, quot: GroupQuotient):
     for p in range(x.size):
         if reps[orbit_of[p]] is None:
             reps[orbit_of[p]] = p
-    section = quot.section()
+    section = quot.section
     act = [
         [orbit_of[x.act_rows[section[q]][reps[i]]] for i in range(count)]
         for q in range(quot.group.order)

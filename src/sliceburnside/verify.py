@@ -39,7 +39,7 @@ from .groups import (
     GroupIsomorphism,
     Subgroup,
     all_subgroups,
-    automorphisms,
+    automorphism_generators,
     cyclic_group,
     elementary_abelian,
     group_from_spec,
@@ -222,6 +222,15 @@ def check_multiplication_oracle() -> CheckResult:
 # G-set oracle
 
 
+def _class_map(table: SliceClassTable, out_table: SliceClassTable, f) -> list[int]:
+    """The class of (f(T), f(S)) in `out_table` for each class (T, S) of
+    `table`, f a member map (embedding, quotient or isomorphism)."""
+    return [
+        out_table.class_index(f.image_members(big.members), f.image_members(small.members))
+        for big, small in map(table.rep_subgroups, range(table.size))
+    ]
+
+
 def check_biset_transport() -> CheckResult:
     t0 = time.perf_counter()
     failures: list[str] = []
@@ -247,13 +256,7 @@ def check_biset_transport() -> CheckResult:
         for h_idx in lat.class_reps:
             emb = subgroup_as_group(lat.subgroups[h_idx])
             table_h = slice_classes(emb.source)
-            h_to_g = [
-                table.class_index(
-                    emb.image_members(table_h.rep_subgroups(c)[0].members),
-                    emb.image_members(table_h.rep_subgroups(c)[1].members),
-                )
-                for c in range(table_h.size)
-            ]
+            h_to_g = _class_map(table_h, table, emb)
             for cls in range(table.size):
                 parts = [c for c in range(table_h.size) if h_to_g[c] == cls]
                 rhs = sum((table_h.idempotent(c) for c in parts), table_h.zero())
@@ -282,13 +285,7 @@ def check_biset_transport() -> CheckResult:
             n_members = lat.subgroups[n_idx].members
             q = quotient(g, n_members)
             table_q = slice_classes(q.group)
-            push = [
-                table_q.class_index(
-                    q.image_members(table.rep_subgroups(c)[0].members),
-                    q.image_members(table.rep_subgroups(c)[1].members),
-                )
-                for c in range(table.size)
-            ]
+            push = _class_map(table, table_q, q)
             for qcls in range(table_q.size):
                 parts = [c for c in range(table.size) if push[c] == qcls]
                 rhs = sum((table.idempotent(c) for c in parts), table.zero())
@@ -309,18 +306,13 @@ def check_biset_transport() -> CheckResult:
                     break
                 configs += 1
 
-        # transport along sample automorphisms (identity, inner, one more)
-        auts = automorphisms(g)
-        samples = {auts[0], auts[len(auts) // 2], auts[-1]}
-        for aut in samples:
+        # transport along the identity and the first and last Aut generator
+        auts = automorphism_generators(g)
+        for aut in dict.fromkeys((tuple(range(g.order)), *auts[:1], *auts[-1:])):
             iso = GroupIsomorphism(g, g, aut)
+            moved = _class_map(table, table, iso)
             for cls in range(table.size):
-                big, small = table.rep_subgroups(cls)
-                rhs = table.idempotent(
-                    table.class_index(
-                        iso.image_members(big.members), iso.image_members(small.members)
-                    )
-                )
+                rhs = table.idempotent(moved[cls])
                 where = f"{g.label}: transport at class {cls}"
                 if not agrees(bisetops.transport, gsets.transport_morphism,
                               table, cls, iso, rhs, where):

@@ -1,7 +1,8 @@
-"""Test-only constructions: small G-sets, the disjoint union of two
-morphisms, the inverse ghost map, a closed-form deflation constant and the
-order of Aut(G) from its stabiliser chain.  Each is an oracle or a fixture
-of the tests, with no caller in the library."""
+"""Test-only constructions: small G-sets, the identity morphism, the
+disjoint union of two morphisms, a normality test by member sets, the
+inverse ghost map, a closed-form deflation constant and the order of Aut(G)
+from its stabiliser chain.  Each is an oracle or a fixture of the tests,
+with no caller in the library."""
 
 from fractions import Fraction
 from math import prod
@@ -16,6 +17,19 @@ def one_point_gset(group):
 
 def empty_gset(group):
     return GSet(group, [[] for _ in range(group.order)])
+
+
+def identity_morphism(x):
+    return GSetMorphism(x, x, range(x.size))
+
+
+def is_normal(group, members):
+    """True when conjugation by every generator of `group` maps the member
+    set onto itself: the member-set oracle of `SubgroupLattice.normal`.  It
+    does not check that `members` is a subgroup, so it also accepts a
+    conjugation-closed set such as {1, r, r^-1} in D8."""
+    target = set(members)
+    return all({group.conj(g, x) for x in members} == target for g in group.generators())
 
 
 def disjoint_union_morphism(f, g):

@@ -235,7 +235,7 @@ def test_deflation_commutes_with_induction_at_ring_level():
             emb_hn = subgroup_as_group(lat_q.subgroups[lat_q.index_of(hn_members)])
             images = []
             for i in range(q_h.group.order):
-                rep_in_h = q_h.section()[i]
+                rep_in_h = q_h.section[i]
                 parent_elt = emb_h.images[rep_in_h]
                 images.append(_position(emb_hn.images, q.projection[parent_elt]))
             iso = GroupIsomorphism(q_h.group, emb_hn.source, tuple(images))

@@ -180,6 +180,16 @@ def test_closure_seed_needs_a_slice(capsys):
     assert "slice component" in err
 
 
+@pytest.mark.parametrize("seed", ["cyclic:2", "elab:2^3", "cyclic:2 * cyclic:4"])
+def test_closure_seed_with_only_a_group_spec_names_no_slice(capsys, seed):
+    # the last ':' splits the spec itself, so the error is about the seed
+    code, out, err = run_cli(capsys, "closure", "--seed", seed, "--prime", "2", "--bound", "8")
+    assert code == 2
+    assert out == ""
+    assert "seed must look like <spec>:T=...;S=..." in err
+    assert "group spec" not in err
+
+
 def test_check_family_command(capsys):
     code, out, _ = run_cli(
         capsys, "check-family", "--family", "J1", "--prime", "2", "--bound", "8"

@@ -28,7 +28,6 @@ from sliceburnside.groups import (
     elementary_abelian,
     frattini,
     group_from_spec,
-    is_normal,
     normalizer,
     quaternion_group,
     set_product,
@@ -37,7 +36,7 @@ from sliceburnside.groups import (
 from sliceburnside.ideals import GroupUniverse
 from sliceburnside.ring import slice_classes
 
-from helpers import elementary_abelian_classical_value
+from helpers import elementary_abelian_classical_value, is_normal
 from test_marks import small_perm_groups
 
 P_GROUP_SPECS = ["cyclic:2", "cyclic:4", "cyclic:8", "elab:2^2", "elab:2^3",

@@ -1,5 +1,7 @@
+import ast
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -27,7 +29,6 @@ from sliceburnside.groups import (
     from_permutation_generators,
     group_from_spec,
     is_isomorphic,
-    is_normal,
     normalizer,
     quaternion_group,
     quotient,
@@ -36,7 +37,7 @@ from sliceburnside.groups import (
 )
 from sliceburnside.ideals import constructor_known_p_groups
 
-from helpers import stabiliser_chain_order
+from helpers import is_normal, stabiliser_chain_order
 from test_marks import small_perm_groups
 
 SMALL_SPECS = [
@@ -654,6 +655,18 @@ def test_quotient_by_a_non_subgroup_raises():
         subgroup_as_group(Subgroup(cyclic_group(4), (0, 1)))
 
 
+@pytest.mark.parametrize("spec", ["dihedral:8", "perm:(0 1 2 3),(0 1)", "heis:3 * cyclic:3"])
+def test_quotient_section_is_the_least_element_of_each_coset(spec):
+    g = group_from_spec(spec)
+    lat = all_subgroups(g)
+    for n_idx in lat.normal:
+        q = quotient(g, lat.subgroups[n_idx].members)
+        least = {}
+        for x in reversed(g.elements()):
+            least[q.projection[x]] = x
+        assert q.section == tuple(least[k] for k in q.group.elements())
+
+
 def test_double_cosets_partition_group():
     d8 = group_from_spec("dihedral:8")
     lat = all_subgroups(d8)
@@ -864,7 +877,6 @@ def test_automorphisms_equal_the_reference_enumeration(spec):
 def test_automorphism_generators_are_automorphisms(spec):
     g = group_from_spec(spec)
     gens = automorphism_generators(g)
-    assert automorphism_generators(g) is gens
     for aut in gens:
         GroupIsomorphism(g, g, aut).check()
     assert set(gens) <= set(automorphisms(g))
@@ -935,6 +947,58 @@ def test_isomorphism_search_does_not_blow_up(monkeypatch):
     assert iso is not None
     iso.check()
     assert len(calls) < 20000
+
+
+def test_no_library_module_lists_aut():
+    # Aut(G) reaches the library only through its generators; the full list
+    # is the tests' and the benchmark's oracle
+    for path in Path(groups.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name != "automorphisms", f"{path.name}:{node.lineno}"
+
+
+def _keys_without_root_counts(group):
+    m, n = group._mul, group.order
+    return tuple(
+        (k, sum(m[x][y] == m[y][x] for y in range(n)))
+        for x, k in enumerate(group._element_orders())
+    )
+
+
+ROOT_COUNT_SPECS = (
+    "heis:3 * cyclic:3", "perm:(0 1 2 3),(0 1)", "dihedral:16", "elab:2^4", "mod:3", "Q8",
+    "abelian:4x2x2", "abelian:4x4x2",
+)
+ROOT_COUNT_PAIRS = (
+    ("heis:3 * cyclic:3", "cyclic:3 * heis:3"),
+    ("perm:(0 1 2 3),(0 1)", "perm:(0 1 2),(2 3)"),
+    ("dihedral:8 * cyclic:2", "cyclic:2 * dihedral:8"),
+    ("abelian:4x2x2", "cyclic:2 * cyclic:4 * cyclic:2"),
+    ("mod:2", "heis:2"),
+)
+
+
+def test_root_counts_in_the_element_keys_change_no_witness(monkeypatch):
+    # the number of q-th roots prunes candidates that no isomorphism could
+    # take, so on fresh groups the generators and witnesses are the ones the
+    # keys without it give
+    def fresh(spec):
+        return quaternion_group() if spec == "Q8" else group_from_spec(spec)
+
+    def witnesses():
+        gens = [automorphism_generators(fresh(spec)) for spec in ROOT_COUNT_SPECS]
+        isos = [find_isomorphism(fresh(a), fresh(b)).images for a, b in ROOT_COUNT_PAIRS]
+        return gens, isos
+
+    # the root counts do split some keys: C4 x C2^2 has one square of order 2
+    c4c2c2 = fresh("abelian:4x2x2")
+    assert len(set(c4c2c2._element_keys())) > len(set(_keys_without_root_counts(c4c2c2)))
+    with_roots = witnesses()
+    monkeypatch.setattr(groups.FiniteGroup, "_element_keys", _keys_without_root_counts)
+    assert witnesses() == with_roots
 
 
 def test_lagrange_violation_detected():

@@ -11,7 +11,7 @@ from sliceburnside.groups import (
 )
 from sliceburnside.ring import morphism_to_ring, slice_classes
 
-from helpers import disjoint_union_morphism, empty_gset, one_point_gset
+from helpers import disjoint_union_morphism, empty_gset, identity_morphism, one_point_gset
 
 
 def _proj(table, t_members, s_members):
@@ -58,7 +58,7 @@ def test_morphism_to_ring_examples():
     table = slice_classes(c4)
     full = tuple(range(4))
     # identity of the one-point set
-    pt = gsets.identity_morphism(one_point_gset(c4))
+    pt = identity_morphism(one_point_gset(c4))
     assert morphism_to_ring(pt, table) == table.basis_element(
         table.class_index(full, full)
     )
@@ -70,7 +70,7 @@ def test_morphism_to_ring_examples():
     )
     # two regular copies mapping identically: multiplicity two
     reg = gsets.coset_space(c4, [0])
-    idm = gsets.identity_morphism(reg)
+    idm = identity_morphism(reg)
     both = gsets.GSetMorphism(
         disjoint_union_morphism(idm, idm).source,
         reg,
@@ -110,7 +110,7 @@ def test_hom_count_examples():
     c4 = cyclic_group(4)
     table = slice_classes(c4)
     full = tuple(range(4))
-    pt = gsets.identity_morphism(one_point_gset(c4))
+    pt = identity_morphism(one_point_gset(c4))
     reg_proj = _proj(table, full, (0,))
     two_proj = _proj(table, full, (0, 2))
     # anything into the point morphism: exactly one
@@ -138,7 +138,7 @@ def test_hom_count_multiplicative_for_transitive_source():
 def test_product_with_point_is_identity():
     c6 = cyclic_group(6)
     table = slice_classes(c6)
-    pt = gsets.identity_morphism(one_point_gset(c6))
+    pt = identity_morphism(one_point_gset(c6))
     for cls in range(table.size):
         f = table.projection(cls)
         prod = gsets.morphism_product(f, pt)
@@ -152,7 +152,7 @@ def test_empty_gset_everywhere():
     empty.check()
     f = gsets.GSetMorphism(empty, one_point_gset(c2), [])
     assert morphism_to_ring(f, table).is_zero()
-    prod = gsets.morphism_product(f, gsets.identity_morphism(gsets.coset_space(c2, [0])))
+    prod = gsets.morphism_product(f, identity_morphism(gsets.coset_space(c2, [0])))
     assert morphism_to_ring(prod, table).is_zero()
 
 
@@ -172,7 +172,7 @@ def test_elementary_op_basics():
     # induction of a one-point morphism gives the identity on cosets
     two = next(s for s in lat.subgroups if len(s) == 2)
     emb = subgroup_as_group(two)
-    pt_h = gsets.identity_morphism(one_point_gset(emb.source))
+    pt_h = identity_morphism(one_point_gset(emb.source))
     induced = gsets.induce_morphism(pt_h, emb)
     assert induced.source.size == 4
     img = morphism_to_ring(induced, table)
@@ -185,6 +185,6 @@ def test_induced_gset_action_axioms():
     two = next(s for s in lat.subgroups if len(s) == 2)
     emb = subgroup_as_group(two)
     reg_h = gsets.coset_space(emb.source, [emb.source.identity])
-    induced = gsets.induce_morphism(gsets.identity_morphism(reg_h), emb)
+    induced = gsets.induce_morphism(identity_morphism(reg_h), emb)
     induced.source.check()
     induced.check()

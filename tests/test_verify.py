@@ -3,8 +3,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from sliceburnside import cli, gsets, verify
+import sliceburnside
+from sliceburnside import cli, groups, gsets, verify
 from sliceburnside.groups import group_from_spec
+
+from helpers import identity_morphism
 
 MORPHISM_MAPS = (
     "induce_morphism", "restrict_morphism", "inflate_morphism", "deflate_morphism",
@@ -50,11 +53,28 @@ def test_biset_transport_asks_the_oracle_only_when_deep(capsys, monkeypatch, thr
     assert details == f"{calls} configurations"
 
 
+def test_criterion_03_passes_without_listing_aut(monkeypatch):
+    # transport samples the identity and the first and last Aut generator,
+    # so the full automorphism list is never needed (Aut(C2^3) has 168)
+    corpus = SimpleNamespace(
+        groups=[group_from_spec("dihedral:8"), group_from_spec("elab:2^3")], p_groups=[]
+    )
+    monkeypatch.setattr(verify, "corpus", lambda: corpus)
+
+    def refuse(group):
+        raise AssertionError("criterion 03 listed Aut(G)")
+
+    for module in (sliceburnside, groups, verify):
+        monkeypatch.setattr(module, "automorphisms", refuse, raising=False)
+    result = verify.check_biset_transport()
+    assert result.passed, result.details
+
+
 def test_a_wrong_gset_map_fails_criterion_03(capsys, monkeypatch):
     # the identity of the target collapses every slice (T, S) to (T, T)
     _only_d8(monkeypatch)
     monkeypatch.setattr(
-        gsets, "transport_morphism", lambda f, iso: gsets.identity_morphism(f.target)
+        gsets, "transport_morphism", lambda f, iso: identity_morphism(f.target)
     )
     monkeypatch.setattr(verify, "ALL_CHECKS", (verify.check_biset_transport,))
     assert cli.main(["verify"]) == 1
