@@ -1,16 +1,17 @@
 """Elementary biset operations as linear maps between slice rings.
 
-All five operations run through one slice push: a basis class (T, S) is
-sent to its basis image, the images are extended linearly, and they are
-cached on the witness record (embedding, quotient or isomorphism), so they
-live exactly as long as it does.  Induction, inflation, deflation and
-transport send (T, S) to the class of (f(T), f(S)) for the witness's member
-map f.  Restriction to H is Mackey's formula, the sum over x in H\\G/S of
-(H & xTx^-1, H & xSx^-1), which is the basis product's orbit sum
-(`SliceClassTable.orbit_sum`) with H in place of (T_i, S_i).  The closed
-form is the only path; on every run, criterion 03 of `verify` compares the
-image of each basis class it configures with `verify.oracle_image`, the
-orbit decomposition of the G-set image.
+All five operations run through one slice push: the basis images of an
+element's support are cached on the witness record (embedding, quotient or
+isomorphism), so they live as long as it does, and extended linearly.
+Induction, inflation, deflation and transport send the class of lattice
+indices (t, s) to `class_of[m[t], m[s]]`, m the witness's subgroup-index
+map in their direction, built once per witness.  Restriction to H is
+Mackey's formula, the sum over x in H\\G/S of (H & xTx^-1, H & xSx^-1): the
+orbit sum (`SliceClassTable.orbit_sum`) with H in place of (T_i, S_i), read
+back through the embedding's inverse map.  The closed form is the only
+path; criterion 03 of `verify` compares the image of each basis class it
+configures with `verify.oracle_image`, the orbit decomposition of the G-set
+image.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def induce(elem: SliceRingElement, witness: GroupEmbedding) -> SliceRingElement:
     """Induction along a subgroup embedding: a slice of H is a slice of G."""
     if elem.table.group is not witness.source:
         raise GroupError("element is not over the embedding's source group")
-    return _push("induction", elem, witness, witness.target, _slice_image(witness.image_members))
+    return _push("induction", elem, witness, witness.target, _slice_image(witness.image_indices()))
 
 
 def restrict(elem: SliceRingElement, witness: GroupEmbedding) -> SliceRingElement:
@@ -45,7 +46,7 @@ def inflate(elem: SliceRingElement, witness: GroupQuotient) -> SliceRingElement:
     if elem.table.group is not witness.group:
         raise GroupError("element is not over the quotient group")
     return _push(
-        "inflation", elem, witness, witness.source, _slice_image(witness.preimage_members)
+        "inflation", elem, witness, witness.source, _slice_image(witness.preimage_indices())
     )
 
 
@@ -53,14 +54,14 @@ def deflate(elem: SliceRingElement, witness: GroupQuotient) -> SliceRingElement:
     """Deflation mod a normal subgroup: a slice maps to its image slice."""
     if elem.table.group is not witness.source:
         raise GroupError("element is not over the quotient's source group")
-    return _push("deflation", elem, witness, witness.group, _slice_image(witness.image_members))
+    return _push("deflation", elem, witness, witness.group, _slice_image(witness.image_indices()))
 
 
 def transport(elem: SliceRingElement, witness: GroupIsomorphism) -> SliceRingElement:
     """Relabel an element along a verified isomorphism."""
     if elem.table.group is not witness.source:
         raise GroupError("element is not over the isomorphism's source")
-    return _push("transport", elem, witness, witness.target, _slice_image(witness.image_members))
+    return _push("transport", elem, witness, witness.target, _slice_image(witness.image_indices()))
 
 
 # ---------------------------------------------------------------------------
@@ -74,22 +75,18 @@ def _push(name, elem, witness, out_group, image) -> SliceRingElement:
     """Push `elem` along `witness` into the slice ring of `out_group`."""
     out_table = slice_classes(out_group)
     cache = witness.basis_images.setdefault(name, {})
-
-    def basis_image(cls):
-        hit = cache.get(cls)
-        if hit is None:
-            hit = cache[cls] = image(elem.table, out_table, cls)
-        return hit
-
-    return elem.linear_image(out_table, basis_image)
+    for cls in elem.numerators:
+        if cls not in cache:
+            cache[cls] = image(elem.table, out_table, cls)
+    return elem.linear_image(out_table, cache)
 
 
-def _slice_image(member_map):
-    """(T, S) goes to the single class of (member_map(T), member_map(S))."""
+def _slice_image(m):
+    """(T, S) goes to the single class of (m[T], m[S]), m a subgroup-index map."""
 
     def image(table: SliceClassTable, out_table: SliceClassTable, cls: int) -> dict:
-        big, small = table.rep_subgroups(cls)
-        return {out_table.class_index(member_map(big.members), member_map(small.members)): 1}
+        t, s = table.reps[cls]
+        return {out_table.class_of[m[t], m[s]]: 1}
 
     return image
 
@@ -97,10 +94,10 @@ def _slice_image(member_map):
 def _mackey_image(emb: GroupEmbedding):
     """(T, S) goes to the orbit sum of its class with H as top and bottom,
     each pair (H & T', H & S') read as a class of H."""
+    h, pre = emb.image_indices()[-1], emb.preimage_indices()
 
     def image(table: SliceClassTable, out_table: SliceClassTable, cls: int) -> dict:
-        h = table.lattice.index_of(emb.images)
-        pre, class_of = emb.preimage_index, out_table.class_of
-        return table.orbit_sum(h, h, cls, lambda t, s: class_of[pre(t), pre(s)])
+        class_of = out_table.class_of
+        return table.orbit_sum(h, h, cls, lambda t, s: class_of[pre[t], pre[s]])
 
     return image

@@ -141,17 +141,19 @@ def deflation_idempotent_scalar(
     t, s = lat.index_of(t_members), lat.index_of(s_members)
     if not lat.contains_pair(s, t):
         raise GroupError("slice bottom must live inside the top group")
+    m_inner = deflation_constant_at(lat, s, n, t)
+    if not m_inner:
+        return _ZERO  # the joins and normalizers below are read only past a zero
     masks, nm = lat.masks, lat.normalizer_mask
     tn, sn = lat.join(t, n), lat.join(s, n)
-    m_inner = deflation_constant_at(lat, s, n, t)
     nt_s = (nm(s) & masks[t]).bit_count()
     nt_sn = (nm(sn) & masks[t]).bit_count()
     ng_ts = (nm(t) & nm(s)).bit_count()
     ng_tnsn = (nm(tn) & nm(sn)).bit_count()
-    ratio = Fraction(
-        nt_s * ng_tnsn * (masks[t] & masks[n]).bit_count(), ng_ts * nt_sn * masks[n].bit_count()
+    return Fraction(
+        nt_s * ng_tnsn * (masks[t] & masks[n]).bit_count() * m_inner.numerator,
+        ng_ts * nt_sn * masks[n].bit_count() * m_inner.denominator,
     )
-    return ratio * m_inner
 
 
 # ---------------------------------------------------------------------------

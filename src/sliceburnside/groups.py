@@ -310,11 +310,24 @@ def _members_of(mask: int) -> tuple[int, ...]:
 # Morphism witnesses between groups
 #
 # Each witness owns the caches derived from it (the basis images that
-# `bisetops` pushes along it), so they are freed with the witness.
+# `bisetops` pushes along it, and its subgroup-index maps), so they are freed
+# with the witness.
 
 
 def _cache_field():
     return field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _index_map(witness, key: str, member_map, source, target) -> tuple[int, ...]:
+    """The witness's subgroup-index map `key`, built on first use: for each
+    subgroup of `source`, by lattice index, the `target` lattice index of
+    its `member_map` image."""
+    hit = witness.index_maps.get(key)
+    if hit is None:
+        index = all_subgroups(target)._index
+        subs = all_subgroups(source).subgroups
+        hit = witness.index_maps[key] = tuple(index[_mask_of(member_map(h.members))] for h in subs)
+    return hit
 
 
 @dataclass(frozen=True)
@@ -325,8 +338,8 @@ class GroupEmbedding:
     target: FiniteGroup
     images: tuple[int, ...]
     basis_images: dict = _cache_field()
+    index_maps: dict = _cache_field()
     _positions: dict = _cache_field()
-    _subgroup_positions: dict = _cache_field()
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -341,17 +354,29 @@ class GroupEmbedding:
             pos.update((y, i) for i, y in enumerate(self.images))
         return tuple(sorted(pos[y] for y in members if y in pos))
 
+    def image_indices(self) -> tuple[int, ...]:
+        """Target-lattice index of the image of each source subgroup; the
+        last entry, the image of the whole source, is the image's index."""
+        return _index_map(self, "image", self.image_members, self.source, self.target)
+
+    def preimage_indices(self) -> tuple[int, ...]:
+        """The inverse of `image_indices`: the source-lattice index of each
+        target subgroup inside the image, -1 for the others."""
+        maps = self.index_maps
+        if "preimage" not in maps:
+            inverse = [-1] * len(all_subgroups(self.target).subgroups)
+            for j, i in enumerate(self.image_indices()):
+                inverse[i] = j
+            maps["preimage"] = tuple(inverse)
+        return maps["preimage"]
+
     def preimage_index(self, i: int) -> int:
         """Source-lattice index of the subgroup with target-lattice index
         `i`, which must lie in the image."""
-        pos = self._subgroup_positions
-        if not pos:
-            index = all_subgroups(self.target)._index
-            pos.update(
-                (index[_mask_of(self.images[x] for x in sub.members)], j)
-                for j, sub in enumerate(all_subgroups(self.source).subgroups)
-            )
-        return pos[i]
+        j = self.preimage_indices()[i]
+        if j < 0:
+            raise GroupError("subgroup is not inside the embedding's image")
+        return j
 
     def check(self) -> None:
         if len(set(self.images)) != self.source.order:
@@ -375,6 +400,7 @@ class GroupQuotient:
     # the least element of each coset, by quotient element
     section: tuple[int, ...]
     basis_images: dict = _cache_field()
+    index_maps: dict = _cache_field()
 
     def image_members(self, members) -> tuple[int, ...]:
         return tuple(sorted(set(self.projection[x] for x in members)))
@@ -384,6 +410,14 @@ class GroupQuotient:
         return tuple(
             x for x in range(self.source.order) if self.projection[x] in wanted
         )
+
+    def image_indices(self) -> tuple[int, ...]:
+        """Quotient-lattice index of the image SN/N of each source subgroup S."""
+        return _index_map(self, "image", self.image_members, self.source, self.group)
+
+    def preimage_indices(self) -> tuple[int, ...]:
+        """Source-lattice index of the full preimage of each quotient subgroup."""
+        return _index_map(self, "preimage", self.preimage_members, self.group, self.source)
 
 
 class GroupIsomorphism(GroupEmbedding):

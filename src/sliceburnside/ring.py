@@ -296,12 +296,12 @@ class SliceRingElement:
                     acc[c] = acc.get(c, 0) + w * m
         return _element(self.table, self.denominator * other.denominator, acc)
 
-    def linear_image(self, out_table: SliceClassTable, basis_image) -> "SliceRingElement":
-        """The image under the linear map that sends class c to `basis_image(c)`,
-        a {class: multiplicity} dict over `out_table`."""
+    def linear_image(self, out_table: SliceClassTable, basis_images) -> "SliceRingElement":
+        """The image under the linear map that sends each class c of the support
+        to `basis_images[c]`, a {class: multiplicity} dict over `out_table`."""
         acc: dict[int, int] = {}
         for cls, n in self.numerators.items():
-            for c, m in basis_image(cls).items():
+            for c, m in basis_images[cls].items():
                 acc[c] = acc.get(c, 0) + n * m
         return _element(out_table, self.denominator, acc)
 

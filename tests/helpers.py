@@ -1,13 +1,20 @@
 """Test-only constructions: small G-sets, the identity morphism, the
 disjoint union of two morphisms, a normality test by member sets, the
-inverse ghost map, a closed-form deflation constant and the order of Aut(G)
-from its stabiliser chain.  Each is an oracle or a fixture of the tests,
-with no caller in the library."""
+inverse ghost map, a closed-form deflation constant, the order of Aut(G)
+from its stabiliser chain, and the member-set forms of the biset push and of
+the idempotent deflation scalar.  Each is an oracle or a fixture of the
+tests, with no caller in the library."""
 
 from fractions import Fraction
 from math import prod
 
-from sliceburnside.groups import GroupError, automorphism_generators, permutation_orbit
+from sliceburnside.constants import deflation_constant_at
+from sliceburnside.groups import (
+    GroupError,
+    all_subgroups,
+    automorphism_generators,
+    permutation_orbit,
+)
 from sliceburnside.gsets import GSet, GSetMorphism
 
 
@@ -82,3 +89,46 @@ def stabiliser_chain_order(group):
         len(permutation_orbit(x, [a for a in auts if all(a[y] == y for y in gens[:i])]))
         for i, x in enumerate(gens)
     )
+
+
+def member_map_image(table, out_table, member_map, cls):
+    """The basis image of class (T, S) under induction, inflation,
+    deflation or transport: the class of (f(T), f(S)) for the witness's
+    member map f, found by member tuples and `class_index`.  The oracle of
+    the subgroup-index maps that `bisetops` reads instead."""
+    big, small = table.rep_subgroups(cls)
+    return {out_table.class_index(member_map(big.members), member_map(small.members)): 1}
+
+
+def subgroup_positions(emb):
+    """{target-lattice index: source-lattice index} over the images of the
+    source's subgroups, by member sets: the oracle of
+    `GroupEmbedding.preimage_index`."""
+    lat = all_subgroups(emb.target)
+    return {
+        lat.index_of(emb.image_members(sub.members)): j
+        for j, sub in enumerate(all_subgroups(emb.source).subgroups)
+    }
+
+
+def two_product_idempotent_scalar(group, t_members, s_members, n_members):
+    """The idempotent deflation scalar as a ratio `Fraction` times the
+    constant of (T, S) mod T & N inside T, with the joins and normalizers
+    read before the constant: the oracle of the zero-first
+    `constants.deflation_idempotent_scalar`."""
+    lat = all_subgroups(group)
+    n = lat.index_of(n_members)
+    t, s = lat.index_of(t_members), lat.index_of(s_members)
+    if n not in lat.normal or not lat.contains_pair(s, t):
+        raise GroupError("needs a normal subgroup and a slice")
+    masks, nm = lat.masks, lat.normalizer_mask
+    tn, sn = lat.join(t, n), lat.join(s, n)
+    m_inner = deflation_constant_at(lat, s, n, t)
+    nt_s = (nm(s) & masks[t]).bit_count()
+    nt_sn = (nm(sn) & masks[t]).bit_count()
+    ng_ts = (nm(t) & nm(s)).bit_count()
+    ng_tnsn = (nm(tn) & nm(sn)).bit_count()
+    ratio = Fraction(
+        nt_s * ng_tnsn * (masks[t] & masks[n]).bit_count(), ng_ts * nt_sn * masks[n].bit_count()
+    )
+    return ratio * m_inner

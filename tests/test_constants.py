@@ -36,7 +36,7 @@ from sliceburnside.groups import (
 from sliceburnside.ideals import GroupUniverse
 from sliceburnside.ring import slice_classes
 
-from helpers import elementary_abelian_classical_value, is_normal
+from helpers import elementary_abelian_classical_value, is_normal, two_product_idempotent_scalar
 from test_marks import small_perm_groups
 
 P_GROUP_SPECS = ["cyclic:2", "cyclic:4", "cyclic:8", "elab:2^2", "elab:2^3",
@@ -456,6 +456,24 @@ DIFFERENTIAL_SPECS = list(verify.CORPUS_SPECS) + [
     "perm:(0 1 2 3),(0 1)",
     "perm:(0 1 2 3 4),(0 1 2)",
 ]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["dihedral:8", "perm:(0 1 2),(0 1)(2 3)", "perm:(0 1 2 3),(0 1)", "elab:2^3", "heis:3 * cyclic:3"],
+)
+def test_zero_first_idempotent_scalar_matches_the_two_product_form(spec):
+    # every slice class and every normal subgroup; a zero is the shared one
+    g = group_from_spec(spec)
+    lat, table = all_subgroups(g), slice_classes(g)
+    for n in lat.normal:
+        n_members = lat.subgroups[n].members
+        for cls in range(table.size):
+            big, small = table.rep_subgroups(cls)
+            args = (g, big.members, small.members, n_members)
+            got = deflation_idempotent_scalar(*args)
+            assert got == two_product_idempotent_scalar(*args), (n, cls)
+            assert type(got) is Fraction and (got == 0) == (got is constants._ZERO)
 
 
 @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
