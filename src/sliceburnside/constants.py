@@ -1,7 +1,9 @@
 """Deflation constants of the slice ring, B-groups and T-slices, all read off
 G's own lattice by one kernel that takes the slice's top T and is also the
-only zero test.  The supplement sum also has a Frattini-quotient form, which
-the verification suite checks against the direct one.
+only zero test.  The kernel keeps each value it evaluates on that lattice, the
+library's one cache of deflation constants.  The supplement sum also has a
+Frattini-quotient form, which the verification suite checks against the
+direct one.
 """
 
 from __future__ import annotations
@@ -82,20 +84,28 @@ def deflation_constant(group: FiniteGroup, s_members, n_members) -> Fraction:
 def deflation_constant_at(lat, s: int, n: int, t: int) -> Fraction:
     """The constant of the slice (T, S) mod T n N inside T, for S <= T and N
     normalized by T: normalizers in T are G's normalizer masks cut to T.
+    Each (s, n, t) is evaluated once per lattice and kept on it, so every
+    caller, the universe's closure moves included, reads one memo.
     The prefactor of normalizer indices is positive, so the constant is 0
     exactly when one of the two Moebius sums is; the cheaper lower sum goes
     first, and the join and normalizer masks are read only past both."""
+    memo, key = lat._deflation_constants, (s, n, t)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     lower = _lower_moebius_sum(lat, s, n)
     supplement = lower and _supplement_sum(lat, s, n, t)
     if supplement == 0:
-        return _ZERO  # shared: almost every constant met by a closure is 0
+        memo[key] = _ZERO  # shared: almost every constant met by a closure is 0
+        return _ZERO
     masks, nm = lat.masks, lat.normalizer_mask
     t_mask = masks[t]
     sm = lat.join(s, lat._index[t_mask & masks[n]])
-    return Fraction(
+    hit = memo[key] = Fraction(
         (nm(sm) & t_mask).bit_count() * lower * supplement,
         masks[sm].bit_count() * (nm(s) & t_mask).bit_count(),
     )
+    return hit
 
 
 def _lower_moebius_sum(lat, s: int, n: int) -> int:

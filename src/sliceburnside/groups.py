@@ -519,6 +519,8 @@ class SubgroupLattice:
         self.class_reps, self.class_of, self.normal = self._build_classes()
         self._normalizers: list = [None] * n
         self._moebius_columns: list = [None] * n
+        # {(s, n, t): constant}, filled by `constants.deflation_constant_at`
+        self._deflation_constants: dict = {}
 
     # -- construction ------------------------------------------------------
 

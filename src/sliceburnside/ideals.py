@@ -191,7 +191,6 @@ class GroupUniverse:
         self._quotient_maps: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         self._quotient_moves: dict[tuple[int, int], tuple] = {}
         self._minimal_moves: dict[tuple[int, int], tuple] = {}
-        self._constants: dict[tuple[int, int, int], Fraction] = {}
         self._surjection_sources: dict[tuple[int, int], list[tuple[int, int]]] | None = None
 
     # -- canonicalization ----------------------------------------------------
@@ -311,15 +310,10 @@ class GroupUniverse:
 
     def constant(self, gi: int, cls: int, n_idx: int) -> Fraction:
         """The deflation constant of the slice (G, S) of class `cls` by the
-        normal subgroup N of G = G_gi; a move exists where it is nonzero."""
-        key = (gi, cls, n_idx)
-        hit = self._constants.get(key)
-        if hit is None:
-            lat = self.lattices[gi]
-            hit = self._constants[key] = deflation_constant_at(
-                lat, lat.class_reps[cls], n_idx, len(lat.subgroups) - 1
-            )
-        return hit
+        normal subgroup N of G = G_gi; a move exists where it is nonzero.
+        The value is kept on G's lattice by `deflation_constant_at`."""
+        lat = self.lattices[gi]
+        return deflation_constant_at(lat, lat.class_reps[cls], n_idx, len(lat.subgroups) - 1)
 
     def surjection_sources(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
         """Canonical slices that surject onto each canonical slice by one

@@ -63,6 +63,8 @@ class SliceClassTable:
         self._mark_columns: list[dict[int, int]] | None = None
         self._basis_products: dict[tuple[int, int], dict[int, int]] = {}
         self._idempotents: list[SliceRingElement | None] = [None] * len(reps)
+        # elements are immutable, so one zero serves every caller
+        self._zero = _element(self, 1, {})
 
     # -- naming ------------------------------------------------------------
 
@@ -93,7 +95,7 @@ class SliceClassTable:
     # -- elements ------------------------------------------------------------
 
     def zero(self) -> "SliceRingElement":
-        return _element(self, 1, {})
+        return self._zero
 
     def basis_element(self, cls: int) -> "SliceRingElement":
         return _element(self, 1, {self._require_class(cls): 1})

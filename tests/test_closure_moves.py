@@ -3,7 +3,7 @@ surjection index).  `check_conditions` sweeps every nontrivial normal
 subgroup, `bounded_closure` only the minimal ones, and both read their
 images through one `GroupUniverse.quotient_map`; the outputs of both are
 pinned by digest, and the deflation constants are evaluated once per
-universe.  The closure along every normal subgroup of every raw class is
+lattice.  The closure along every normal subgroup of every raw class is
 rebuilt here from `quotient_moves` and `constant` as the oracle of the
 minimal moves of canonical classes, with tests of the facts they rest on.
 Products with other groups are not a move; the product sweep that once was
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sliceburnside import cli, ideals
+from sliceburnside import cli, constants, ideals
 from sliceburnside.constants import deflation_constant
 from sliceburnside.groups import (
     all_subgroups,
@@ -120,23 +120,26 @@ def test_every_kind_of_violation_is_reported_and_pinned():
 def test_second_closure_reuses_the_deflation_tests(monkeypatch):
     u = GroupUniverse(2, 16)
     first = bounded_closure(u, cyclic_group(2), (0,))
-    calls = []
+    sums = []
     quotients = []
-    original = ideals.deflation_constant_at
     original_quotient = ideals.quotient
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(original):
+        def wrapper(*args):
+            sums.append(args)
+            return original(*args)
+        return wrapper
 
     def counted_quotient(*args):
         quotients.append(args)
         return original_quotient(*args)
 
-    monkeypatch.setattr(ideals, "deflation_constant_at", counted)
+    # the constants stay on the lattices: no Moebius sum is evaluated again
+    for name in ("_lower_moebius_sum", "_supplement_sum"):
+        monkeypatch.setattr(constants, name, counted(getattr(constants, name)))
     monkeypatch.setattr(ideals, "quotient", counted_quotient)
     assert bounded_closure(u, cyclic_group(2), (0,)) == first
-    assert len(calls) == 0
+    assert len(sums) == 0
     # the moves stay cached on the universe: no quotient is built again
     assert len(quotients) == 0
 

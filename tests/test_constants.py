@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from sliceburnside.groups import (
     group_from_spec,
     normalizer,
     quaternion_group,
+    quotient,
     set_product,
     subgroup_as_group,
 )
@@ -429,18 +432,19 @@ def oracle_idempotent_scalar(group, t_members, s_members, n_members):
     return ratio * m_inner
 
 
-def assert_constants_match_oracle(group):
+def assert_constants_match_oracle(group, reverse=False):
     lat = all_subgroups(group)
     table = slice_classes(group)
-    for n in lat.normal:
+    step = -1 if reverse else 1
+    for n in lat.normal[::step]:
         n_members = lat.subgroups[n].members
-        for s, sub in enumerate(lat.subgroups):
+        for s, sub in list(enumerate(lat.subgroups))[::step]:
             expected = oracle_deflation_constant(group, sub.members, n_members)
             assert deflation_constant(group, sub.members, n_members) == expected
             assert supplement_moebius_sum(group, sub.members, n_members) == (
                 _oracle_supplement_sum(lat, s, n)
             )
-        for cls in range(table.size):
+        for cls in range(table.size)[::step]:
             big, small = table.rep_subgroups(cls)
             assert deflation_idempotent_scalar(
                 group, big.members, small.members, n_members
@@ -489,6 +493,72 @@ def test_constants_match_the_member_set_oracle_on_q8():
 @given(group=small_perm_groups())
 def test_constants_match_the_member_set_oracle_on_small_perm_groups(group):
     assert_constants_match_oracle(group)
+
+
+MEMO_SPECS = ["dihedral:8", "perm:(0 1 2),(0 1)(2 3)", "perm:(0 1 2 3),(0 1)", "mod:3"]
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS)
+def test_memoized_constants_match_the_member_set_oracle(spec):
+    # the second sweep, in reverse order, reads every value from the memo the
+    # first one filled; a freshly built copy of the group evaluates them anew
+    g = group_from_spec(spec)
+    assert_constants_match_oracle(g)
+    memo = dict(all_subgroups(g)._deflation_constants)
+    assert memo
+    assert_constants_match_oracle(g, reverse=True)
+    assert all_subgroups(g)._deflation_constants == memo
+    fresh = group_from_spec(spec)
+    assert not all_subgroups(fresh)._deflation_constants
+    assert_constants_match_oracle(fresh)
+
+
+def test_a_second_constant_sweep_evaluates_no_moebius_sum(monkeypatch):
+    g = group_from_spec("heis:3 * cyclic:3")
+    lat, table = all_subgroups(g), slice_classes(g)
+
+    def sweep():
+        for n in lat.normal:
+            n_members = lat.subgroups[n].members
+            for s in lat.class_reps:
+                deflation_constant(g, lat.subgroups[s].members, n_members)
+            for cls in range(table.size):
+                big, small = table.rep_subgroups(cls)
+                deflation_idempotent_scalar(g, big.members, small.members, n_members)
+        for cls in range(table.size):
+            big, small = table.rep_subgroups(cls)
+            is_t_slice_of(g, big.members, small.members)
+
+    sweep()
+    calls = []
+    original = constants._lower_moebius_sum
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(constants, "_lower_moebius_sum", counted)
+    sweep()
+    assert calls == []
+
+
+def test_the_constant_memo_keeps_no_group_alive():
+    # the memo lives on the lattice and holds index triples and fractions only
+    def build():
+        g = group_from_spec("dihedral:8")
+        lat = all_subgroups(g)
+        q = quotient(g, lat.subgroups[lat.normal[1]].members)
+        qlat = all_subgroups(q.group)
+        for group, sub in ((g, lat), (q.group, qlat)):
+            for n in sub.normal:
+                for s in sub.class_reps:
+                    deflation_constant(group, sub.subgroups[s].members, sub.subgroups[n].members)
+        assert lat._deflation_constants and qlat._deflation_constants
+        return [weakref.ref(x) for x in (g, lat, q.group, qlat)]
+
+    refs = build()
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 def test_universe_deflation_tests_match_the_member_set_oracle():

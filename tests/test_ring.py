@@ -368,6 +368,18 @@ def test_stored_form_is_lowest_terms_and_equals_per_term_arithmetic(spec, data):
         assert x == y and hash(x) == hash(y)
 
 
+def test_the_zero_is_built_once_per_table_and_stays_empty():
+    table = slice_classes(group_from_spec("dihedral:8"))
+    zero = table.zero()
+    assert table.zero() is zero
+    xs = table.idempotents()
+    x = xs[3].scaled(Fraction(2, 3)) + table.basis_element(1)
+    assert zero + x == x and x + zero == x
+    assert sum(xs, zero) == table.one()
+    assert (x - x).is_zero() and x - x == zero
+    assert zero.is_zero() and zero.denominator == 1 and zero.numerators == {}
+
+
 # The double-coset sums that the orbit sums replaced, kept as their oracle.
 
 
