@@ -370,14 +370,6 @@ class GroupEmbedding:
             maps["preimage"] = tuple(inverse)
         return maps["preimage"]
 
-    def preimage_index(self, i: int) -> int:
-        """Source-lattice index of the subgroup with target-lattice index
-        `i`, which must lie in the image."""
-        j = self.preimage_indices()[i]
-        if j < 0:
-            raise GroupError("subgroup is not inside the embedding's image")
-        return j
-
     def check(self) -> None:
         if len(set(self.images)) != self.source.order:
             raise GroupError("embedding is not injective")
@@ -630,6 +622,15 @@ class SubgroupLattice:
         # below[i] runs from the trivial subgroup up to i itself
         return tuple(
             i for i in self.normal[1:] if not any(j in normal for j in self.below[i][1:-1])
+        )
+
+    @cached_property
+    def cyclic(self) -> frozenset[int]:
+        """Indices of the cyclic subgroups: those that hold an element of
+        their own order."""
+        orders = self.group._element_orders()
+        return frozenset(
+            i for i, h in enumerate(self.subgroups) if any(orders[x] == len(h) for x in h.members)
         )
 
     def maximal_indices(self) -> tuple[int, ...]:

@@ -2,6 +2,11 @@
 over a bounded universe of p-groups, generated-ideal closures, dimensions,
 minimal groups, and the embedding of the ordinary Burnside ring.
 
+A family is a predicate on a slice given by lattice indices (t, s) of one
+subgroup lattice: J1 is t != s, and J2 reads the lattice's set of cyclic
+subgroups, `SubgroupLattice.cyclic`.  The class sweeps pass the indices of
+each class representative, so they build no member tuple.
+
 The closure moves are the functor moves, surjection preimages and
 nonzero-constant deflations, taken one minimal normal subgroup at a time
 and once per abstract slice; products with other groups are not a separate
@@ -37,7 +42,7 @@ from .groups import (
     quaternion_group,
     quotient,
 )
-from .constants import deflation_constant_at, is_cyclic_members
+from .constants import deflation_constant_at
 from .linalg import rational_rank
 from .ring import SliceClassTable, slice_classes
 
@@ -50,38 +55,32 @@ from .ring import SliceClassTable, slice_classes
 class SliceFamily:
     """An isomorphism-invariant family of abstract slices (T, S).
 
-    The predicate receives (parent_group, t_members, s_members); it must
-    only depend on the isomorphism class of the pair.
+    `membership(lattice, t, s)` decides the slice with lattice indices t
+    and s of one `SubgroupLattice`; it must only depend on the isomorphism
+    class of the pair.  Calling the family with member tuples is the one
+    boundary form: it finds both indices in the group's lattice, and a
+    tuple that is not a subgroup raises `GroupError`.
     """
 
     id: str
     membership: object
 
     def __call__(self, group: FiniteGroup, t_members, s_members) -> bool:
-        return bool(self.membership(group, t_members, s_members))
-
-
-def _j1(group, t_members, s_members):
-    return len(tuple(s_members)) != len(tuple(t_members))
-
-
-def _j2(group, t_members, s_members):
-    return not is_cyclic_members(group, tuple(sorted(set(s_members))))
+        lat = all_subgroups(group)
+        return bool(self.membership(lat, lat.index_of(t_members), lat.index_of(s_members)))
 
 
 FAMILIES: dict[str, SliceFamily] = {
-    "ZERO": SliceFamily("ZERO", lambda g, t, s: False),
-    "J1": SliceFamily("J1", _j1),
-    "J2": SliceFamily("J2", _j2),
-    "J3": SliceFamily("J3", lambda g, t, s: _j1(g, t, s) and _j2(g, t, s)),
-    "J4": SliceFamily("J4", lambda g, t, s: _j1(g, t, s) or _j2(g, t, s)),
-    "FULL": SliceFamily("FULL", lambda g, t, s: True),
+    "ZERO": SliceFamily("ZERO", lambda lat, t, s: False),
+    "J1": SliceFamily("J1", lambda lat, t, s: t != s),
+    "J2": SliceFamily("J2", lambda lat, t, s: s not in lat.cyclic),
+    "J3": SliceFamily("J3", lambda lat, t, s: t != s and s not in lat.cyclic),
+    "J4": SliceFamily("J4", lambda lat, t, s: t != s or s not in lat.cyclic),
+    "FULL": SliceFamily("FULL", lambda lat, t, s: True),
 }
 
 #: deliberately not an ideal family: closure under preimages fails
-BROKEN_CYCLIC_FAMILY = SliceFamily(
-    "S_CYCLIC", lambda g, t, s: is_cyclic_members(g, tuple(sorted(set(s))))
-)
+BROKEN_CYCLIC_FAMILY = SliceFamily("S_CYCLIC", lambda lat, t, s: s in lat.cyclic)
 
 
 def family_by_id(fid: str) -> SliceFamily:
@@ -99,12 +98,8 @@ def family_by_id(fid: str) -> SliceFamily:
 
 def member_classes(table: SliceClassTable, family: SliceFamily) -> list[int]:
     """Slice classes of the table's group that belong to the family."""
-    out = []
-    for cls in range(table.size):
-        big, small = table.rep_subgroups(cls)
-        if family(table.group, big.members, small.members):
-            out.append(cls)
-    return out
+    lat = table.lattice
+    return [cls for cls, (t, s) in enumerate(table.reps) if family.membership(lat, t, s)]
 
 
 def ideal_dimension(group: FiniteGroup, family: SliceFamily) -> int:
@@ -204,11 +199,8 @@ class GroupUniverse:
             return tuple(range(nclasses))
         # the least class of each orbit under the generators' class
         # permutations: classes ascend, so one not yet reached is the least
-        perms = [
-            [lat.class_of[lat.index_of(aut[x] for x in lat.subgroups[rep].members)]
-             for rep in lat.class_reps]
-            for aut in automorphism_generators(g)
-        ]
+        images = [GroupIsomorphism(g, g, aut).image_indices() for aut in automorphism_generators(g)]
+        perms = [[lat.class_of[image[rep]] for rep in lat.class_reps] for image in images]
         canon = [-1] * nclasses
         for cls in range(nclasses):
             if canon[cls] < 0:
@@ -345,9 +337,9 @@ class GroupUniverse:
             if g.order > max_order:
                 break
             lat = self.lattices[gi]
-            full = tuple(range(g.order))
+            top = len(lat.subgroups) - 1
             for cls, rep in enumerate(lat.class_reps):
-                member[gi, cls] = family(g, full, lat.subgroups[rep].members)
+                member[gi, cls] = bool(family.membership(lat, top, rep))
         return member
 
     def family_trace(self, family: SliceFamily, max_order: int) -> set[tuple[int, int]]:

@@ -101,8 +101,8 @@ class SliceClassTable:
         return _element(self, 1, {self._require_class(cls): 1})
 
     def one(self) -> "SliceRingElement":
-        full = tuple(range(self.group.order))
-        return self.basis_element(self.class_index(full, full))
+        top = len(self.lattice.subgroups) - 1
+        return self.basis_element(self.class_of[top, top])
 
     def element_from_pairs(self, pairs) -> "SliceRingElement":
         """Sum of basis classes for (t_members, s_members) pairs."""

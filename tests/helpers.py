@@ -1,14 +1,15 @@
 """Test-only constructions: small G-sets, the identity morphism, the
 disjoint union of two morphisms, a normality test by member sets, the
 inverse ghost map, a closed-form deflation constant, the order of Aut(G)
-from its stabiliser chain, and the member-set forms of the biset push and of
-the idempotent deflation scalar.  Each is an oracle or a fixture of the
-tests, with no caller in the library."""
+from its stabiliser chain, the member-tuple forms of the slice families, and
+the member-set forms of the biset push, of the embedding's inverse subgroup
+map and of the idempotent deflation scalar.  Each is an oracle or a fixture
+of the tests, with no caller in the library."""
 
 from fractions import Fraction
 from math import prod
 
-from sliceburnside.constants import deflation_constant_at
+from sliceburnside.constants import deflation_constant_at, is_cyclic_members
 from sliceburnside.groups import (
     GroupError,
     all_subgroups,
@@ -103,7 +104,7 @@ def member_map_image(table, out_table, member_map, cls):
 def subgroup_positions(emb):
     """{target-lattice index: source-lattice index} over the images of the
     source's subgroups, by member sets: the oracle of
-    `GroupEmbedding.preimage_index`."""
+    `GroupEmbedding.preimage_indices`."""
     lat = all_subgroups(emb.target)
     return {
         lat.index_of(emb.image_members(sub.members)): j
@@ -132,3 +133,25 @@ def two_product_idempotent_scalar(group, t_members, s_members, n_members):
         nt_s * ng_tnsn * (masks[t] & masks[n]).bit_count(), ng_ts * nt_sn * masks[n].bit_count()
     )
     return ratio * m_inner
+
+
+def _member_j1(group, t_members, s_members):
+    return len(tuple(s_members)) != len(tuple(t_members))
+
+
+def _member_j2(group, t_members, s_members):
+    return not is_cyclic_members(group, tuple(sorted(set(s_members))))
+
+
+#: the member-tuple predicates (group, t_members, s_members) that the
+#: lattice-index predicates of `ideals.FAMILIES` and `BROKEN_CYCLIC_FAMILY`
+#: replaced, keyed by family id
+MEMBER_FAMILIES = {
+    "ZERO": lambda g, t, s: False,
+    "J1": _member_j1,
+    "J2": _member_j2,
+    "J3": lambda g, t, s: _member_j1(g, t, s) and _member_j2(g, t, s),
+    "J4": lambda g, t, s: _member_j1(g, t, s) or _member_j2(g, t, s),
+    "FULL": lambda g, t, s: True,
+    "S_CYCLIC": lambda g, t, s: is_cyclic_members(g, tuple(sorted(set(s)))),
+}

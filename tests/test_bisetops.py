@@ -13,6 +13,7 @@ from sliceburnside.groups import (
     GroupError,
     GroupIsomorphism,
     all_subgroups,
+    automorphism_generators,
     automorphisms,
     cyclic_group,
     group_from_spec,
@@ -413,3 +414,45 @@ def test_operations_equal_the_per_term_extension(group, data):
         assert all(type(v) is Fraction and v != 0 for v in out.coeffs.values())
         # the oracle sums the G-set images one scaled term at a time
         assert verify.oracle_image(elem, witness, morphism_map, out_group) == out
+
+
+# D8, A4, S4, H27 x C3, C2^3 and M27
+DIAGONAL_SPECS = [
+    "dihedral:8",
+    "perm:(0 1 2),(0 1)(2 3)",
+    "perm:(0 1 2 3),(0 1)",
+    "heis:3 * cyclic:3",
+    "elab:2^3",
+    "mod:3",
+]
+
+
+@pytest.mark.parametrize("spec", DIAGONAL_SPECS)
+def test_the_five_operations_keep_the_diagonal_span(spec):
+    # the diagonal slices (S, S) span the embedded Burnside ring; each
+    # operation sends every one of them to a sum of diagonal classes, so
+    # that copy of KB is a subfunctor
+    g = group_from_spec(spec)
+    lat = all_subgroups(g)
+    moves = [
+        (bisetops.transport, GroupIsomorphism(g, g, aut), g) for aut in automorphism_generators(g)
+    ]
+    for h in lat.class_reps:
+        emb = subgroup_as_group(lat.subgroups[h])
+        moves += [(bisetops.restrict, emb, g), (bisetops.induce, emb, emb.source)]
+    for n in lat.normal:
+        q = quotient(g, lat.subgroups[n].members)
+        moves += [(bisetops.deflate, q, g), (bisetops.inflate, q, q.group)]
+    images = 0
+    for op, witness, source in moves:
+        table = slice_classes(source)
+        for cls, (t, s) in enumerate(table.reps):
+            if t != s:
+                continue
+            image = op(table.basis_element(cls), witness)
+            reps = image.table.reps
+            assert image.numerators and all(reps[c][0] == reps[c][1] for c in image.numerators), (
+                op.__name__, cls
+            )
+            images += 1
+    assert images > len(moves)

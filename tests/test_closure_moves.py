@@ -95,7 +95,7 @@ def test_condition_reports_are_pinned(prime, bound):
 
 
 def s_p_or_p3(p: int) -> SliceFamily:
-    return SliceFamily("S_P_OR_P3", lambda g, t, s: len(tuple(s)) in (p, p**3))
+    return SliceFamily("S_P_OR_P3", lambda lat, t, s: len(lat.subgroups[s]) in (p, p**3))
 
 
 def test_every_kind_of_violation_is_reported_and_pinned():

@@ -1,14 +1,20 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sliceburnside import verify
 from sliceburnside.constants import is_cyclic_members
 from sliceburnside.groups import (
     GroupError,
+    SubgroupLattice,
     all_subgroups,
     cyclic_group,
     elementary_abelian,
     group_from_spec,
     is_isomorphic,
     quaternion_group,
+    quotient,
+    subgroup_as_group,
 )
 from sliceburnside.ideals import (
     BROKEN_CYCLIC_FAMILY,
@@ -26,9 +32,11 @@ from sliceburnside.ideals import (
     member_classes,
     minimal_groups,
 )
-from sliceburnside.ring import slice_classes
+from sliceburnside.ring import SliceClassTable, slice_classes
 
+from helpers import MEMBER_FAMILIES
 from test_groups import reference_isomorphisms
+from test_marks import small_perm_groups
 
 
 def reference_canonical_map(universe, gi):
@@ -73,6 +81,81 @@ def test_family_membership_examples():
     assert FAMILIES["J4"](c9c3, tuple(range(27)), c9)
     assert FAMILIES["FULL"](c9c3, c9, c9)
     assert not FAMILIES["ZERO"](c9c3, c9, c9)
+
+
+def test_a_family_called_with_a_set_that_is_no_subgroup_raises():
+    e33 = elementary_abelian(3, 3)
+    with pytest.raises(GroupError, match="not a subgroup"):
+        FAMILIES["J1"](e33, tuple(range(27)), (0, 1))
+
+
+def assert_index_families_match_the_member_oracle(group):
+    """Every family's index predicate against its member-tuple form in
+    `helpers.MEMBER_FAMILIES` on every nested pair (t, s) of the group's
+    lattice, and `SubgroupLattice.cyclic` against `is_cyclic_members` on
+    every subgroup."""
+    lat = all_subgroups(group)
+    members = [h.members for h in lat.subgroups]
+    for i, m in enumerate(members):
+        assert (i in lat.cyclic) == is_cyclic_members(group, m), (group.label, i)
+    families = [*FAMILIES.values(), BROKEN_CYCLIC_FAMILY]
+    for t, down in enumerate(lat.below):
+        for s in down:
+            for fam in families:
+                want = MEMBER_FAMILIES[fam.id](group, members[t], members[s])
+                assert bool(fam.membership(lat, t, s)) == want, (group.label, fam.id, t, s)
+
+
+@pytest.mark.parametrize("prime,bound", [(2, 16), (2, 32), (3, 81)])
+def test_index_families_match_the_member_oracle_on_universe_lattices(prime, bound):
+    for g in GroupUniverse(prime, bound).groups:
+        assert_index_families_match_the_member_oracle(g)
+
+
+def test_index_families_match_the_member_oracle_on_the_verify_corpus():
+    for g in verify.corpus().groups:
+        assert_index_families_match_the_member_oracle(g)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group=small_perm_groups(), data=st.data())
+def test_index_families_match_the_member_oracle_on_derived_lattices(group, data):
+    lat = all_subgroups(group)
+    n = lat.subgroups[data.draw(st.sampled_from(lat.normal))]
+    h = lat.subgroups[data.draw(st.sampled_from(range(len(lat.subgroups))))]
+    assert_index_families_match_the_member_oracle(group)
+    assert_index_families_match_the_member_oracle(quotient(group, n.members).group)
+    assert_index_families_match_the_member_oracle(subgroup_as_group(h).source)
+
+
+def test_universe_builds_find_no_subgroup_by_its_members(monkeypatch):
+    calls = []
+    original = SubgroupLattice.index_of
+
+    def counted(self, members):
+        calls.append(self)
+        return original(self, members)
+
+    monkeypatch.setattr(SubgroupLattice, "index_of", counted)
+    for prime, bound in ((2, 16), (3, 81)):
+        GroupUniverse(prime, bound)
+        assert calls == [], (prime, bound)
+
+
+def test_member_classes_read_no_member_tuples(monkeypatch):
+    calls = []
+    original = SliceClassTable.rep_subgroups
+
+    def counted(self, cls):
+        calls.append(cls)
+        return original(self, cls)
+
+    monkeypatch.setattr(SliceClassTable, "rep_subgroups", counted)
+    for g in verify.corpus().groups:
+        table = slice_classes(g)
+        for fam in FAMILIES.values():
+            member_classes(table, fam)
+    assert calls == []
 
 
 def test_family_lookup():
@@ -129,7 +212,9 @@ def test_constructor_known_p_group_labels(p, bound):
 def test_family_sweeps_read_no_group_past_their_order():
     u = GroupUniverse(3, 81)
     seen = []
-    family = SliceFamily("SEEN", lambda g, t, s: seen.append(g.order) or len(s) > 1)
+    family = SliceFamily(
+        "SEEN", lambda lat, t, s: seen.append(lat.group.order) or len(lat.subgroups[s]) > 1
+    )
     trace = u.family_trace(family, max_order=27)
     assert max(seen) == 27
     assert trace == {
@@ -184,7 +269,7 @@ def test_broken_family_fails_with_preimage_witness():
 def test_family_that_names_an_element_fails_isomorphism_invariance():
     # whether S holds the element g1 depends on the labelling, not on (T, S)
     u = GroupUniverse(2, 8)
-    report = check_conditions(SliceFamily("HAS_G1", lambda g, t, s: 1 in s), u)
+    report = check_conditions(SliceFamily("HAS_G1", lambda lat, t, s: lat.masks[s] >> 1 & 1), u)
     assert not report.passed
     assert len(report.iso_violations) == 5
     assert report.iso_violations[0] == {

@@ -22,7 +22,7 @@ from sliceburnside.groups import (
 )
 from sliceburnside.ring import SliceRingElement, morphism_to_ring, slice_classes
 
-from helpers import from_mark_vector
+from helpers import from_mark_vector, subgroup_positions
 from test_bisetops import per_term_extend
 from test_marks import rational_coeffs, small_perm_groups
 
@@ -401,13 +401,14 @@ def double_coset_restriction(table, emb, cls):
     masks, index = lat.masks, lat._index
     t, s = table.reps[cls]
     h = masks[lat.index_of(emb.images)]
+    positions = subgroup_positions(emb)
     out_table = slice_classes(emb.source)
     out = {}
     for x in double_cosets(table.group, emb.images, lat.subgroups[s].members):
         row = lat.conj_table[x]
         c = out_table.class_of[
-            emb.preimage_index(index[h & masks[row[t]]]),
-            emb.preimage_index(index[h & masks[row[s]]]),
+            positions[index[h & masks[row[t]]]],
+            positions[index[h & masks[row[s]]]],
         ]
         out[c] = out.get(c, 0) + 1
     return out
