@@ -36,6 +36,7 @@ from .groups import (
 )
 from .ideals import (
     FAMILIES,
+    ConditionReport,
     GroupUniverse,
     bounded_closure,
     check_conditions,
@@ -117,6 +118,20 @@ def element_to_json(elem: SliceRingElement) -> dict:
     return {
         elem.table.label(c): fraction_str(q)
         for c, q in sorted(elem.coeffs.items())
+    }
+
+
+def report_to_json(report: ConditionReport) -> dict:
+    return {
+        "family": report.family_id,
+        "prime": report.prime,
+        "bound": report.bound,
+        "universe_bounded": True,
+        "slices_checked": report.slices_checked,
+        "passed": report.passed,
+        "preimage_violations": report.preimage_violations,
+        "deflation_violations": report.deflation_violations,
+        "iso_violations": report.iso_violations,
     }
 
 
@@ -294,7 +309,7 @@ def _cmd_check_family(args) -> int:
     for kind in ("preimage", "deflation", "iso"):
         for witness in getattr(report, f"{kind}_violations"):
             lines.append(f"  {kind} violation: {witness}")
-    return _emit(args, report.to_json(), lines, 0 if report.passed else 1)
+    return _emit(args, report_to_json(report), lines, 0 if report.passed else 1)
 
 
 def _cmd_verify(args) -> int:

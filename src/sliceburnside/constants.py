@@ -4,21 +4,19 @@ only zero test.  The kernel keeps each value it evaluates on that lattice, the
 library's one cache of deflation constants.  The supplement sum also has a
 Frattini-quotient form, which the verification suite checks against the
 direct one.
+
+Every decision here is made on lattice indices: each public entry reads its
+member tuples once (`index_of`, `_normal_index`), and the whole group is
+`SubgroupLattice.top`.  The p-group vanishing prediction reads cyclicity off
+`SubgroupLattice.cyclic` and products off `join`; the Frattini form maps S
+and N through the quotient's `image_indices`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .groups import (
-    FiniteGroup,
-    GroupError,
-    all_subgroups,
-    close_under_product,
-    frattini,
-    quotient,
-    set_product,
-)
+from .groups import FiniteGroup, GroupError, all_subgroups, frattini, quotient
 
 _ZERO = Fraction(0)
 
@@ -27,12 +25,7 @@ def supplement_moebius_sum(group: FiniteGroup, s_members, n_members) -> int:
     """Sum of moebius(V, G) over subgroups V containing S with V*N = G."""
     lat = all_subgroups(group)
     s, n = lat.index_of(s_members), lat.index_of(n_members)
-    return _supplement_sum(lat, s, n, _top(lat))
-
-
-def _top(lat) -> int:
-    # subgroups are sorted by order, so the whole group comes last
-    return len(lat.subgroups) - 1
+    return _supplement_sum(lat, s, n, lat.top)
 
 
 def _supplement_sum(lat, s: int, n: int, t: int) -> int:
@@ -65,7 +58,7 @@ def classical_deflation_constant(group: FiniteGroup, n_members) -> Fraction:
     lat = all_subgroups(group)
     n = _normal_index(lat, n_members)
     # with S = G the lower sum's condition U*N = S*N is U*N = G
-    return Fraction(_lower_moebius_sum(lat, _top(lat), n), group.order)
+    return Fraction(_lower_moebius_sum(lat, lat.top, n), group.order)
 
 
 def deflation_constant(group: FiniteGroup, s_members, n_members) -> Fraction:
@@ -78,7 +71,7 @@ def deflation_constant(group: FiniteGroup, s_members, n_members) -> Fraction:
     """
     lat = all_subgroups(group)
     n = _normal_index(lat, n_members)
-    return deflation_constant_at(lat, lat.index_of(s_members), n, _top(lat))
+    return deflation_constant_at(lat, lat.index_of(s_members), n, lat.top)
 
 
 def deflation_constant_at(lat, s: int, n: int, t: int) -> Fraction:
@@ -125,14 +118,15 @@ def _lower_moebius_sum(lat, s: int, n: int) -> int:
 def supplement_moebius_sum_frattini(group: FiniteGroup, s_members, n_members) -> int:
     """Supplement sum computed in the Frattini quotient (equal to the direct
     value because moebius(V, G) vanishes unless V contains the Frattini).
-    The quotient is built once and kept on the group."""
-    phi = frattini(group)
+    The quotient is built once and kept on the group; S and N go to it
+    through its subgroup-index map, since the image of S*Phi is that of S."""
+    lat = all_subgroups(group)
+    s, n = lat.index_of(s_members), lat.index_of(n_members)
     if group._frattini_quotient is None:
-        group._frattini_quotient = quotient(group, phi.members)
+        group._frattini_quotient = quotient(group, frattini(group).members)
     q = group._frattini_quotient
-    s_img = q.image_members(set_product(group, s_members, phi.members))
-    n_img = q.image_members(set_product(group, n_members, phi.members))
-    return supplement_moebius_sum(q.group, s_img, n_img)
+    img, qlat = q.image_indices(), all_subgroups(q.group)
+    return _supplement_sum(qlat, img[s], img[n], qlat.top)
 
 
 def deflation_idempotent_scalar(
@@ -204,7 +198,7 @@ def complement_count_formula_check(
     if n not in lat.minimal_normal:
         raise GroupError("needs a minimal normal subgroup")
     # subgroups are sorted by order, so the trivial one comes first
-    direct = deflation_constant_at(lat, 0, n, _top(lat))
+    direct = deflation_constant_at(lat, 0, n, lat.top)
     counted = Fraction(1 - complement_count(group, n_members), lat.masks[n].bit_count())
     return direct, counted
 
@@ -233,10 +227,10 @@ def is_t_slice(t_group: FiniteGroup, s_members) -> bool:
 def is_t_slice_of(group: FiniteGroup, t_members, s_members) -> bool:
     """The slice (T, S) kills every deflation mod a nontrivial normal subgroup
     X of T, read off G's lattice as the X != 1 below T with T <= N_G(X)."""
-    if not set(s_members) <= set(t_members):
-        raise GroupError("slice bottom must live inside the top group")
     lat = all_subgroups(group)
     t, s = lat.index_of(t_members), lat.index_of(s_members)
+    if not lat.contains_pair(s, t):
+        raise GroupError("slice bottom must live inside the top group")
     t_mask, nm = lat.masks[t], lat.normalizer_mask
     # subgroups are sorted by order, so below[t] starts with the trivial one
     return not any(
@@ -260,34 +254,21 @@ def is_p_group(group: FiniteGroup) -> tuple[bool, int]:
     return m == 1, p
 
 
-def is_cyclic_members(group: FiniteGroup, members) -> bool:
-    k = len(tuple(members))
-    return any(group.element_order(x) == k for x in members)
-
-
-def quotient_is_cyclic(group: FiniteGroup, s_members, k_members) -> bool:
-    """Whether S / K is cyclic, for K normal in S (tested via generation)."""
-    s_set = set(s_members)
-    k_list = list(k_members)
-    return any(
-        set(close_under_product(group, [x] + k_list)) == s_set
-        for x in s_members
-    )
-
-
 def deflation_vanishes_predicted(group: FiniteGroup, s_members, n_members) -> bool:
     """Vanishing prediction for p-groups: the constant for (G, S) mod N is
     zero exactly when S is noncyclic with cyclic image mod N, or the slice
-    is proper with S*N = G."""
+    is proper with S*N = G.  N must be normal."""
     ok, _ = is_p_group(group)
     if not ok:
         raise GroupError("the vanishing criterion is stated for p-groups")
-    s_members = tuple(sorted(set(s_members)))
-    s_cap_n = tuple(sorted(set(s_members) & set(n_members)))
-    s_noncyclic = not is_cyclic_members(group, s_members)
-    first = s_noncyclic and quotient_is_cyclic(group, s_members, s_cap_n)
-    sn = set_product(group, s_members, n_members)
-    second = len(s_members) != group.order and len(sn) == group.order
+    lat = all_subgroups(group)
+    s, n = lat.index_of(s_members), _normal_index(lat, n_members)
+    cyclic, s_cap_n = lat.cyclic, lat._index[lat.masks[s] & lat.masks[n]]
+    # S / (S & N) is cyclic exactly when a cyclic C <= S has C(S & N) = S
+    first = s not in cyclic and any(
+        c in cyclic and lat.join(c, s_cap_n) == s for c in lat.below[s]
+    )
+    second = s != lat.top and lat.join(s, n) == lat.top
     return first or second
 
 

@@ -492,6 +492,8 @@ class SubgroupLattice:
         source, group._lattice_source = group._lattice_source, None
         members = _enumerate_subgroups(group) if source is None else self._derive(*source)
         self.subgroups = [Subgroup(group, m) for m in members]
+        # sorted by order, so the whole group comes last
+        self.top = len(members) - 1
         masks = self.masks = [_mask_of(m) for m in members]
         self._index = {m: i for i, m in enumerate(masks)}
         if source is None:
@@ -634,11 +636,11 @@ class SubgroupLattice:
         )
 
     def maximal_indices(self) -> tuple[int, ...]:
-        full = len(self.subgroups) - 1
-        return tuple(i for i in range(full) if self.above[i] == (i, full))
+        top = self.top
+        return tuple(i for i in range(top) if self.above[i] == (i, top))
 
     def frattini_index(self) -> int:
-        mask = _mask_of(range(self.group.order))
+        mask = self.masks[self.top]
         for i in self.maximal_indices():
             mask &= self.masks[i]
         return self._index[mask]

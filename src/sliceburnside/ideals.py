@@ -305,7 +305,7 @@ class GroupUniverse:
         normal subgroup N of G = G_gi; a move exists where it is nonzero.
         The value is kept on G's lattice by `deflation_constant_at`."""
         lat = self.lattices[gi]
-        return deflation_constant_at(lat, lat.class_reps[cls], n_idx, len(lat.subgroups) - 1)
+        return deflation_constant_at(lat, lat.class_reps[cls], n_idx, lat.top)
 
     def surjection_sources(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
         """Canonical slices that surject onto each canonical slice by one
@@ -337,9 +337,8 @@ class GroupUniverse:
             if g.order > max_order:
                 break
             lat = self.lattices[gi]
-            top = len(lat.subgroups) - 1
             for cls, rep in enumerate(lat.class_reps):
-                member[gi, cls] = bool(family.membership(lat, top, rep))
+                member[gi, cls] = bool(family.membership(lat, lat.top, rep))
         return member
 
     def family_trace(self, family: SliceFamily, max_order: int) -> set[tuple[int, int]]:
@@ -371,19 +370,6 @@ class ConditionReport:
     @property
     def passed(self) -> bool:
         return not (self.preimage_violations or self.deflation_violations or self.iso_violations)
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family_id,
-            "prime": self.prime,
-            "bound": self.bound,
-            "universe_bounded": True,
-            "slices_checked": self.slices_checked,
-            "passed": self.passed,
-            "preimage_violations": self.preimage_violations,
-            "deflation_violations": self.deflation_violations,
-            "iso_violations": self.iso_violations,
-        }
 
 
 def check_conditions(family: SliceFamily, universe: GroupUniverse) -> ConditionReport:
@@ -551,9 +537,12 @@ def intersection_dimension(group: FiniteGroup, family: SliceFamily) -> int:
     """Dimension of the intersection of the embedded Burnside algebra with
     the family's ideal, computed in ghost coordinates: the ideal is the
     span of the member coordinate axes, so the intersection dimension is
-    the rank drop of the embedded basis restricted to non-member axes."""
+    the rank drop of the embedded basis restricted to non-member axes.
+    The embedded basis is independent, so its rank is its length: its marks
+    at the diagonal rows (T, T) are the ordinary Burnside marks, which are
+    triangular with a nonzero diagonal (`burnside_image_rank` checks it)."""
     table = slice_classes(group)
     full_rows = _embedded_columns(table)
     members = set(member_classes(table, family))
     restricted_rows = [{r: m for r, m in row.items() if r not in members} for row in full_rows]
-    return rational_rank(full_rows) - rational_rank(restricted_rows)
+    return len(full_rows) - rational_rank(restricted_rows)

@@ -101,7 +101,7 @@ class SliceClassTable:
         return _element(self, 1, {self._require_class(cls): 1})
 
     def one(self) -> "SliceRingElement":
-        top = len(self.lattice.subgroups) - 1
+        top = self.lattice.top
         return self.basis_element(self.class_of[top, top])
 
     def element_from_pairs(self, pairs) -> "SliceRingElement":

@@ -3,18 +3,21 @@ disjoint union of two morphisms, a normality test by member sets, the
 inverse ghost map, a closed-form deflation constant, the order of Aut(G)
 from its stabiliser chain, the member-tuple forms of the slice families, and
 the member-set forms of the biset push, of the embedding's inverse subgroup
-map and of the idempotent deflation scalar.  Each is an oracle or a fixture
-of the tests, with no caller in the library."""
+map, of the idempotent deflation scalar, of cyclicity and of the p-group
+vanishing prediction.  Each is an oracle or a fixture of the tests, with no
+caller in the library."""
 
 from fractions import Fraction
 from math import prod
 
-from sliceburnside.constants import deflation_constant_at, is_cyclic_members
+from sliceburnside.constants import deflation_constant_at, is_p_group
 from sliceburnside.groups import (
     GroupError,
     all_subgroups,
     automorphism_generators,
+    close_under_product,
     permutation_orbit,
+    set_product,
 )
 from sliceburnside.gsets import GSet, GSetMorphism
 
@@ -133,6 +136,40 @@ def two_product_idempotent_scalar(group, t_members, s_members, n_members):
         nt_s * ng_tnsn * (masks[t] & masks[n]).bit_count(), ng_ts * nt_sn * masks[n].bit_count()
     )
     return ratio * m_inner
+
+
+def is_cyclic_members(group, members):
+    """Whether the member set holds an element of its own order: the
+    member-set oracle of `SubgroupLattice.cyclic`."""
+    k = len(tuple(members))
+    return any(group.element_order(x) == k for x in members)
+
+
+def quotient_is_cyclic(group, s_members, k_members):
+    """Whether S / K is cyclic, for K normal in S: some x in S generates S
+    together with K."""
+    s_set = set(s_members)
+    k_list = list(k_members)
+    return any(
+        set(close_under_product(group, [x] + k_list)) == s_set
+        for x in s_members
+    )
+
+
+def member_deflation_vanishes_predicted(group, s_members, n_members):
+    """The p-group vanishing prediction by member sets (S noncyclic with
+    S / (S & N) cyclic, or S proper with S*N = G): the oracle of
+    `constants.deflation_vanishes_predicted`, which decides on indices."""
+    ok, _ = is_p_group(group)
+    if not ok:
+        raise GroupError("the vanishing criterion is stated for p-groups")
+    s_members = tuple(sorted(set(s_members)))
+    s_cap_n = tuple(sorted(set(s_members) & set(n_members)))
+    s_noncyclic = not is_cyclic_members(group, s_members)
+    first = s_noncyclic and quotient_is_cyclic(group, s_members, s_cap_n)
+    sn = set_product(group, s_members, n_members)
+    second = len(s_members) != group.order and len(sn) == group.order
+    return first or second
 
 
 def _member_j1(group, t_members, s_members):

@@ -43,7 +43,7 @@ def sha256(text: str) -> str:
 
 
 def report_digest(report) -> str:
-    return sha256(json.dumps(report.to_json(), sort_keys=True))
+    return sha256(json.dumps(cli.report_to_json(report), sort_keys=True))
 
 
 CLI_DIGESTS = {

@@ -36,10 +36,15 @@ from sliceburnside.groups import (
     set_product,
     subgroup_as_group,
 )
-from sliceburnside.ideals import GroupUniverse
+from sliceburnside.ideals import GroupUniverse, constructor_known_p_groups
 from sliceburnside.ring import slice_classes
 
-from helpers import elementary_abelian_classical_value, is_normal, two_product_idempotent_scalar
+from helpers import (
+    elementary_abelian_classical_value,
+    is_normal,
+    member_deflation_vanishes_predicted,
+    two_product_idempotent_scalar,
+)
 from test_marks import small_perm_groups
 
 P_GROUP_SPECS = ["cyclic:2", "cyclic:4", "cyclic:8", "elab:2^2", "elab:2^3",
@@ -267,6 +272,52 @@ def test_vanishing_criterion_matches_constant():
 def test_vanishing_criterion_rejects_non_p_groups():
     with pytest.raises(GroupError):
         deflation_vanishes_predicted(cyclic_group(6), (0,), (0, 3))
+
+
+def test_vanishing_criterion_rejects_a_non_normal_n_and_a_non_subgroup():
+    d8 = group_from_spec("dihedral:8")
+    lat = all_subgroups(d8)
+    reflection = next(
+        s.members for i, s in enumerate(lat.subgroups) if len(s) == 2 and i not in lat.normal
+    )
+    with pytest.raises(GroupError, match="deflation constant needs a normal subgroup"):
+        deflation_vanishes_predicted(d8, (d8.identity,), reflection)
+    r = next(x for x in d8.elements() if d8.element_order(x) == 4)
+    # {1, r} is no subgroup, as S and as N
+    with pytest.raises(GroupError, match="not a subgroup"):
+        deflation_vanishes_predicted(d8, (d8.identity, r), tuple(range(8)))
+    with pytest.raises(GroupError, match="not a subgroup"):
+        deflation_vanishes_predicted(d8, (d8.identity,), (d8.identity, r))
+
+
+def assert_vanishing_forms_match(p, bound):
+    """On every (class S, nontrivial normal N) of the constructor-known
+    p-groups up to the bound: the index-level vanishing prediction against
+    its member-set oracle and against a zero constant, and the Frattini form
+    of the supplement sum against the direct one.  Returns the pair count."""
+    pairs = 0
+    for g in constructor_known_p_groups(p, bound):
+        lat = all_subgroups(g)
+        members = [h.members for h in lat.subgroups]
+        for n in lat.normal[1:]:
+            n_members = members[n]
+            for s in lat.class_reps:
+                s_members, where = members[s], (g.label, s, n)
+                predicted = deflation_vanishes_predicted(g, s_members, n_members)
+                assert predicted == member_deflation_vanishes_predicted(
+                    g, s_members, n_members
+                ), where
+                assert predicted == (deflation_constant(g, s_members, n_members) == 0), where
+                assert supplement_moebius_sum_frattini(
+                    g, s_members, n_members
+                ) == supplement_moebius_sum(g, s_members, n_members), where
+                pairs += 1
+    return pairs
+
+
+@pytest.mark.parametrize("p, bound, pairs", [(2, 16, 6764), (3, 81, 51814)])
+def test_vanishing_prediction_and_frattini_form_match_the_member_set_oracle(p, bound, pairs):
+    assert assert_vanishing_forms_match(p, bound) == pairs
 
 
 @pytest.mark.parametrize("p, rank", [(p, rank) for p in (2, 3) for rank in (1, 2, 3, 4)])
@@ -658,7 +709,7 @@ def test_constants_build_no_member_sets(monkeypatch):
         raise AssertionError("a member-set product was built")
 
     monkeypatch.setattr(groups, "set_product", refuse)
-    monkeypatch.setattr(constants, "set_product", refuse)
+    assert not hasattr(constants, "set_product")
     g = group_from_spec("heis:3 * cyclic:3")
     lat = all_subgroups(g)
     scans = []
@@ -681,3 +732,9 @@ def test_constants_build_no_member_sets(monkeypatch):
         # one scan of the conjugation table per normalizer mask, each built once
         built = sum(m is not None for m in lat._normalizers)
         assert 0 < len(scans) == built <= len(lat.subgroups)
+
+
+def test_constants_binds_no_member_set_helper():
+    # every decision in `constants` is made on lattice indices
+    names = {"set_product", "close_under_product", "is_cyclic_members", "quotient_is_cyclic"}
+    assert not names & set(vars(constants))

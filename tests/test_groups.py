@@ -583,6 +583,14 @@ def test_derived_lattices_equal_enumeration_on_perm_groups(group):
     assert_derived_lattices_equal_enumeration(group)
 
 
+@pytest.mark.parametrize("spec", ["cyclic:1", *LATTICE_SPECS])
+def test_top_is_the_whole_group_on_enumerated_and_derived_lattices(spec):
+    g = group_from_spec(spec)
+    for group in [g, *derived_groups(g)]:
+        lat = all_subgroups(group)
+        assert lat.top == lat.index_of(range(group.order)), group.label
+
+
 def test_derived_lattices_make_no_closures(monkeypatch):
     # once the parent's lattice exists, quotients and subgroups read theirs
     # off it instead of enumerating

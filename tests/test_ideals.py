@@ -3,7 +3,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sliceburnside import verify
-from sliceburnside.constants import is_cyclic_members
+from sliceburnside.cli import report_to_json
 from sliceburnside.groups import (
     GroupError,
     SubgroupLattice,
@@ -34,7 +34,7 @@ from sliceburnside.ideals import (
 )
 from sliceburnside.ring import SliceClassTable, slice_classes
 
-from helpers import MEMBER_FAMILIES
+from helpers import MEMBER_FAMILIES, is_cyclic_members
 from test_groups import reference_isomorphisms
 from test_marks import small_perm_groups
 
@@ -249,7 +249,7 @@ def test_conditions_pass_for_ideal_families():
     u = GroupUniverse(2, 8)
     for fid in ("J1", "J2", "J3", "J4", "FULL", "ZERO"):
         report = check_conditions(FAMILIES[fid], u)
-        assert report.passed, (fid, report.to_json())
+        assert report.passed, (fid, report_to_json(report))
         assert report.slices_checked > 0
 
 
@@ -261,7 +261,7 @@ def test_broken_family_fails_with_preimage_witness():
     assert witnesses
     # a noncyclic whole-group slice surjects onto a cyclic one
     assert any("C2xC2" in w["source"] for w in witnesses)
-    payload = report.to_json()
+    payload = report_to_json(report)
     assert payload["universe_bounded"] is True
     assert payload["passed"] is False
 
