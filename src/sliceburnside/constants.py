@@ -247,7 +247,9 @@ def is_p_group(group: FiniteGroup) -> tuple[bool, int]:
     n = group.order
     if n == 1:
         return True, 0
-    p = min(d for d in range(2, n + 1) if n % d == 0)
+    p = 2
+    while n % p:
+        p += 1
     m = n
     while m % p == 0:
         m //= p
@@ -263,12 +265,15 @@ def deflation_vanishes_predicted(group: FiniteGroup, s_members, n_members) -> bo
         raise GroupError("the vanishing criterion is stated for p-groups")
     lat = all_subgroups(group)
     s, n = lat.index_of(s_members), _normal_index(lat, n_members)
-    cyclic, s_cap_n = lat.cyclic, lat._index[lat.masks[s] & lat.masks[n]]
-    # S / (S & N) is cyclic exactly when a cyclic C <= S has C(S & N) = S
+    cyclic, masks, mn = lat.cyclic, lat.masks, lat.masks[n]
+    s_order, sn_order = masks[s].bit_count(), (masks[s] & mn).bit_count()
+    # S / (S & N) is cyclic exactly when a cyclic C <= S has C(S & N) = S, that
+    # is |C| |S & N| = |S| |C & N|; S N = G exactly when |S| |N| = |G| |S & N|
     first = s not in cyclic and any(
-        c in cyclic and lat.join(c, s_cap_n) == s for c in lat.below[s]
+        c in cyclic and masks[c].bit_count() * sn_order == s_order * (masks[c] & mn).bit_count()
+        for c in lat.below[s]
     )
-    second = s != lat.top and lat.join(s, n) == lat.top
+    second = s != lat.top and s_order * mn.bit_count() == group.order * sn_order
     return first or second
 
 

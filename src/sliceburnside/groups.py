@@ -273,8 +273,8 @@ def slice_normalizer(group: FiniteGroup, t_members, s_members) -> tuple[int, ...
 
 def double_cosets(group: FiniteGroup, a_members, b_members) -> tuple[int, ...]:
     """Representatives of the double cosets A\\G/B, smallest element first.
-    An element sweep kept only as the oracle for the orbit sums of
-    `SliceClassTable.basis_mul` and of restriction."""
+    An element sweep kept only as the oracle for the orbit sums of the
+    tests' basis product and of restriction."""
     n = group.order
     seen = bytearray(n)
     reps = []

@@ -1,17 +1,16 @@
 """The slice Burnside ring of a finite group, over exact rationals.
 
-The ring is free on conjugacy classes of slices (T, S) with S <= T <= G;
-the class of (T, S) is realised by the coset projection G/S -> G/T.  Marks
-are computed in closed form from the subgroup lattice and stored only as
-sparse columns; the dense mark matrix is built on request.  Basis products
-and restrictions are integer sums over the conjugate pairs of a class, which
-the table keeps as `orbits`, through one kernel `orbit_sum`, with no
-double-coset sweep.  `projection` (the `gsets.canonical_projection` of a
+The ring is free on conjugacy classes of slices (T, S) with S <= T <= G; the
+class of (T, S) is realised by the coset projection G/S -> G/T.  Marks are
+computed in closed form from the subgroup lattice and kept only as sparse
+columns.  The primitive idempotents xi_r are the dual basis of the mark rows
+(Bouc), so x*y = sum_r m_r(x) m_r(y) xi_r and no product is stored.
+Restriction sums over the conjugate pairs of a class (`orbits`) in one
+kernel `orbit_sum`.  `projection` (the `gsets.canonical_projection` of a
 class representative, kept per class) and `morphism_to_ring` only feed the
-G-set oracles of `verify`.  An element stores integer numerators over one
-common denominator, and marks and the `coeffs` view are
-`fractions.Fraction`s; nothing here ever touches floats, and a coefficient
-or scalar that is not a `numbers.Rational` is refused.
+G-set oracles of `verify`.  Elements store integer numerators over one
+common denominator; marks and `coeffs` are `fractions.Fraction`s, never
+floats; a coefficient or scalar that is not a `numbers.Rational` is refused.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ class SliceClassTable:
         self.size = len(reps)
         self._projections: dict[int, gsets.GSetMorphism] = {}
         self._mark_columns: list[dict[int, int]] | None = None
-        self._basis_products: dict[tuple[int, int], dict[int, int]] = {}
         self._idempotents: list[SliceRingElement | None] = [None] * len(reps)
         # elements are immutable, so one zero serves every caller
         self._zero = _element(self, 1, {})
@@ -165,7 +163,7 @@ class SliceClassTable:
                 matrix[r][c] = m
         return matrix
 
-    # -- multiplication --------------------------------------------------------
+    # -- restriction and products ----------------------------------------------
 
     def orbit_sum(self, t: int, s: int, j: int, key) -> dict[int, int]:
         """The sum over the conjugate pairs (T', S') of class j of
@@ -194,16 +192,11 @@ class SliceClassTable:
         return out
 
     def basis_mul(self, i: int, j: int) -> dict[int, int]:
-        """Product of two basis classes as a class -> multiplicity map: the
-        orbit sum of class j with (T_i, S_i) keyed by this table's classes."""
-        hit = self._basis_products.get((i, j))
-        if hit is None:
-            class_of = self.class_of
-            ti, si = self.reps[self._require_class(i)]
-            hit = self._basis_products[(i, j)] = self.orbit_sum(
-                ti, si, self._require_class(j), lambda t, s: class_of[t, s]
-            )
-        return hit
+        """e_i * e_j as a {class: multiplicity} dict; a fraction is a bug and raises."""
+        prod = self.basis_element(i) * self.basis_element(j)
+        if prod.denominator != 1:
+            raise GroupError("basis product is not a whole multiplicity; ghost product bug")
+        return prod.numerators
 
     # -- idempotents -------------------------------------------------------------
 
@@ -288,15 +281,18 @@ class SliceRingElement:
         return _element(self.table, self.denominator * s.denominator, nums)
 
     def __mul__(self, other: "SliceRingElement") -> "SliceRingElement":
+        """sum_r m_r(x) m_r(y) xi_r; each xi_r's denominator divides |G|."""
         self._require_same_table(other)
+        table, order = self.table, self.table.group.order
+        xs = self._marks()
         acc: dict[int, int] = {}
-        mul = self.table.basis_mul
-        for ca, na in self.numerators.items():
-            for cb, nb in other.numerators.items():
-                w = na * nb
-                for c, m in mul(ca, cb).items():
-                    acc[c] = acc.get(c, 0) + w * m
-        return _element(self.table, self.denominator * other.denominator, acc)
+        for r, y in other._marks(xs.keys()).items():
+            if w := xs[r] * y:
+                xi = table.idempotent(r)
+                w *= order // xi.denominator
+                for c, n in xi.numerators.items():
+                    acc[c] = acc.get(c, 0) + w * n
+        return _element(table, self.denominator * other.denominator * order, acc)
 
     def linear_image(self, out_table: SliceClassTable, basis_images) -> "SliceRingElement":
         """The image under the linear map that sends each class c of the support
@@ -321,20 +317,24 @@ class SliceRingElement:
     def is_zero(self) -> bool:
         return not self.numerators
 
-    def mark(self, cls: int) -> Fraction:
-        self.table._require_class(cls)
+    def _marks(self, rows=None) -> dict[int, int]:
+        """Integer mark numerators over `denominator`, only at `rows` if given."""
         columns = self.table.mark_columns()
-        total = sum(n * columns[c].get(cls, 0) for c, n in self.numerators.items())
-        return Fraction(total, self.denominator)
+        acc: dict[int, int] = {}
+        for c, n in self.numerators.items():
+            column = columns[c]
+            for r in column if rows is None else column.keys() & rows:
+                acc[r] = acc.get(r, 0) + n * column[r]
+        return acc
+
+    def mark(self, cls: int) -> Fraction:
+        return Fraction(self._marks({self.table._require_class(cls)}).get(cls, 0), self.denominator)
 
     def mark_vector(self) -> tuple[Fraction, ...]:
-        columns = self.table.mark_columns()
-        acc = [0] * self.table.size
-        for c, n in self.numerators.items():
-            for r, m in columns[c].items():
-                acc[r] += n * m
-        den = self.denominator
-        return tuple(Fraction(v, den) if v else _ZERO for v in acc)
+        vector, den = [_ZERO] * self.table.size, self.denominator
+        for r, v in self._marks().items():
+            vector[r] = Fraction(v, den) if v else _ZERO
+        return tuple(vector)
 
     def __repr__(self) -> str:
         coeffs = self.coeffs

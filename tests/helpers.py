@@ -1,11 +1,11 @@
-"""Test-only constructions: small G-sets, the identity morphism, the
-disjoint union of two morphisms, a normality test by member sets, the
-inverse ghost map, a closed-form deflation constant, the order of Aut(G)
-from its stabiliser chain, the member-tuple forms of the slice families, and
-the member-set forms of the biset push, of the embedding's inverse subgroup
-map, of the idempotent deflation scalar, of cyclicity and of the p-group
-vanishing prediction.  Each is an oracle or a fixture of the tests, with no
-caller in the library."""
+"""Test-only constructions: small G-sets, the identity morphism, the disjoint
+union of two morphisms, a normality test by member sets, the inverse ghost
+map, a closed-form deflation constant, the order of Aut(G) from its
+stabiliser chain, the member-tuple forms of the slice families, and the
+member-set forms of the biset push, of the embedding's inverse subgroup map,
+of the idempotent deflation scalar, of cyclicity and of the p-group
+vanishing prediction, and the orbit-sum basis product.  Each is an oracle or
+a fixture of the tests, with no caller in the library."""
 
 from fractions import Fraction
 from math import prod
@@ -102,6 +102,15 @@ def member_map_image(table, out_table, member_map, cls):
     the subgroup-index maps that `bisetops` reads instead."""
     big, small = table.rep_subgroups(cls)
     return {out_table.class_index(member_map(big.members), member_map(small.members)): 1}
+
+
+def orbit_basis_product(table, i, j):
+    """The product of basis classes i and j as a {class: multiplicity} dict:
+    the orbit sum of class j with (T_i, S_i), keyed by the table's classes.
+    The oracle of the ghost-coordinate product of `SliceRingElement`."""
+    class_of = table.class_of
+    ti, si = table.reps[table._require_class(i)]
+    return table.orbit_sum(ti, si, table._require_class(j), lambda t, s: class_of[t, s])
 
 
 def subgroup_positions(emb):

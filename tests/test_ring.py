@@ -22,7 +22,7 @@ from sliceburnside.groups import (
 )
 from sliceburnside.ring import SliceRingElement, morphism_to_ring, slice_classes
 
-from helpers import from_mark_vector, subgroup_positions
+from helpers import from_mark_vector, orbit_basis_product, subgroup_positions
 from test_bisetops import per_term_extend
 from test_marks import rational_coeffs, small_perm_groups
 
@@ -329,7 +329,7 @@ def per_term_product(a, b):
     acc = {}
     for ca, qa in a.coeffs.items():
         for cb, qb in b.coeffs.items():
-            for c, m in a.table.basis_mul(ca, cb).items():
+            for c, m in orbit_basis_product(a.table, ca, cb).items():
                 acc[c] = acc.get(c, 0) + qa * qb * m
     return {c: q for c, q in acc.items() if q != 0}
 
@@ -416,7 +416,10 @@ def double_coset_restriction(table, emb, cls):
 
 def assert_orbit_sums_match_double_cosets(table, pairs, restrictions):
     for i, j in pairs:
-        assert table.basis_mul(i, j) == double_coset_product(table, i, j)
+        expected = double_coset_product(table, i, j)
+        assert orbit_basis_product(table, i, j) == expected
+        # the ghost-coordinate product against the orbit sums it replaced
+        assert table.basis_mul(i, j) == expected
     for emb, cls in restrictions:
         image = bisetops.restrict(table.basis_element(cls), emb)
         assert image.denominator == 1
@@ -488,7 +491,58 @@ def test_class_indices_outside_the_table_are_rejected():
             table.basis_mul(bad, 2)
         with pytest.raises(GroupError):
             table.basis_mul(0, bad)
-    # a rejected product leaves no cache entry behind
-    assert all(i in range(6) and j in range(6) for i, j in table._basis_products)
+    # the table keeps no product cache
+    assert not any("product" in name for name in vars(table))
     assert (elem * elem).numerators.keys() == {5}
     assert [elem.mark(r) for r in range(table.size)] == list(elem.mark_vector())
+
+
+CORPUS_UP_TO_16 = [g for g in verify.corpus().groups if g.order <= 16]
+
+
+@pytest.mark.parametrize("idx", range(len(CORPUS_UP_TO_16)), ids=[g.label for g in CORPUS_UP_TO_16])
+def test_ghost_product_equals_the_orbit_product_on_every_corpus_basis_pair(idx):
+    table = slice_classes(CORPUS_UP_TO_16[idx])
+    for i in range(table.size):
+        for j in range(table.size):
+            assert table.basis_mul(i, j) == orbit_basis_product(table, i, j), (i, j)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group=small_perm_groups(), data=st.data())
+def test_ghost_product_equals_the_per_term_orbit_product_on_small_groups(group, data):
+    table = slice_classes(group)
+    x, y = (SliceRingElement(table, data.draw(rational_coeffs(table.size))) for _ in range(2))
+    product = x * y
+    assert product.coeffs == per_term_product(x, y)
+    assert_lowest_terms(product)
+
+
+def test_products_never_read_the_orbit_sums(monkeypatch):
+    spec = "dihedral:8"
+    oracle = slice_classes(group_from_spec(spec))
+    pairs = [(i, j) for i in range(oracle.size) for j in range(oracle.size)]
+    expected = {(i, j): orbit_basis_product(oracle, i, j) for i, j in pairs}
+    x = SliceRingElement(oracle, {0: Fraction(-3, 4), 7: 2, oracle.size - 1: Fraction(5, 6)})
+    y = oracle.idempotent(5) + oracle.basis_element(9).scaled(Fraction(1, 3))
+    x_times_y = per_term_product(x, y)
+
+    def refuse(*args):
+        raise AssertionError("a product read an orbit sum")
+
+    monkeypatch.setattr(ring.SliceClassTable, "orbit_sum", refuse)
+    # a fresh group builds its table, marks and idempotents with the kernel refused
+    table = slice_classes(group_from_spec(spec))
+    assert table is not oracle and table.reps == oracle.reps
+    for i, j in pairs:
+        assert table.basis_mul(i, j) == expected[i, j], (i, j)
+    x, y = SliceRingElement(table, x.coeffs), SliceRingElement(table, y.coeffs)
+    assert (x * y).coeffs == x_times_y
+
+
+def test_a_fractional_basis_product_is_refused(monkeypatch):
+    table = slice_classes(group_from_spec("cyclic:4"))
+    assert table.basis_mul(1, 2) == orbit_basis_product(table, 1, 2)
+    monkeypatch.setattr(SliceRingElement, "__mul__", lambda x, y: x.scaled(Fraction(1, 2)))
+    with pytest.raises(GroupError, match="not a whole multiplicity"):
+        table.basis_mul(1, 2)
