@@ -8,8 +8,10 @@ direct one.
 Every decision here is made on lattice indices: each public entry reads its
 member tuples once (`index_of`, `_normal_index`), and the whole group is
 `SubgroupLattice.top`.  The p-group vanishing prediction reads cyclicity off
-`SubgroupLattice.cyclic` and products off `join`; the Frattini form maps S
-and N through the quotient's `image_indices`.
+`SubgroupLattice.cyclic` and decides both products by order tests on masks:
+S / (S & N) is cyclic when a cyclic C <= S has |C| |S & N| = |S| |C & N|,
+and S N = G when |S| |N| = |G| |S & N|.  The Frattini form maps S and N
+through the quotient's `image_indices`.
 """
 
 from __future__ import annotations

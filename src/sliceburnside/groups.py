@@ -256,19 +256,20 @@ def set_product(group: FiniteGroup, a_members, b_members) -> tuple[int, ...]:
 
 
 def normalizer(group: FiniteGroup, members) -> Subgroup:
-    """N_G(H), read from the lattice's normalizer mask.  Raises
-    `GroupError` when `members` is not a subgroup."""
+    """N_G(H): the lattice's own record of the subgroup whose mask is H's
+    normalizer mask.  Raises `GroupError` when `members` is not a subgroup."""
     lat = all_subgroups(group)
-    return Subgroup(group, _members_of(lat.normalizer_mask(lat.index_of(members))))
+    return lat.subgroups[lat._index[lat.normalizer_mask(lat.index_of(members))]]
 
 
 def slice_normalizer(group: FiniteGroup, t_members, s_members) -> tuple[int, ...]:
-    """Elements normalizing both subgroups simultaneously, read from the
-    lattice's normalizer masks.  Raises `GroupError` when either member set
-    is not a subgroup."""
+    """Elements normalizing both subgroups simultaneously: the members of
+    the lattice's record of N_G(T) & N_G(S), itself a subgroup.  Raises
+    `GroupError` when either member set is not a subgroup."""
     lat = all_subgroups(group)
     nm = lat.normalizer_mask
-    return _members_of(nm(lat.index_of(t_members)) & nm(lat.index_of(s_members)))
+    both = nm(lat.index_of(t_members)) & nm(lat.index_of(s_members))
+    return lat.subgroups[lat._index[both]].members
 
 
 def double_cosets(group: FiniteGroup, a_members, b_members) -> tuple[int, ...]:
@@ -321,12 +322,12 @@ def _cache_field():
 def _index_map(witness, key: str, member_map, source, target) -> tuple[int, ...]:
     """The witness's subgroup-index map `key`, built on first use: for each
     subgroup of `source`, by lattice index, the `target` lattice index of
-    its `member_map` image."""
+    its `member_map` image, a sorted member tuple of the target lattice."""
     hit = witness.index_maps.get(key)
     if hit is None:
-        index = all_subgroups(target)._index
+        index = all_subgroups(target)._member_index
         subs = all_subgroups(source).subgroups
-        hit = witness.index_maps[key] = tuple(index[_mask_of(member_map(h.members))] for h in subs)
+        hit = witness.index_maps[key] = tuple(index[member_map(h.members)] for h in subs)
     return hit
 
 
@@ -345,7 +346,7 @@ class GroupEmbedding:
         return self.images[x]
 
     def image_members(self, members) -> tuple[int, ...]:
-        return tuple(sorted(self.images[x] for x in members))
+        return tuple(sorted(map(self.images.__getitem__, members)))
 
     def preimage_members(self, members) -> tuple[int, ...]:
         """Sorted source indices of the members that lie in the image."""
@@ -395,7 +396,7 @@ class GroupQuotient:
     index_maps: dict = _cache_field()
 
     def image_members(self, members) -> tuple[int, ...]:
-        return tuple(sorted(set(self.projection[x] for x in members)))
+        return tuple(sorted(set(map(self.projection.__getitem__, members))))
 
     def preimage_members(self, members) -> tuple[int, ...]:
         wanted = set(members)
@@ -457,22 +458,21 @@ def quotient(group: FiniteGroup, n_members) -> GroupQuotient:
 
 def subgroup_as_group(sub: Subgroup) -> GroupEmbedding:
     """The subgroup as a standalone group, with its inclusion embedding.
-    Cached on the parent group; its lattice is read off the subgroups of the
-    parent below H."""
+    Cached on the parent group by lattice index; its lattice is read off the
+    subgroups of the parent below H."""
     cache = sub.parent._subgroup_groups
-    mask = sub.mask
-    hit = cache.get(mask)
+    lat = all_subgroups(sub.parent)
+    h_idx = lat.index_of(sub.members)
+    hit = cache.get(h_idx)
     if hit is not None:
         return hit
-    lat = all_subgroups(sub.parent)
-    mem = sub.members
-    h_idx = lat.index_of(mem)
+    mem = lat.subgroups[h_idx].members
     pos = {x: i for i, x in enumerate(mem)}
     table = [[pos[sub.parent.mul(a, b)] for b in mem] for a in mem]
     h = FiniteGroup(table, label=f"{sub.parent.label}|{len(mem)}")
     h._lattice_source = (lat, lat.below[h_idx], mem)
     emb = GroupEmbedding(h, sub.parent, mem)
-    cache[mask] = emb
+    cache[h_idx] = emb
     return emb
 
 
@@ -496,6 +496,7 @@ class SubgroupLattice:
         self.top = len(members) - 1
         masks = self.masks = [_mask_of(m) for m in members]
         self._index = {m: i for i, m in enumerate(masks)}
+        self._member_index = {m: i for i, m in enumerate(members)}
         if source is None:
             # sorted by order, so every subgroup of i has an index <= i
             self.below = [
@@ -574,11 +575,17 @@ class SubgroupLattice:
     # -- queries -----------------------------------------------------------
 
     def index_of(self, members) -> int:
-        m = _mask_of(members)
-        try:
-            return self._index[m]
-        except KeyError:
-            raise GroupError("not a subgroup of this group") from None
+        """The index of the subgroup with these members, by one lookup of
+        its sorted member tuple: `members` itself when it is the lattice's
+        own tuple, else sorted from it.  Raises `GroupError` when they are
+        not a subgroup, a member outside the group included."""
+        index = self._member_index
+        i = index.get(members) if type(members) is tuple else None
+        if i is None:
+            i = index.get(tuple(sorted(set(members))))
+            if i is None:
+                raise GroupError("not a subgroup of this group")
+        return i
 
     def contains_pair(self, i: int, j: int) -> bool:
         """True when subgroup i is contained in subgroup j."""

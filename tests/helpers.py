@@ -1,8 +1,10 @@
 """Test-only constructions: small G-sets, the identity morphism, the disjoint
 union of two morphisms, a normality test by member sets, the inverse ghost
 map, a closed-form deflation constant, the order of Aut(G) from its
-stabiliser chain, the member-tuple forms of the slice families, and the
-member-set forms of the biset push, of the embedding's inverse subgroup map,
+stabiliser chain, the member-tuple forms of the slice families, the
+one-element-at-a-time mask lookup and the bit-scan normalizers that the
+lattice's member-tuple index and own records replaced, and the member-set
+forms of the biset push, of the embedding's inverse subgroup map,
 of the idempotent deflation scalar, of cyclicity and of the p-group
 vanishing prediction, and the orbit-sum basis product.  Each is an oracle or
 a fixture of the tests, with no caller in the library."""
@@ -13,6 +15,9 @@ from math import prod
 from sliceburnside.constants import deflation_constant_at, is_p_group
 from sliceburnside.groups import (
     GroupError,
+    Subgroup,
+    _mask_of,
+    _members_of,
     all_subgroups,
     automorphism_generators,
     close_under_product,
@@ -111,6 +116,28 @@ def orbit_basis_product(table, i, j):
     class_of = table.class_of
     ti, si = table.reps[table._require_class(i)]
     return table.orbit_sum(ti, si, table._require_class(j), lambda t, s: class_of[t, s])
+
+
+def mask_loop_index(lat, members):
+    """The lattice index of a subgroup's member set by its bitmask, built one
+    element at a time: the oracle of `SubgroupLattice.index_of`."""
+    return lat._index[_mask_of(members)]
+
+
+def bit_scan_normalizer(group, members):
+    """N_G(H) as a new `Subgroup` read off the normalizer mask by a bit
+    scan: the oracle of `groups.normalizer`."""
+    lat = all_subgroups(group)
+    return Subgroup(group, _members_of(lat.normalizer_mask(mask_loop_index(lat, members))))
+
+
+def bit_scan_slice_normalizer(group, t_members, s_members):
+    """N_G(T) & N_G(S) by a bit scan of the meet of the normalizer masks:
+    the oracle of `groups.slice_normalizer`."""
+    lat = all_subgroups(group)
+    nm = lat.normalizer_mask
+    t, s = mask_loop_index(lat, t_members), mask_loop_index(lat, s_members)
+    return _members_of(nm(t) & nm(s))
 
 
 def subgroup_positions(emb):

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import shlex
 import time
 from pathlib import Path
@@ -488,10 +489,12 @@ def test_cli_output_is_pinned(fmt, argv, capsys):
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == CLI_DIGESTS[fmt, argv]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_commands():
     """The `sliceburnside ...` lines of the README; `verify` runs in CI as is."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    lines = [line.strip() for line in readme.read_text(encoding="utf-8").splitlines()]
+    lines = [line.strip() for line in README.read_text(encoding="utf-8").splitlines()]
     argvs = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("sliceburnside ")]
     return [argv for argv in argvs if argv[0] != "verify"]
 
@@ -503,3 +506,12 @@ def test_readme_command_runs(capsys, argv):
     code, out, err = run_cli(capsys, "--format", "json", *argv)
     assert code == 0, err
     json.loads(out)
+
+
+def test_readme_python_blocks_run():
+    # each fenced python block of the README runs on its own, asserts included
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

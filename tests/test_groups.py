@@ -173,23 +173,24 @@ def test_subgroup_counts(spec, count):
     assert len(all_subgroups(g).subgroups) == count
 
 
-def count_members_of(monkeypatch) -> list:
-    """Patch `groups._members_of` to record each call in the returned list."""
+def count_calls(monkeypatch, name: str) -> list:
+    """Patch the one-argument `groups.<name>` (`_members_of`, `_mask_of`) to
+    record each call's argument in the returned list."""
     calls = []
-    members_of = groups._members_of
+    original = getattr(groups, name)
 
-    def counted(mask):
-        calls.append(mask)
-        return members_of(mask)
+    def counted(arg):
+        calls.append(arg)
+        return original(arg)
 
-    monkeypatch.setattr(groups, "_members_of", counted)
+    monkeypatch.setattr(groups, name, counted)
     return calls
 
 
 def test_subgroup_count_of_c3_to_the_fifth(monkeypatch):
     # enumeration only; the whole lattice of its 2664 subgroups runs in CI
     g = group_from_spec("elab:3^5")
-    calls = count_members_of(monkeypatch)
+    calls = count_calls(monkeypatch, "_members_of")
     assert len(groups._enumerate_subgroups(g)) == 2664
     # each subgroup's member tuple is read off its mask once
     assert len(calls) == 2664
@@ -200,7 +201,7 @@ def test_lattice_builds_read_each_member_tuple_once(monkeypatch, spec):
     # enumerated: one `_members_of` per subgroup; derived (a quotient and a
     # subgroup): none, the member tuples come from the parent's masks
     g = group_from_spec(spec)
-    calls = count_members_of(monkeypatch)
+    calls = count_calls(monkeypatch, "_members_of")
     lat = all_subgroups(g)
     assert len(calls) == len(set(calls)) == len(lat.subgroups)
     assert lat.masks == [s.mask for s in lat.subgroups]
