@@ -11,13 +11,16 @@ extending a prefix of images; `automorphism_generators` runs it along a
 stabiliser chain on each call, and `automorphisms` is the closure of what it
 finds, kept for the tests and the benchmark.
 
-A subgroup lattice grows from the cyclic subgroups by one cyclic extension a
-round; sorted by order, it reads containment and the maximal subgroups off
-that order.  The lattice of a group made by `quotient` or
-`subgroup_as_group` is instead read off its parent's lattice: the subgroups
-above N, or below H, with their containment and conjugation rows.  Either
-way, the Moebius function is filled one column per subgroup, and the tuple
-of minimal normal subgroups once, on first use.
+A subgroup lattice grows from the cyclic subgroups, walked as powers, by one
+cyclic extension a round; sorted by order, it reads containment and the
+maximal subgroups off that order.  When |G| = p^a q^b, G is solvable
+(Burnside), so every subgroup is reached through a series whose steps are
+normalizing cyclic extensions, and only those are tried (Neubueser).  The
+lattice of a group made by `quotient` or `subgroup_as_group` is instead read
+off its parent's lattice: the subgroups above N, or below H, with their
+containment and conjugation rows.  Either way, the Moebius function is
+filled one column per subgroup, and the tuple of minimal normal subgroups
+once, on first use.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import takewhile
-from math import lcm
+from math import gcd, lcm
 
 DEFAULT_ORDER_CAP = 256
 
@@ -51,12 +54,12 @@ class FiniteGroup:
     """
 
     def __init__(self, mul_table, label: str = "G"):
-        table = tuple(tuple(int(x) for x in row) for row in mul_table)
+        table = tuple(tuple(map(int, row)) for row in mul_table)
         n = len(table)
         if n == 0:
             raise GroupError("group must have at least one element")
         for row in table:
-            if len(row) != n or any(x < 0 or x >= n for x in row):
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise GroupError("multiplication table is not square over 0..n-1")
         self.order = n
         self.label = label
@@ -77,25 +80,22 @@ class FiniteGroup:
         self._frattini_quotient: GroupQuotient | None = None
 
     def _find_identity(self) -> int:
-        n = self.order
-        for e in range(n):
-            row = self._mul[e]
-            if all(row[x] == x for x in range(n)) and all(
-                self._mul[x][e] == x for x in range(n)
-            ):
+        m = self._mul
+        ident = tuple(range(self.order))
+        for e, row in enumerate(m):
+            if row == ident and all(r[e] == x for x, r in enumerate(m)):
                 return e
         raise GroupError("table has no two-sided identity")
 
     def _find_inverses(self) -> tuple[int, ...]:
-        n, e = self.order, self.identity
-        inv = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if self._mul[x][y] == e and self._mul[y][x] == e:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
+        # in a group each row holds the identity once, at the inverse
+        m, e = self._mul, self.identity
+        inv = []
+        for x, row in enumerate(m):
+            y = row.index(e) if e in row else None
+            if y is None or m[y][x] != e:
                 raise GroupError(f"element {x} has no two-sided inverse")
+            inv.append(y)
         return tuple(inv)
 
     def mul(self, a: int, b: int) -> int:
@@ -221,10 +221,6 @@ class Subgroup:
     def from_members(parent: FiniteGroup, members) -> "Subgroup":
         ms = tuple(sorted(set(int(x) for x in members)))
         return Subgroup(parent, ms)
-
-    @property
-    def mask(self) -> int:
-        return _mask_of(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -670,28 +666,65 @@ def _extend_mask(group: FiniteGroup, a_members, gens) -> int:
 
 
 def _enumerate_subgroups(group: FiniteGroup) -> list[tuple[int, ...]]:
-    # the cyclic subgroups, then each subgroup A of the last round extended by
-    # every <x> it does not contain, skipping an x in an extension of prime
-    # index over A already found: <A, x> is that extension (Lagrange); each
-    # subgroup is extended in exactly one round, so its members are read once
-    found: dict[int, tuple[int, ...]] = {1 << group.identity: ()}
-    for x in range(group.order):
-        found.setdefault(_extend_mask(group, (group.identity,), (x,)), (x,))
-    cyclic = list(found.values())[1:]
+    # Cyclic extension (Neubueser): the cyclic subgroups, each walked as the
+    # powers of its least generator x, which marks every generator x^k,
+    # gcd(k, |x|) = 1, so no later element finds it again.  Then each
+    # nontrivial subgroup A of the last round (those of 1 are the cyclic
+    # subgroups) is extended by every <x> it does not contain, skipping an x
+    # in an extension of prime index over A already found: <A, x> is that
+    # extension (Lagrange).  When |G| = p^a q^b, G is solvable (Burnside),
+    # and so is each subgroup H: it has a series 1 < H_1 < ... < H with each
+    # H_i normal in the next and cyclic factors, so H_{i+1} = <H_i, x> for a
+    # cyclic representative x normalizing H_i.  There only such x are tried:
+    # A inside C_G(x) by one mask test, else x conjugating A's recorded
+    # generators into A.  Each subgroup is extended in exactly one round, so
+    # its members are read once.
+    n, rows, inv, e = group.order, group._mul, group._inv, group.identity
+    found: dict[int, tuple[int, ...]] = {1 << e: ()}
+    reps: list[int] = []
+    generates = bytearray(n)
+    generates[e] = 1
+    for x in range(n):
+        if generates[x]:
+            continue
+        powers, row = [x], rows[x]
+        while powers[-1] != e:
+            powers.append(row[powers[-1]])
+        k = len(powers)
+        for i, y in enumerate(powers, 1):
+            if gcd(i, k) == 1:
+                generates[y] = 1
+        found[_mask_of(powers)] = (x,)
+        reps.append(x)
+    if sum(1 for p in range(2, n + 1) if n % p == 0 and _is_prime(p)) <= 2:
+        # C_G(x): every A inside it is normalized by x without a conjugation
+        commuting = {x: _mask_of(y for y in range(n) if rows[x][y] == rows[y][x]) for x in reps}
+    else:
+        # not known solvable: the whole group, so every extension is tried
+        commuting = dict.fromkeys(reps, (1 << n) - 1)
+    reps_mask = _mask_of(reps)
     members: list[tuple[int, ...]] = []
     new_masks = list(found)
     while new_masks:
         batch = []
         for ma in new_masks:
-            a_members, covered = _members_of(ma), ma
+            a_members, a_gens = _members_of(ma), found[ma]
             members.append(a_members)
-            for gen in cyclic:
-                if covered >> gen[0] & 1:
-                    continue
-                gens = found[ma] + gen
+            # the representatives outside A and outside every prime-index
+            # extension found so far, least first
+            todo = reps_mask & ~ma if a_gens else 0
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                x = low.bit_length() - 1
+                if ma & commuting[x] != ma:
+                    row, x_inv = rows[x], inv[x]
+                    if any(not ma >> rows[row[a]][x_inv] & 1 for a in a_gens):
+                        continue
+                gens = a_gens + (x,)
                 m = _extend_mask(group, a_members, gens)
                 if _is_prime(m.bit_count() // len(a_members)):
-                    covered |= m
+                    todo &= ~m
                 if m not in found:
                     found[m] = gens
                     batch.append(m)
@@ -867,14 +900,9 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    n, m = a.order, b.order
-    table = [
-        [
-            a.mul(x // m, y // m) * m + b.mul(x % m, y % m)
-            for y in range(n * m)
-        ]
-        for x in range(n * m)
-    ]
+    # (x, y) is x*m + y; the row of (x, y) pairs row x of a with row y of b
+    m = b.order
+    table = [[i * m + j for i in ra for j in rb] for ra in a._mul for rb in b._mul]
     return FiniteGroup(table, f"{a.label}x{b.label}")
 
 

@@ -6,8 +6,9 @@ one-element-at-a-time mask lookup and the bit-scan normalizers that the
 lattice's member-tuple index and own records replaced, and the member-set
 forms of the biset push, of the embedding's inverse subgroup map,
 of the idempotent deflation scalar, of cyclicity and of the p-group
-vanishing prediction, and the orbit-sum basis product.  Each is an oracle or
-a fixture of the tests, with no caller in the library."""
+vanishing prediction, the orbit-sum basis product, and the subgroup
+enumeration that extends each subgroup by every cyclic subgroup.  Each is an
+oracle or a fixture of the tests, with no caller in the library."""
 
 from fractions import Fraction
 from math import prod
@@ -16,6 +17,8 @@ from sliceburnside.constants import deflation_constant_at, is_p_group
 from sliceburnside.groups import (
     GroupError,
     Subgroup,
+    _extend_mask,
+    _is_prime,
     _mask_of,
     _members_of,
     all_subgroups,
@@ -228,3 +231,35 @@ MEMBER_FAMILIES = {
     "FULL": lambda g, t, s: True,
     "S_CYCLIC": lambda g, t, s: is_cyclic_members(g, tuple(sorted(set(s)))),
 }
+
+
+def every_extension_subgroups(group):
+    """The sorted member tuples of every subgroup, sorted by (order,
+    members): the cyclic subgroups, each found by one closure per element,
+    then each subgroup A of the last round extended by every <x> it does not
+    contain, normalizing A or not, skipping an x in an extension of prime
+    index over A already found.  The oracle of `groups._enumerate_subgroups`,
+    which walks powers and tries only normalizing x when |G| = p^a q^b."""
+    found = {1 << group.identity: ()}
+    for x in range(group.order):
+        found.setdefault(_extend_mask(group, (group.identity,), (x,)), (x,))
+    cyclic = list(found.values())[1:]
+    members = []
+    new_masks = list(found)
+    while new_masks:
+        batch = []
+        for ma in new_masks:
+            a_members, covered = _members_of(ma), ma
+            members.append(a_members)
+            for gen in cyclic:
+                if covered >> gen[0] & 1:
+                    continue
+                gens = found[ma] + gen
+                m = _extend_mask(group, a_members, gens)
+                if _is_prime(m.bit_count() // len(a_members)):
+                    covered |= m
+                if m not in found:
+                    found[m] = gens
+                    batch.append(m)
+        new_masks = batch
+    return sorted(members, key=lambda m: (len(m), m))

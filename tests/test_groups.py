@@ -110,6 +110,27 @@ def test_order_eight_extraspecial_collapse():
     assert is_isomorphic(group_from_spec("heis:2"), d8)
 
 
+@pytest.mark.parametrize(
+    "table,message",
+    [
+        ([], "at least one element"),
+        ([[0, 1], [1]], "not square"),
+        ([[0, 1], [1, 0], [0, 1]], "not square"),
+        ([[0, 1], [1, 2]], "not square"),
+        ([[0, -1], [1, 0]], "not square"),
+        ([[1, 1], [1, 1]], "no two-sided identity"),
+        # 0 is a left identity only: 1 * 0 = 2
+        ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "no two-sided identity"),
+        # 1 has no inverse at all; 1 * 2 = 0 but 2 * 1 = 1
+        ([[0, 1, 2], [1, 1, 1], [2, 1, 2]], "element 1 has no two-sided inverse"),
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 1]], "element 1 has no two-sided inverse"),
+    ],
+)
+def test_constructor_refuses_tables_that_are_not_groups(table, message):
+    with pytest.raises(GroupError, match=message):
+        FiniteGroup(table)
+
+
 def test_permutation_closure():
     assert from_permutation_generators([]).order == 1
     c4 = from_permutation_generators([[(0, 1, 2, 3)]])
@@ -204,14 +225,14 @@ def test_lattice_builds_read_each_member_tuple_once(monkeypatch, spec):
     calls = count_calls(monkeypatch, "_members_of")
     lat = all_subgroups(g)
     assert len(calls) == len(set(calls)) == len(lat.subgroups)
-    assert lat.masks == [s.mask for s in lat.subgroups]
+    assert lat.masks == [mask_of(s.members) for s in lat.subgroups]
     assert lat._index == {m: i for i, m in enumerate(lat.masks)}
     calls.clear()
     n = lat.normal[len(lat.normal) // 2]
     for child in (quotient(g, lat.subgroups[n].members).group,
                   subgroup_as_group(lat.subgroups[lat.maximal_indices()[0]]).source):
         derived = all_subgroups(child)
-        assert derived.masks == [s.mask for s in derived.subgroups]
+        assert derived.masks == [mask_of(s.members) for s in derived.subgroups]
         assert derived._index == {m: i for i, m in enumerate(derived.masks)}
     assert calls == []
 
@@ -592,19 +613,25 @@ def test_top_is_the_whole_group_on_enumerated_and_derived_lattices(spec):
         assert lat.top == lat.index_of(range(group.order)), group.label
 
 
+def count_extensions(monkeypatch) -> list:
+    """Patch `groups._extend_mask` to record the subgroup A of each call."""
+    calls = []
+    extend = groups._extend_mask
+
+    def counted(group, a_members, gens):
+        calls.append(a_members)
+        return extend(group, a_members, gens)
+
+    monkeypatch.setattr(groups, "_extend_mask", counted)
+    return calls
+
+
 def test_derived_lattices_make_no_closures(monkeypatch):
     # once the parent's lattice exists, quotients and subgroups read theirs
     # off it instead of enumerating
     g = group_from_spec("heis:3 * cyclic:3")
     all_subgroups(g)
-    calls = []
-    extend = groups._extend_mask
-
-    def counted(*args):
-        calls.append(None)
-        return extend(*args)
-
-    monkeypatch.setattr(groups, "_extend_mask", counted)
+    calls = count_extensions(monkeypatch)
     children = derived_groups(g)
     assert sum(len(all_subgroups(child).subgroups) for child in children) > len(children)
     assert calls == []
@@ -613,19 +640,31 @@ def test_derived_lattices_make_no_closures(monkeypatch):
 def test_subgroup_enumeration_does_not_blow_up(monkeypatch):
     # joining every new subgroup with every known one makes 93,528 closures
     # on the 374 subgroups of C2^5 and one cyclic extension per step 9,549;
-    # skipping the cyclics inside a prime-index extension leaves 2,109
-    # (the 32 closures that find the cyclic subgroups included)
-    calls = []
-    extend = groups._extend_mask
-
-    def counted(*args):
-        calls.append(None)
-        return extend(*args)
-
+    # skipping the cyclics inside a prime-index extension leaves 2,046: the
+    # cyclic subgroups are walked as powers, so no closure starts from 1
     g = group_from_spec("elab:2^5")
-    monkeypatch.setattr(groups, "_extend_mask", counted)
+    calls = count_extensions(monkeypatch)
     assert len(all_subgroups(g).subgroups) == 374
-    assert len(calls) <= 2109
+    assert len(calls) <= 2046
+    assert (g.identity,) not in calls
+
+
+@pytest.mark.parametrize(
+    "spec,count,bound",
+    [
+        ("heis:3 * cyclic:3", 104, 297),
+        ("perm:(0 1 2),(0 1) * perm:(0 1 2 3),(0 1)", 372, 1073),
+    ],
+)
+def test_subgroup_enumeration_extends_only_by_normalizing_cyclics(monkeypatch, spec, count, bound):
+    # extending each subgroup by every cyclic subgroup it does not contain
+    # makes 2,362 closures on H27 x C3 and 23,211 on S3 x S4; most build a
+    # large overgroup again (3 -> 27 and 9 -> 81 on H27 x C3).  Both orders
+    # have two prime divisors, so only normalizing extensions are tried.
+    g = group_from_spec(spec)
+    calls = count_extensions(monkeypatch)
+    assert len(all_subgroups(g).subgroups) == count
+    assert len(calls) <= bound
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
