@@ -195,6 +195,7 @@ def complement_count_formula_check(
     slice both directly and as (1 - number of complements) / |N|."""
     lat = all_subgroups(group)
     n = _normal_index(lat, n_members)
+    n_members = lat.subgroups[n].members
     if not is_abelian_members(group, n_members):
         raise GroupError("needs an abelian normal subgroup")
     if n not in lat.minimal_normal:

@@ -380,7 +380,7 @@ class GroupEmbedding:
 
 @dataclass(frozen=True)
 class GroupQuotient:
-    """A surjection G -> G/N, with the quotient group and coset projection."""
+    """A surjection G -> G/N onto the quotient group or a copy of it, with coset projection."""
 
     source: FiniteGroup
     group: FiniteGroup
@@ -432,6 +432,7 @@ def quotient(group: FiniteGroup, n_members) -> GroupQuotient:
     n_idx = lat.index_of(n_members)
     if n_idx not in lat.normal:
         raise GroupError("cannot form the quotient by a non-normal subgroup")
+    n_members = lat.subgroups[n_idx].members
     n = group.order
     proj = [-1] * n
     reps: list[int] = []  # the first element of each coset is its least
@@ -446,10 +447,10 @@ def quotient(group: FiniteGroup, n_members) -> GroupQuotient:
         [proj[group.mul(reps[a], reps[b])] for b in range(count)]
         for a in range(count)
     ]
-    q = FiniteGroup(table, label=f"{group.label}/N{len(tuple(n_members))}")
+    q = FiniteGroup(table, label=f"{group.label}/N{len(n_members)}")
     section = tuple(reps)
     q._lattice_source = (lat, lat.above[n_idx], section)
-    return GroupQuotient(group, q, tuple(proj), tuple(sorted(n_members)), section)
+    return GroupQuotient(group, q, tuple(proj), n_members, section)
 
 
 def subgroup_as_group(sub: Subgroup) -> GroupEmbedding:

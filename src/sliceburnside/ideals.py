@@ -11,6 +11,8 @@ The closure moves are the functor moves, surjection preimages and
 nonzero-constant deflations, taken one minimal normal subgroup at a time
 and once per abstract slice; products with other groups are not a separate
 condition (`bounded_closure` gives the arguments and their precondition).
+Each quotient G -> G/N is one `GroupQuotient` onto the universe's own
+group (`GroupUniverse.quotient_map`); its `image_indices()` give the moves.
 
 Up to order p^3 a canonical class is the least of its orbit under the
 generators of Aut(G), so it stands for an abstract slice; above, it is raw.
@@ -28,6 +30,7 @@ from .groups import (
     FiniteGroup,
     GroupError,
     GroupIsomorphism,
+    GroupQuotient,
     _is_prime,
     abelian_group,
     all_subgroups,
@@ -183,7 +186,7 @@ class GroupUniverse:
             self._canonical_map(i) for i in range(len(self.groups))
         ]
         # maps and closure moves, each filled on first use
-        self._quotient_maps: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+        self._quotient_maps: dict[tuple[int, int], tuple[int, GroupQuotient]] = {}
         self._quotient_moves: dict[tuple[int, int], tuple] = {}
         self._minimal_moves: dict[tuple[int, int], tuple] = {}
         self._surjection_sources: dict[tuple[int, int], list[tuple[int, int]]] | None = None
@@ -239,23 +242,25 @@ class GroupUniverse:
         idx = lat.index_of(iso.image_members(s_members))
         return gi, self.canonical_class(gi, lat.class_of[idx])
 
-    # -- quotient / product element maps ------------------------------------------
+    # -- quotient witnesses and product element maps ---------------------------
 
-    def quotient_map(self, gi: int, n_idx: int) -> tuple[int, tuple[int, ...]]:
-        """(target group index, composed element map) for G_gi / N."""
-        key = (gi, n_idx)
-        hit = self._quotient_maps.get(key)
+    def quotient_map(self, gi: int, n_idx: int) -> tuple[int, GroupQuotient]:
+        """(target group index qi, witness) for G_gi -> G_gi / N: one
+        `GroupQuotient` whose `group` is the universe's own G_qi, with
+        `quotient`'s projection and section composed with `find_group`'s
+        isomorphism."""
+        hit = self._quotient_maps.get((gi, n_idx))
         if hit is None:
             g = self.groups[gi]
-            n_members = self.lattices[gi].subgroups[n_idx].members
-            q = quotient(g, n_members)
+            q = quotient(g, self.lattices[gi].subgroups[n_idx].members)
             found = self.find_group(q.group)
             if found is None:
                 raise GroupError("quotient group is outside the universe")
             qi, iso = found
-            comp = tuple(iso.images[q.projection[x]] for x in range(g.order))
-            hit = (qi, comp)
-            self._quotient_maps[key] = hit
+            projection = tuple(map(iso.images.__getitem__, q.projection))
+            section = tuple(map(q.section.__getitem__, iso.inverse().images))
+            hit = qi, GroupQuotient(g, self.groups[qi], projection, q.kernel, section)
+            self._quotient_maps[gi, n_idx] = hit
         return hit
 
     def product_map(self, bi: int, ti: int) -> tuple[int, tuple[int, ...]]:
@@ -290,13 +295,11 @@ class GroupUniverse:
         return hit
 
     def _images(self, gi: int, cls: int, normals) -> tuple[tuple[int, tuple[int, int]], ...]:
-        lat = self.lattices[gi]
-        s_members = lat.subgroups[lat.class_reps[cls]].members
+        rep = self.lattices[gi].class_reps[cls]
         moves = []
         for n_idx in normals:
-            qi, comp = self.quotient_map(gi, n_idx)
-            qlat = self.lattices[qi]
-            image = qlat.class_of[qlat.index_of({comp[x] for x in s_members})]
+            qi, witness = self.quotient_map(gi, n_idx)
+            image = self.lattices[qi].class_of[witness.image_indices()[rep]]
             moves.append((n_idx, (qi, self.canonical_class(qi, image))))
         return tuple(moves)
 

@@ -6,9 +6,10 @@ one-element-at-a-time mask lookup and the bit-scan normalizers that the
 lattice's member-tuple index and own records replaced, and the member-set
 forms of the biset push, of the embedding's inverse subgroup map,
 of the idempotent deflation scalar, of cyclicity and of the p-group
-vanishing prediction, the orbit-sum basis product, and the subgroup
-enumeration that extends each subgroup by every cyclic subgroup.  Each is an
-oracle or a fixture of the tests, with no caller in the library."""
+vanishing prediction, the orbit-sum basis product, the subgroup
+enumeration that extends each subgroup by every cyclic subgroup, and the
+element-map form of the universe's quotient moves.  Each is an oracle or a
+fixture of the tests, with no caller in the library."""
 
 from fractions import Fraction
 from math import prod
@@ -25,6 +26,7 @@ from sliceburnside.groups import (
     automorphism_generators,
     close_under_product,
     permutation_orbit,
+    quotient,
     set_product,
 )
 from sliceburnside.gsets import GSet, GSetMorphism
@@ -263,3 +265,26 @@ def every_extension_subgroups(group):
                     batch.append(m)
         new_masks = batch
     return sorted(members, key=lambda m: (len(m), m))
+
+
+def element_map_moves(universe, maps, gi, cls, normals):
+    """(N, canonical image slice) of the slice (G, S) of class `cls` of G =
+    G_gi under G -> G/N for each N in `normals`, by an element map: the
+    quotient's projection composed with `find_group`'s isomorphism, through
+    which the image of S is found as a member set by `index_of`.  `maps`
+    keeps each (gi, N) element map once built.  The oracle of the
+    `quotient_moves` and `minimal_moves` of a `GroupUniverse`, which read
+    the image off its quotient witness's `image_indices()`."""
+    g, lat = universe.groups[gi], universe.lattices[gi]
+    s_members = lat.subgroups[lat.class_reps[cls]].members
+    moves = []
+    for n_idx in normals:
+        if (gi, n_idx) not in maps:
+            q = quotient(g, lat.subgroups[n_idx].members)
+            qi, iso = universe.find_group(q.group)
+            maps[gi, n_idx] = qi, tuple(iso.images[q.projection[x]] for x in range(g.order))
+        qi, comp = maps[gi, n_idx]
+        qlat = universe.lattices[qi]
+        image = qlat.class_of[qlat.index_of({comp[x] for x in s_members})]
+        moves.append((n_idx, (qi, universe.canonical_class(qi, image))))
+    return tuple(moves)

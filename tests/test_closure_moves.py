@@ -1,11 +1,15 @@
 """The closure moves a universe owns (quotient and deflation moves and the
 surjection index).  `check_conditions` sweeps every nontrivial normal
 subgroup, `bounded_closure` only the minimal ones, and both read their
-images through one `GroupUniverse.quotient_map`; the outputs of both are
-pinned by digest, and the deflation constants are evaluated once per
-lattice.  The closure along every normal subgroup of every raw class is
-rebuilt here from `quotient_moves` and `constant` as the oracle of the
-minimal moves of canonical classes, with tests of the facts they rest on.
+images off the `image_indices()` of one `GroupUniverse.quotient_map`
+witness onto the universe's own group; the outputs of both are pinned by
+digest, and the deflation constants are evaluated once per lattice.  The
+moves of every raw class are checked against the element-map path they
+replaced (`helpers.element_map_moves`), and every witness against the
+facts that make it a quotient map.  The closure along every normal
+subgroup of every raw class is rebuilt here from `quotient_moves` and
+`constant` as the oracle of the minimal moves of canonical classes, with
+tests of the facts they rest on.
 Products with other groups are not a move; the product sweep that once was
 one is rebuilt here from `GroupUniverse.product_map` as the oracle that
 every product is already reached as a surjection source."""
@@ -36,6 +40,8 @@ from sliceburnside.ideals import (
     check_conditions,
     constructor_known_p_groups,
 )
+
+from helpers import element_map_moves
 
 
 def sha256(text: str) -> str:
@@ -251,6 +257,56 @@ def test_minimal_moves_are_the_quotient_moves_by_minimal_normal_subgroups():
             assert u.minimal_moves(gi, cls) == tuple(
                 move for move in u.quotient_moves(gi, cls) if move[0] in minimal
             )
+
+
+def assert_quotient_witness(universe, gi, n_idx, qi, witness):
+    """The witness of G_gi -> G_gi / N maps onto the universe's own G_qi by
+    a homomorphism with kernel N, whose section picks the least element of
+    each fibre and whose image of G is G_qi's top."""
+    g, h = universe.groups[gi], universe.groups[qi]
+    assert witness.source is g and witness.group is h
+    proj = witness.projection
+    # a map that respects right multiplication by each generator respects
+    # every product, since each element is a word in the generators
+    assert all(
+        proj[g.mul(a, x)] == h.mul(proj[a], proj[x]) for a in range(g.order) for x in g.generators()
+    )
+    fibre_of_one = tuple(x for x in range(g.order) if proj[x] == h.identity)
+    assert witness.kernel == fibre_of_one == universe.lattices[gi].subgroups[n_idx].members
+    least = {}
+    for x in range(g.order):
+        least.setdefault(proj[x], x)
+    assert witness.section == tuple(least[y] for y in range(h.order))
+    assert witness.image_indices()[-1] == universe.lattices[qi].top
+
+
+def assert_moves_match_the_element_map_oracle(prime, bound):
+    """The quotient and minimal moves of every raw class of the (prime,
+    bound) universe against `helpers.element_map_moves`, then every quotient
+    witness the sweep left in the universe; returns the number of (class,
+    nontrivial normal N) pairs compared."""
+    u = GroupUniverse(prime, bound)
+    maps = {}
+    pairs = 0
+    for gi, lat in enumerate(u.lattices):
+        normals, minimal = lat.normal[1:], lat.minimal_normal
+        for cls in range(len(lat.class_reps)):
+            described = u.describe_class(gi, cls)
+            for moves, normals_of in ((u.quotient_moves, normals), (u.minimal_moves, minimal)):
+                assert moves(gi, cls) == element_map_moves(u, maps, gi, cls, normals_of), described
+            pairs += len(normals)
+    assert u._quotient_maps.keys() == maps.keys()
+    for (gi, n_idx), (qi, witness) in u._quotient_maps.items():
+        assert qi == maps[gi, n_idx][0]
+        assert_quotient_witness(u, gi, n_idx, qi, witness)
+    return pairs
+
+
+@pytest.mark.parametrize("prime,bound,pairs", [(2, 16, 6764), (3, 27, 1010), (3, 81, 51814)])
+def test_moves_equal_the_element_map_oracle_and_every_witness_maps_onto_a_universe_group(
+    prime, bound, pairs
+):
+    assert assert_moves_match_the_element_map_oracle(prime, bound) == pairs
 
 
 @functools.cache

@@ -35,6 +35,7 @@ from sliceburnside.ideals import (
 from sliceburnside.ring import SliceClassTable, slice_classes
 
 from helpers import MEMBER_FAMILIES, is_cyclic_members
+from test_closure_moves import criterion_07_seeds
 from test_groups import reference_isomorphisms
 from test_marks import small_perm_groups
 
@@ -129,17 +130,30 @@ def test_index_families_match_the_member_oracle_on_derived_lattices(group, data)
 
 
 def test_universe_builds_find_no_subgroup_by_its_members(monkeypatch):
+    # builds, closures and condition sweeps hand `index_of` only a lattice's
+    # own member tuple (`quotient`'s lookup of N), apart from one lookup of
+    # each closure's seed: no image of a quotient move is found by members
     calls = []
     original = SubgroupLattice.index_of
 
     def counted(self, members):
-        calls.append(self)
-        return original(self, members)
+        i = original(self, members)
+        calls.append(members is self.subgroups[i].members)
+        return i
 
     monkeypatch.setattr(SubgroupLattice, "index_of", counted)
     for prime, bound in ((2, 16), (3, 81)):
         GroupUniverse(prime, bound)
         assert calls == [], (prime, bound)
+    u = GroupUniverse(3, 81)
+    for seed in criterion_07_seeds(3).values():
+        bounded_closure(u, *seed)
+    assert calls.count(False) == 4 and calls.count(True) > 0
+    calls.clear()
+    u = GroupUniverse(3, 27)
+    for fam in FAMILIES.values():
+        check_conditions(fam, u)
+    assert calls.count(False) == 0 and calls.count(True) > 0
 
 
 def test_member_classes_read_no_member_tuples(monkeypatch):

@@ -2,7 +2,9 @@
 finds the lattice's own sorted member tuples by one lookup, and `normalizer`
 and `slice_normalizer` return the lattice's own records.  Checked against
 the mask loop and bit scans they replaced (`helpers.mask_loop_index`,
-`helpers.bit_scan_normalizer` and `helpers.bit_scan_slice_normalizer`)."""
+`helpers.bit_scan_normalizer` and `helpers.bit_scan_slice_normalizer`).
+An entry that reads its members past the lookup reads the lattice's own
+tuple, so any member collection gives the sorted tuple's result."""
 
 import random
 
@@ -11,7 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sliceburnside import verify
-from sliceburnside.constants import deflation_constant
+from sliceburnside.constants import (
+    classical_deflation_constant,
+    complement_count,
+    complement_count_formula_check,
+    deflation_constant,
+)
 from sliceburnside.groups import (
     GroupError,
     all_subgroups,
@@ -128,3 +135,34 @@ def test_index_of_refuses_exactly_the_non_subgroups(group, data):
     else:
         with pytest.raises(GroupError):
             lat.index_of(form)
+
+
+def quotient_record(group, n_members):
+    q = quotient(group, n_members)
+    table = [[q.group.mul(a, b) for b in range(q.group.order)] for a in range(q.group.order)]
+    return q.projection, q.kernel, q.section, q.group.label, table
+
+
+#: entries taking a minimal abelian normal subgroup N of the group
+MINIMAL_NORMAL_ENTRIES = {
+    "quotient": quotient_record,
+    "complement_count_formula_check": complement_count_formula_check,
+    "complement_count": complement_count,
+    "classical_deflation_constant": classical_deflation_constant,
+    "normalizer": normalizer,
+}
+
+
+@pytest.mark.parametrize("name", list(MINIMAL_NORMAL_ENTRIES))
+@pytest.mark.parametrize("spec", ["dihedral:8", "elab:2^3", "perm:(0 1 2 3),(0 1)"])
+def test_any_member_collection_gives_the_sorted_tuples_result(name, spec):
+    # a generator is read once: an entry that iterated its argument again
+    # after the lookup would see no members
+    call = MINIMAL_NORMAL_ENTRIES[name]
+    g = group_from_spec(spec)
+    lat = all_subgroups(g)
+    for n in lat.minimal_normal:
+        members = lat.subgroups[n].members
+        expected = call(g, members)
+        for form in (list(members), set(members), (x for x in members), members[::-1]):
+            assert call(g, form) == expected, (spec, n, type(form).__name__)
