@@ -18,9 +18,10 @@ maximal subgroups off that order.  When |G| = p^a q^b, G is solvable
 normalizing cyclic extensions, and only those are tried (Neubueser).  The
 lattice of a group made by `quotient` or `subgroup_as_group` is instead read
 off its parent's lattice: the subgroups above N, or below H, with their
-containment and conjugation rows.  Either way, the Moebius function is
-filled one column per subgroup, and the tuple of minimal normal subgroups
-once, on first use.
+containment and conjugation rows, and so are its witness's subgroup-index
+maps (only a hand-built embedding maps member tuples).  Either way, the
+Moebius function is filled one column per subgroup, and the tuple of
+minimal normal subgroups once, on first use.
 """
 
 from __future__ import annotations
@@ -315,18 +316,6 @@ def _cache_field():
     return field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _index_map(witness, key: str, member_map, source, target) -> tuple[int, ...]:
-    """The witness's subgroup-index map `key`, built on first use: for each
-    subgroup of `source`, by lattice index, the `target` lattice index of
-    its `member_map` image, a sorted member tuple of the target lattice."""
-    hit = witness.index_maps.get(key)
-    if hit is None:
-        index = all_subgroups(target)._member_index
-        subs = all_subgroups(source).subgroups
-        hit = witness.index_maps[key] = tuple(index[member_map(h.members)] for h in subs)
-    return hit
-
-
 @dataclass(frozen=True)
 class GroupEmbedding:
     """An injective homomorphism, recorded as the image of each source element."""
@@ -354,7 +343,12 @@ class GroupEmbedding:
     def image_indices(self) -> tuple[int, ...]:
         """Target-lattice index of the image of each source subgroup; the
         last entry, the image of the whole source, is the image's index."""
-        return _index_map(self, "image", self.image_members, self.source, self.target)
+        maps = self.index_maps
+        if "image" not in maps:
+            index = all_subgroups(self.target)._member_index
+            subs = all_subgroups(self.source).subgroups
+            maps["image"] = tuple(index[self.image_members(h.members)] for h in subs)
+        return maps["image"]
 
     def preimage_indices(self) -> tuple[int, ...]:
         """The inverse of `image_indices`: the source-lattice index of each
@@ -380,7 +374,9 @@ class GroupEmbedding:
 
 @dataclass(frozen=True)
 class GroupQuotient:
-    """A surjection G -> G/N onto the quotient group or a copy of it, with coset projection."""
+    """A surjection G -> G/N onto the quotient group or a copy of it, with
+    coset projection.  `levels` holds the target-lattice index of each V/N, V
+    in G's ascending `above[N]`; both subgroup-index maps are read off it."""
 
     source: FiniteGroup
     group: FiniteGroup
@@ -388,6 +384,7 @@ class GroupQuotient:
     kernel: tuple[int, ...]
     # the least element of each coset, by quotient element
     section: tuple[int, ...]
+    levels: tuple[int, ...]
     basis_images: dict = _cache_field()
     index_maps: dict = _cache_field()
 
@@ -401,12 +398,27 @@ class GroupQuotient:
         )
 
     def image_indices(self) -> tuple[int, ...]:
-        """Quotient-lattice index of the image SN/N of each source subgroup S."""
-        return _index_map(self, "image", self.image_members, self.source, self.group)
+        """Quotient-lattice index of the image SN/N of each source subgroup S:
+        the level of SN, the first V of the ascending `above[N]` holding S."""
+        maps = self.index_maps
+        if "image" not in maps:
+            lat = all_subgroups(self.source)
+            image = [-1] * len(lat.subgroups)
+            for v, level in zip(lat.above[lat.index_of(self.kernel)], self.levels):
+                for s in lat.below[v]:
+                    if image[s] < 0:
+                        image[s] = level
+            maps["image"] = tuple(image)
+        return maps["image"]
 
     def preimage_indices(self) -> tuple[int, ...]:
-        """Source-lattice index of the full preimage of each quotient subgroup."""
-        return _index_map(self, "preimage", self.preimage_members, self.group, self.source)
+        """Source-lattice index of the full preimage V of each quotient subgroup V/N."""
+        maps = self.index_maps
+        if "preimage" not in maps:
+            lat = all_subgroups(self.source)
+            pairs = sorted(zip(self.levels, lat.above[lat.index_of(self.kernel)]))
+            maps["preimage"] = tuple(v for _, v in pairs)
+        return maps["preimage"]
 
 
 class GroupIsomorphism(GroupEmbedding):
@@ -433,30 +445,26 @@ def quotient(group: FiniteGroup, n_members) -> GroupQuotient:
     if n_idx not in lat.normal:
         raise GroupError("cannot form the quotient by a non-normal subgroup")
     n_members = lat.subgroups[n_idx].members
-    n = group.order
-    proj = [-1] * n
+    rows = group._mul
+    proj = [-1] * group.order
     reps: list[int] = []  # the first element of each coset is its least
-    for g in range(n):
+    for g, row in enumerate(rows):
         if proj[g] >= 0:
             continue
         for x in n_members:
-            proj[group.mul(g, x)] = len(reps)
+            proj[row[x]] = len(reps)
         reps.append(g)
-    count = len(reps)
-    table = [
-        [proj[group.mul(reps[a], reps[b])] for b in range(count)]
-        for a in range(count)
-    ]
+    table = [[proj[rows[a][b]] for b in reps] for a in reps]
     q = FiniteGroup(table, label=f"{group.label}/N{len(n_members)}")
-    section = tuple(reps)
-    q._lattice_source = (lat, lat.above[n_idx], section)
-    return GroupQuotient(group, q, tuple(proj), n_members, section)
+    section, keep = tuple(reps), lat.above[n_idx]
+    q._lattice_source = (lat, keep, section)
+    return GroupQuotient(group, q, tuple(proj), n_members, section, tuple(range(len(keep))))
 
 
 def subgroup_as_group(sub: Subgroup) -> GroupEmbedding:
     """The subgroup as a standalone group, with its inclusion embedding.
-    Cached on the parent group by lattice index; its lattice is read off the
-    subgroups of the parent below H."""
+    Cached on the parent group by lattice index; its lattice, and so the
+    embedding's image map, is read off the subgroups of the parent below H."""
     cache = sub.parent._subgroup_groups
     lat = all_subgroups(sub.parent)
     h_idx = lat.index_of(sub.members)
@@ -469,6 +477,7 @@ def subgroup_as_group(sub: Subgroup) -> GroupEmbedding:
     h = FiniteGroup(table, label=f"{sub.parent.label}|{len(mem)}")
     h._lattice_source = (lat, lat.below[h_idx], mem)
     emb = GroupEmbedding(h, sub.parent, mem)
+    emb.index_maps["image"] = lat.below[h_idx]
     cache[h_idx] = emb
     return emb
 

@@ -31,7 +31,9 @@ from .groups import (
     GroupError,
     GroupIsomorphism,
     GroupQuotient,
+    _invariant_profile,
     _is_prime,
+    _mask_of,
     abelian_group,
     all_subgroups,
     automorphism_generators,
@@ -182,6 +184,9 @@ class GroupUniverse:
         self.bound = bound
         self.groups = constructor_known_p_groups(prime, bound)
         self.lattices = [all_subgroups(g) for g in self.groups]
+        self._by_profile: dict[tuple, list[int]] = {}
+        for gi, g in enumerate(self.groups):
+            self._by_profile.setdefault(_invariant_profile(g), []).append(gi)
         self._canon: list[tuple[int, ...]] = [
             self._canonical_map(i) for i in range(len(self.groups))
         ]
@@ -221,10 +226,8 @@ class GroupUniverse:
         for gi, h in enumerate(self.groups):
             if h is group:
                 return gi, GroupIsomorphism(h, h, tuple(range(h.order)))
-        for gi, h in enumerate(self.groups):
-            if h.order != group.order:
-                continue
-            iso = find_isomorphism(group, h)
+        for gi in self._by_profile.get(_invariant_profile(group), ()):
+            iso = find_isomorphism(group, self.groups[gi])
             if iso is not None:
                 return gi, iso
         return None
@@ -239,27 +242,35 @@ class GroupUniverse:
             )
         gi, iso = hit
         lat = self.lattices[gi]
-        idx = lat.index_of(iso.image_members(s_members))
+        idx = lat.index_of(map(iso.images.__getitem__, s_members))
         return gi, self.canonical_class(gi, lat.class_of[idx])
 
     # -- quotient witnesses and product element maps ---------------------------
 
     def quotient_map(self, gi: int, n_idx: int) -> tuple[int, GroupQuotient]:
         """(target group index qi, witness) for G_gi -> G_gi / N: one
-        `GroupQuotient` whose `group` is the universe's own G_qi, with
-        `quotient`'s projection and section composed with `find_group`'s
-        isomorphism."""
+        `GroupQuotient` onto the universe's own G_qi, with `quotient`'s
+        projection and section composed with `find_group`'s isomorphism, and
+        levels looked up by the masks of the projected subgroups above N."""
         hit = self._quotient_maps.get((gi, n_idx))
         if hit is None:
-            g = self.groups[gi]
-            q = quotient(g, self.lattices[gi].subgroups[n_idx].members)
+            g, lat = self.groups[gi], self.lattices[gi]
+            q = quotient(g, lat.subgroups[n_idx].members)
             found = self.find_group(q.group)
             if found is None:
-                raise GroupError("quotient group is outside the universe")
+                raise GroupError(
+                    f"quotient group is outside the universe: {g.label} mod a normal"
+                    f" subgroup of order {len(q.kernel)} has order {q.group.order}"
+                )
             qi, iso = found
             projection = tuple(map(iso.images.__getitem__, q.projection))
             section = tuple(map(q.section.__getitem__, iso.inverse().images))
-            hit = qi, GroupQuotient(g, self.groups[qi], projection, q.kernel, section)
+            index = self.lattices[qi]._index
+            levels = tuple(
+                index[_mask_of(map(projection.__getitem__, lat.subgroups[v].members))]
+                for v in lat.above[n_idx]
+            )
+            hit = qi, GroupQuotient(g, self.groups[qi], projection, q.kernel, section, levels)
             self._quotient_maps[gi, n_idx] = hit
         return hit
 

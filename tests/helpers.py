@@ -7,9 +7,10 @@ lattice's member-tuple index and own records replaced, and the member-set
 forms of the biset push, of the embedding's inverse subgroup map,
 of the idempotent deflation scalar, of cyclicity and of the p-group
 vanishing prediction, the orbit-sum basis product, the subgroup
-enumeration that extends each subgroup by every cyclic subgroup, and the
-element-map form of the universe's quotient moves.  Each is an oracle or a
-fixture of the tests, with no caller in the library."""
+enumeration that extends each subgroup by every cyclic subgroup, the
+element-map form of the universe's quotient moves, and the member-tuple
+form of a witness's subgroup-index maps.  Each is an oracle or a fixture
+of the tests, with no caller in the library."""
 
 from fractions import Fraction
 from math import prod
@@ -154,6 +155,15 @@ def subgroup_positions(emb):
         lat.index_of(emb.image_members(sub.members)): j
         for j, sub in enumerate(all_subgroups(emb.source).subgroups)
     }
+
+
+def member_index_map(member_map, source, target) -> tuple[int, ...]:
+    """For each subgroup of `source`, by lattice index, the `target` lattice
+    index of its `member_map` image, found by its sorted member tuple: the
+    oracle of the index maps that `quotient`, `subgroup_as_group` and
+    `GroupUniverse.quotient_map` read off the lattice correspondence."""
+    lat = all_subgroups(target)
+    return tuple(lat.index_of(member_map(h.members)) for h in all_subgroups(source).subgroups)
 
 
 def two_product_idempotent_scalar(group, t_members, s_members, n_members):

@@ -276,6 +276,8 @@ def test_closure_past_the_universe_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "quotient group is outside the universe" in err
+    # the message names G, |N| and |G/N|
+    assert "outside the universe: C4xM8 mod a normal subgroup of order 2 has order 16" in err
 
 
 def test_negative_permutation_point_exits_two(capsys):

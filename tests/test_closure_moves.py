@@ -6,7 +6,8 @@ witness onto the universe's own group; the outputs of both are pinned by
 digest, and the deflation constants are evaluated once per lattice.  The
 moves of every raw class are checked against the element-map path they
 replaced (`helpers.element_map_moves`), and every witness against the
-facts that make it a quotient map.  The closure along every normal
+facts that make it a quotient map, its index maps against member tuples
+(`helpers.member_index_map`).  The closure along every normal
 subgroup of every raw class is rebuilt here from `quotient_moves` and
 `constant` as the oracle of the minimal moves of canonical classes, with
 tests of the facts they rest on.
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from sliceburnside import cli, constants, ideals
 from sliceburnside.constants import deflation_constant
 from sliceburnside.groups import (
+    FiniteGroup,
     all_subgroups,
     cyclic_group,
     elementary_abelian,
@@ -41,7 +43,7 @@ from sliceburnside.ideals import (
     constructor_known_p_groups,
 )
 
-from helpers import element_map_moves
+from helpers import element_map_moves, member_index_map
 
 
 def sha256(text: str) -> str:
@@ -249,6 +251,37 @@ def test_a_universe_group_locates_without_an_isomorphism_search(monkeypatch):
     assert len(calls) > 0
 
 
+def generalized_quaternion_16():
+    """Q16 on a^i b^j = i + 8j, with b a b^-1 = a^-1 and b^2 = a^4."""
+
+    def mul(x, y):
+        i, j, k, m = x % 8, x // 8, y % 8, y // 8
+        return (i + (-1) ** j * k + 4 * j * m) % 8 + 8 * ((j + m) % 2)
+
+    return FiniteGroup([[mul(x, y) for y in range(16)] for x in range(16)], "Q16")
+
+
+def test_a_group_no_universe_profile_matches_is_refused_without_an_isomorphism_search(
+    monkeypatch,
+):
+    # Q16 has one involution, unlike the eight groups of order 16 the
+    # universe holds, so no search is tried
+    u = GroupUniverse(2, 16)
+    q16 = generalized_quaternion_16()
+    q16.validate()
+    assert sum(h.order == 16 for h in u.groups) == 8
+    calls = []
+    original = ideals.find_isomorphism
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, "find_isomorphism", counted)
+    assert u.find_group(q16) is None
+    assert calls == []
+
+
 def test_minimal_moves_are_the_quotient_moves_by_minimal_normal_subgroups():
     u = GroupUniverse(2, 16)
     for gi, lat in enumerate(u.lattices):
@@ -278,6 +311,9 @@ def assert_quotient_witness(universe, gi, n_idx, qi, witness):
         least.setdefault(proj[x], x)
     assert witness.section == tuple(least[y] for y in range(h.order))
     assert witness.image_indices()[-1] == universe.lattices[qi].top
+    # the maps read off the correspondence above N, against member tuples
+    assert witness.image_indices() == member_index_map(witness.image_members, g, h)
+    assert witness.preimage_indices() == member_index_map(witness.preimage_members, h, g)
 
 
 def assert_moves_match_the_element_map_oracle(prime, bound):

@@ -2,7 +2,9 @@
 forms they replaced: `helpers.member_map_image` for the basis images of
 induction, inflation, deflation and transport, `helpers.subgroup_positions`
 for `GroupEmbedding.preimage_indices`, and the double-coset sum of Mackey's
-formula for restriction."""
+formula for restriction.  The maps that `quotient` and `subgroup_as_group`
+read off the lattice correspondence are checked against the member-tuple
+form, `helpers.member_index_map`, and are pinned to call no member map."""
 
 from fractions import Fraction
 
@@ -24,9 +26,11 @@ from sliceburnside.groups import (
     quotient,
     subgroup_as_group,
 )
+from sliceburnside.ideals import GroupUniverse, bounded_closure
 from sliceburnside.ring import SliceClassTable, SliceRingElement, slice_classes
 
-from helpers import member_map_image, subgroup_positions
+from helpers import member_index_map, member_map_image, subgroup_positions
+from test_closure_moves import criterion_07_seeds
 from test_marks import small_perm_groups
 from test_ring import double_coset_restriction
 
@@ -54,15 +58,38 @@ def assert_push_matches_member_map(op, name, witness, source, out_group, member_
         assert images[cls] == member_map_image(table, out_table, member_map, cls), (name, cls)
 
 
-def assert_embedding(emb):
-    assert_push_matches_member_map(
-        bisetops.induce, "induction", emb, emb.source, emb.target, emb.image_members
-    )
+def assert_embedding_maps(emb):
+    assert emb.image_indices() == member_index_map(emb.image_members, emb.source, emb.target)
     positions = subgroup_positions(emb)
     inverse = emb.preimage_indices()
     assert len(inverse) == len(all_subgroups(emb.target).subgroups)
     for i, j in enumerate(inverse):
         assert j == positions.get(i, -1)
+
+
+def assert_quotient_maps(q):
+    assert q.image_indices() == member_index_map(q.image_members, q.source, q.group)
+    assert q.preimage_indices() == member_index_map(q.preimage_members, q.group, q.source)
+
+
+def assert_correspondence_maps_match(group):
+    """Both index maps of the `quotient` witness of every normal N and of
+    the `subgroup_as_group` embedding of every subgroup H of the group
+    against the member-tuple oracle; returns the number of (N, subgroup of
+    G) pairs of the quotients' image maps."""
+    lat = all_subgroups(group)
+    for h in lat.subgroups:
+        assert_embedding_maps(subgroup_as_group(h))
+    for n in lat.normal:
+        assert_quotient_maps(quotient(group, lat.subgroups[n].members))
+    return len(lat.normal) * len(lat.subgroups)
+
+
+def assert_embedding(emb):
+    assert_embedding_maps(emb)
+    assert_push_matches_member_map(
+        bisetops.induce, "induction", emb, emb.source, emb.target, emb.image_members
+    )
     table = slice_classes(emb.target)
     bisetops.restrict(every_class(emb.target), emb)
     images = emb.basis_images["restriction"]
@@ -71,6 +98,7 @@ def assert_embedding(emb):
 
 
 def assert_quotient(q):
+    assert_quotient_maps(q)
     assert_push_matches_member_map(
         bisetops.deflate, "deflation", q, q.source, q.group, q.image_members
     )
@@ -100,6 +128,36 @@ def test_index_map_push_matches_the_member_maps(spec):
     for aut in automorphism_generators(g):
         assert_transport(GroupIsomorphism(g, g, aut))
     assert_transport(inner_automorphism(g, g.order - 1))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_correspondence_maps_equal_the_member_oracle(spec):
+    assert_correspondence_maps_match(group_from_spec(spec))
+
+
+def test_correspondence_witnesses_call_no_member_map(monkeypatch):
+    # the universe's canonical maps push hand-built automorphisms, which
+    # keep the member-tuple map, so it is built before the patch
+    universe = GroupUniverse(3, 81)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a member map behind a correspondence witness")
+
+    for cls in (GroupEmbedding, GroupQuotient):
+        monkeypatch.setattr(cls, "image_members", refuse)
+        monkeypatch.setattr(cls, "preimage_members", refuse)
+    for spec in ("perm:(0 1 2 3),(0 1)", "heis:3 * cyclic:3"):
+        g = group_from_spec(spec)
+        lat = all_subgroups(g)
+        for h in lat.subgroups:
+            emb = subgroup_as_group(h)
+            emb.image_indices(), emb.preimage_indices()
+        for n in lat.normal:
+            q = quotient(g, lat.subgroups[n].members)
+            q.image_indices(), q.preimage_indices()
+    for seed in criterion_07_seeds(3).values():
+        assert bounded_closure(universe, *seed)
+    assert universe._quotient_maps
 
 
 def test_index_maps_of_an_isomorphism_between_separately_built_groups():
