@@ -325,7 +325,6 @@ class GroupEmbedding:
     images: tuple[int, ...]
     basis_images: dict = _cache_field()
     index_maps: dict = _cache_field()
-    _positions: dict = _cache_field()
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -335,10 +334,8 @@ class GroupEmbedding:
 
     def preimage_members(self, members) -> tuple[int, ...]:
         """Sorted source indices of the members that lie in the image."""
-        pos = self._positions
-        if not pos:
-            pos.update((y, i) for i, y in enumerate(self.images))
-        return tuple(sorted(pos[y] for y in members if y in pos))
+        wanted = set(members)
+        return tuple(x for x, y in enumerate(self.images) if y in wanted)
 
     def image_indices(self) -> tuple[int, ...]:
         """Target-lattice index of the image of each source subgroup; the
@@ -375,8 +372,8 @@ class GroupEmbedding:
 @dataclass(frozen=True)
 class GroupQuotient:
     """A surjection G -> G/N onto the quotient group or a copy of it, with
-    coset projection.  `levels` holds the target-lattice index of each V/N, V
-    in G's ascending `above[N]`; both subgroup-index maps are read off it."""
+    coset projection; `preimage` gives the source-lattice index of the full
+    preimage V of each target subgroup V/N, and both index maps read it."""
 
     source: FiniteGroup
     group: FiniteGroup
@@ -384,7 +381,7 @@ class GroupQuotient:
     kernel: tuple[int, ...]
     # the least element of each coset, by quotient element
     section: tuple[int, ...]
-    levels: tuple[int, ...]
+    preimage: tuple[int, ...]
     basis_images: dict = _cache_field()
     index_maps: dict = _cache_field()
 
@@ -398,27 +395,35 @@ class GroupQuotient:
         )
 
     def image_indices(self) -> tuple[int, ...]:
-        """Quotient-lattice index of the image SN/N of each source subgroup S:
-        the level of SN, the first V of the ascending `above[N]` holding S."""
+        """Target-lattice index of the image SN/N of each source subgroup S:
+        the first preimage holding S, as the target lattice ascends by order."""
         maps = self.index_maps
         if "image" not in maps:
-            lat = all_subgroups(self.source)
-            image = [-1] * len(lat.subgroups)
-            for v, level in zip(lat.above[lat.index_of(self.kernel)], self.levels):
-                for s in lat.below[v]:
+            below = all_subgroups(self.source).below
+            image = [-1] * len(below)
+            for j, v in enumerate(self.preimage):
+                for s in below[v]:
                     if image[s] < 0:
-                        image[s] = level
+                        image[s] = j
             maps["image"] = tuple(image)
         return maps["image"]
 
     def preimage_indices(self) -> tuple[int, ...]:
         """Source-lattice index of the full preimage V of each quotient subgroup V/N."""
-        maps = self.index_maps
-        if "preimage" not in maps:
-            lat = all_subgroups(self.source)
-            pairs = sorted(zip(self.levels, lat.above[lat.index_of(self.kernel)]))
-            maps["preimage"] = tuple(v for _, v in pairs)
-        return maps["preimage"]
+        return self.preimage
+
+    def compose(self, iso: "GroupIsomorphism") -> "GroupQuotient":
+        """This quotient followed by an isomorphism of its group, each target
+        subgroup's preimage V found by the mask of V's projected members."""
+        if iso.source is not self.group:
+            raise GroupError("the isomorphism does not start at the quotient group")
+        proj = tuple(map(iso.images.__getitem__, self.projection))
+        section = tuple(map(self.section.__getitem__, iso.inverse().images))
+        subs, index = all_subgroups(self.source).subgroups, all_subgroups(iso.target)._index
+        preimage = [-1] * len(self.preimage)
+        for v in self.preimage:
+            preimage[index[_mask_of(map(proj.__getitem__, subs[v].members))]] = v
+        return GroupQuotient(self.source, iso.target, proj, self.kernel, section, tuple(preimage))
 
 
 class GroupIsomorphism(GroupEmbedding):
@@ -458,7 +463,7 @@ def quotient(group: FiniteGroup, n_members) -> GroupQuotient:
     q = FiniteGroup(table, label=f"{group.label}/N{len(n_members)}")
     section, keep = tuple(reps), lat.above[n_idx]
     q._lattice_source = (lat, keep, section)
-    return GroupQuotient(group, q, tuple(proj), n_members, section, tuple(range(len(keep))))
+    return GroupQuotient(group, q, tuple(proj), n_members, section, keep)
 
 
 def subgroup_as_group(sub: Subgroup) -> GroupEmbedding:

@@ -33,7 +33,6 @@ from .groups import (
     GroupQuotient,
     _invariant_profile,
     _is_prime,
-    _mask_of,
     abelian_group,
     all_subgroups,
     automorphism_generators,
@@ -249,9 +248,8 @@ class GroupUniverse:
 
     def quotient_map(self, gi: int, n_idx: int) -> tuple[int, GroupQuotient]:
         """(target group index qi, witness) for G_gi -> G_gi / N: one
-        `GroupQuotient` onto the universe's own G_qi, with `quotient`'s
-        projection and section composed with `find_group`'s isomorphism, and
-        levels looked up by the masks of the projected subgroups above N."""
+        `GroupQuotient` onto the universe's own G_qi, `quotient`'s witness
+        composed with `find_group`'s isomorphism."""
         hit = self._quotient_maps.get((gi, n_idx))
         if hit is None:
             g, lat = self.groups[gi], self.lattices[gi]
@@ -263,15 +261,7 @@ class GroupUniverse:
                     f" subgroup of order {len(q.kernel)} has order {q.group.order}"
                 )
             qi, iso = found
-            projection = tuple(map(iso.images.__getitem__, q.projection))
-            section = tuple(map(q.section.__getitem__, iso.inverse().images))
-            index = self.lattices[qi]._index
-            levels = tuple(
-                index[_mask_of(map(projection.__getitem__, lat.subgroups[v].members))]
-                for v in lat.above[n_idx]
-            )
-            hit = qi, GroupQuotient(g, self.groups[qi], projection, q.kernel, section, levels)
-            self._quotient_maps[gi, n_idx] = hit
+            hit = self._quotient_maps[gi, n_idx] = qi, q.compose(iso)
         return hit
 
     def product_map(self, bi: int, ti: int) -> tuple[int, tuple[int, ...]]:
@@ -472,10 +462,13 @@ def bounded_closure(
     be exact.  That holds while every orbit of more than one class lies in
     a group of order at most p^3, whose quotients all have exact classes.
 
-    Products with other groups need no move of their own.  For a member
-    (T, S) and a universe slice (B, A) with |B||T| within the bound, the
-    projection B x T -> T has kernel N = B x 1 and sends A x S onto S, so
-    (B x T, A x S) is a surjection source of (T, S) and already added.
+    Products with other groups need no move of their own.  The external
+    product is x × y = Inf(x) · Inf(y), both factors inflated to B x T
+    along its projections (Bouc), so a subfunctor with ideal evaluations
+    holds x × y once it holds x.  For a member (T, S) and a universe slice
+    (B, A) with |B||T| within the bound, the product (B x T, A x S) maps
+    onto (T, S) by the projection with kernel B x 1: it is a surjection
+    source, already added.
 
     The result is a lower bound for the trace of the generated ideal on the
     universe (derivations may leave any finite bound).
@@ -519,15 +512,13 @@ def closure_trace(
 
 def minimal_groups(family: SliceFamily, universe: GroupUniverse) -> list[FiniteGroup]:
     """Groups in the universe with nonzero ideal dimension, all strictly
-    smaller universe groups having dimension zero."""
-    dims = [
-        (g, ideal_dimension(g, family)) for g in universe.groups
-    ]
-    out = []
-    for g, d in dims:
-        if d == 0:
-            continue
-        if all(d2 == 0 for h, d2 in dims if h.order < g.order):
+    smaller universe groups having dimension zero: the groups ascend by
+    order, so the sweep stops past the least order that has one."""
+    out: list[FiniteGroup] = []
+    for g in universe.groups:
+        if out and g.order > out[0].order:
+            break
+        if ideal_dimension(g, family):
             out.append(g)
     return out
 

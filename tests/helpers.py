@@ -9,8 +9,9 @@ of the idempotent deflation scalar, of cyclicity and of the p-group
 vanishing prediction, the orbit-sum basis product, the subgroup
 enumeration that extends each subgroup by every cyclic subgroup, the
 element-map form of the universe's quotient moves, and the member-tuple
-form of a witness's subgroup-index maps.  Each is an oracle or a fixture
-of the tests, with no caller in the library."""
+form of a witness's subgroup-index maps, and the external product of
+slice-ring elements.  Each is an oracle or a fixture of the tests, with no
+caller in the library."""
 
 from fractions import Fraction
 from math import prod
@@ -31,6 +32,7 @@ from sliceburnside.groups import (
     set_product,
 )
 from sliceburnside.gsets import GSet, GSetMorphism
+from sliceburnside.ring import SliceRingElement, slice_classes
 
 
 def one_point_gset(group):
@@ -164,6 +166,29 @@ def member_index_map(member_map, source, target) -> tuple[int, ...]:
     `GroupUniverse.quotient_map` read off the lattice correspondence."""
     lat = all_subgroups(target)
     return tuple(lat.index_of(member_map(h.members)) for h in all_subgroups(source).subgroups)
+
+
+def cross(x, y, product_group):
+    """The external product x × y in the slice ring of `product_group`, the
+    `direct_product` of the groups of x and y, whose element (a, b) is
+    a·|H| + b: [T, S] × [T', S'] = [T×T', S×S'] on basis classes, extended
+    bilinearly.  The library computes no external product; the tests check
+    it against the biset operations by the Green-functor laws."""
+    m = y.table.group.order
+    if product_group.order != x.table.group.order * m:
+        raise GroupError("the product group has the wrong order")
+    out = slice_classes(product_group)
+    coeffs = {}
+    for i, a in x.coeffs.items():
+        t, s = x.table.rep_subgroups(i)
+        for j, b in y.coeffs.items():
+            t2, s2 = y.table.rep_subgroups(j)
+            cls = out.class_index(
+                [g * m + h for g in t.members for h in t2.members],
+                [g * m + h for g in s.members for h in s2.members],
+            )
+            coeffs[cls] = coeffs.get(cls, 0) + a * b
+    return SliceRingElement(out, coeffs)
 
 
 def two_product_idempotent_scalar(group, t_members, s_members, n_members):

@@ -344,6 +344,14 @@ def test_minimal_groups_examples():
     assert minimal_groups(FAMILIES["ZERO"], u) == []
 
 
+def test_minimal_groups_build_no_slice_table_above_the_least_order():
+    # the universe ascends by order, so the sweep stops past order 8
+    u = GroupUniverse(2, 16)
+    assert [g.label for g in minimal_groups(FAMILIES["J3"], u)] == ["C2xC2xC2", "C4xC2", "M8"]
+    larger = [g for g in u.groups if g.order > 8]
+    assert larger and all(g._slice_table is None for g in larger)
+
+
 def test_burnside_embedding_dimensions():
     for spec in ["cyclic:8", "elab:2^2", "dihedral:8", "mod:3"]:
         g = group_from_spec(spec)

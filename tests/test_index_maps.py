@@ -4,7 +4,8 @@ induction, inflation, deflation and transport, `helpers.subgroup_positions`
 for `GroupEmbedding.preimage_indices`, and the double-coset sum of Mackey's
 formula for restriction.  The maps that `quotient` and `subgroup_as_group`
 read off the lattice correspondence are checked against the member-tuple
-form, `helpers.member_index_map`, and are pinned to call no member map."""
+form, `helpers.member_index_map`, as are those of a quotient composed with
+an automorphism of its group, and are pinned to call no member map."""
 
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from sliceburnside import bisetops
 from sliceburnside.groups import (
     GroupEmbedding,
+    GroupError,
     GroupIsomorphism,
     GroupQuotient,
     SubgroupLattice,
@@ -133,6 +135,27 @@ def test_index_map_push_matches_the_member_maps(spec):
 @pytest.mark.parametrize("spec", SPECS)
 def test_correspondence_maps_equal_the_member_oracle(spec):
     assert_correspondence_maps_match(group_from_spec(spec))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_a_quotient_composed_with_an_automorphism_keeps_both_maps(spec):
+    g = group_from_spec(spec)
+    lat = all_subgroups(g)
+    for n in lat.normal:
+        q = quotient(g, lat.subgroups[n].members)
+        for aut in automorphism_generators(q.group):
+            composed = q.compose(GroupIsomorphism(q.group, q.group, aut))
+            assert composed.group is q.group and composed.kernel == q.kernel
+            assert_quotient_maps(composed)
+
+
+def test_compose_refuses_an_isomorphism_of_another_group():
+    g = group_from_spec("dihedral:8")
+    lat = all_subgroups(g)
+    q = quotient(g, lat.subgroups[lat.normal[1]].members)
+    other = group_from_spec("elab:2^2")
+    with pytest.raises(GroupError, match="quotient group"):
+        q.compose(GroupIsomorphism(other, other, tuple(other.elements())))
 
 
 def test_correspondence_witnesses_call_no_member_map(monkeypatch):
