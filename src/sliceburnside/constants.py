@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .groups import FiniteGroup, GroupError, all_subgroups, frattini, quotient
+from .groups import FiniteGroup, GroupError, all_subgroups, frattini, prime_factors, quotient
 
 _ZERO = Fraction(0)
 
@@ -247,16 +247,9 @@ def is_t_slice_of(group: FiniteGroup, t_members, s_members) -> bool:
 
 
 def is_p_group(group: FiniteGroup) -> tuple[bool, int]:
-    n = group.order
-    if n == 1:
-        return True, 0
-    p = 2
-    while n % p:
-        p += 1
-    m = n
-    while m % p == 0:
-        m //= p
-    return m == 1, p
+    """(whether |G| is a prime power, its least prime); (True, 0) for |G| = 1."""
+    primes = prime_factors(group.order)
+    return len(set(primes)) <= 1, primes[0] if primes else 0
 
 
 def deflation_vanishes_predicted(group: FiniteGroup, s_members, n_members) -> bool:

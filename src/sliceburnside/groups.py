@@ -19,9 +19,11 @@ normalizing cyclic extensions, and only those are tried (Neubueser).  The
 lattice of a group made by `quotient` or `subgroup_as_group` is instead read
 off its parent's lattice: the subgroups above N, or below H, with their
 containment and conjugation rows, and so are its witness's subgroup-index
-maps (only a hand-built embedding maps member tuples).  Either way, the
-Moebius function is filled one column per subgroup, and the tuple of
-minimal normal subgroups once, on first use.
+maps; any other element map (conjugation, a hand-built embedding,
+`GroupQuotient.compose`) meets a lattice in `SubgroupLattice.index_map`.
+Either way, the Moebius function is filled one column per subgroup, and the
+tuple of minimal normal subgroups once, on first use.  Every order test
+reads the one factorisation, `prime_factors`.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ class FiniteGroup:
         them."""
         if self._keys is None:
             m, n = self._mul, self.order
-            q = next((d for d in range(2, n + 1) if n % d == 0), 1)
+            q = next(iter(prime_factors(n)), 1)
             roots = [0] * n
             for y in range(n):
                 power = y
@@ -342,9 +344,8 @@ class GroupEmbedding:
         last entry, the image of the whole source, is the image's index."""
         maps = self.index_maps
         if "image" not in maps:
-            index = all_subgroups(self.target)._member_index
             subs = all_subgroups(self.source).subgroups
-            maps["image"] = tuple(index[self.image_members(h.members)] for h in subs)
+            maps["image"] = tuple(all_subgroups(self.target).index_map(self.images, subs))
         return maps["image"]
 
     def preimage_indices(self) -> tuple[int, ...]:
@@ -414,16 +415,15 @@ class GroupQuotient:
 
     def compose(self, iso: "GroupIsomorphism") -> "GroupQuotient":
         """This quotient followed by an isomorphism of its group, each target
-        subgroup's preimage V found by the mask of V's projected members."""
+        subgroup's preimage V found by the index of V's projection."""
         if iso.source is not self.group:
             raise GroupError("the isomorphism does not start at the quotient group")
         proj = tuple(map(iso.images.__getitem__, self.projection))
         section = tuple(map(self.section.__getitem__, iso.inverse().images))
-        subs, index = all_subgroups(self.source).subgroups, all_subgroups(iso.target)._index
-        preimage = [-1] * len(self.preimage)
-        for v in self.preimage:
-            preimage[index[_mask_of(map(proj.__getitem__, subs[v].members))]] = v
-        return GroupQuotient(self.source, iso.target, proj, self.kernel, section, tuple(preimage))
+        subs = all_subgroups(self.source).subgroups
+        images = all_subgroups(iso.target).index_map(proj, [subs[v] for v in self.preimage])
+        preimage = tuple(v for _, v in sorted(zip(images, self.preimage)))
+        return GroupQuotient(self.source, iso.target, proj, self.kernel, section, preimage)
 
 
 class GroupIsomorphism(GroupEmbedding):
@@ -550,19 +550,13 @@ class SubgroupLattice:
         # conjugation by e*z is conjugation by e for central z, so the
         # elements of one coset of the centre share one row
         g = self.group
-        centre = g.center_members()
+        rows, inv, centre = g._mul, g._inv, g.center_members()
         table: list = [None] * g.order
         for e in range(g.order):
-            if table[e] is not None:
-                continue
-            row = []
-            for s in self.subgroups:
-                m = 0
-                for x in s.members:
-                    m |= 1 << g.conj(e, x)
-                row.append(self._index[m])
-            for z in centre:
-                table[g._mul[e][z]] = row
+            if table[e] is None:
+                row = self.index_map([rows[y][inv[e]] for y in rows[e]], self.subgroups)
+                for z in centre:
+                    table[rows[e][z]] = row
         return table
 
     def _build_classes(self):
@@ -584,6 +578,18 @@ class SubgroupLattice:
         return tuple(reps), tuple(class_of), tuple(normal)
 
     # -- queries -----------------------------------------------------------
+
+    def index_map(self, images, subgroups) -> list[int]:
+        """The index of the image of each of `subgroups` (of any group) under
+        the element map `images` into this lattice's group, by one lookup of
+        its OR-ed image mask, so a quotient projection works too."""
+        index, out = self._index, []
+        for h in subgroups:
+            m = 0
+            for x in h.members:
+                m |= 1 << images[x]
+            out.append(index[m])
+        return out
 
     def index_of(self, members) -> int:
         """The index of the subgroup with these members, by one lookup of
@@ -711,7 +717,7 @@ def _enumerate_subgroups(group: FiniteGroup) -> list[tuple[int, ...]]:
                 generates[y] = 1
         found[_mask_of(powers)] = (x,)
         reps.append(x)
-    if sum(1 for p in range(2, n + 1) if n % p == 0 and _is_prime(p)) <= 2:
+    if len(set(prime_factors(n))) <= 2:
         # C_G(x): every A inside it is normalized by x without a conjugation
         commuting = {x: _mask_of(y for y in range(n) if rows[x][y] == rows[y][x]) for x in reps}
     else:
@@ -1068,15 +1074,19 @@ def _normalize_cycles(cycles):
     return [tuple(c) for c in cycles]
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The prime factors of n >= 1 with multiplicity, ascending; () for 1."""
+    out, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
         d += 1
-    return True
+    return tuple(out + [n] if n > 1 else out)
+
+
+def _is_prime(p: int) -> bool:
+    return prime_factors(p) == (p,)
 
 
 # ---------------------------------------------------------------------------

@@ -206,8 +206,8 @@ class GroupUniverse:
             return tuple(range(nclasses))
         # the least class of each orbit under the generators' class
         # permutations: classes ascend, so one not yet reached is the least
-        images = [GroupIsomorphism(g, g, aut).image_indices() for aut in automorphism_generators(g)]
-        perms = [[lat.class_of[image[rep]] for rep in lat.class_reps] for image in images]
+        reps, class_of = [lat.subgroups[rep] for rep in lat.class_reps], lat.class_of
+        perms = [[class_of[i] for i in lat.index_map(a, reps)] for a in automorphism_generators(g)]
         canon = [-1] * nclasses
         for cls in range(nclasses):
             if canon[cls] < 0:
@@ -232,17 +232,16 @@ class GroupUniverse:
         return None
 
     def locate_slice(self, group: FiniteGroup, s_members) -> tuple[int, int]:
-        """Canonical (group index, subgroup class) of an abstract slice
-        (group, S) given by an external group object."""
+        """Canonical (group index, subgroup class) of an abstract slice (group,
+        S) of an external group; a member outside the group raises `GroupError`."""
         hit = self.find_group(group)
         if hit is None:
             raise GroupError(
                 f"group of order {group.order} is outside the universe"
             )
         gi, iso = hit
-        lat = self.lattices[gi]
-        idx = lat.index_of(map(iso.images.__getitem__, s_members))
-        return gi, self.canonical_class(gi, lat.class_of[idx])
+        idx = iso.image_indices()[all_subgroups(group).index_of(s_members)]
+        return gi, self.canonical_class(gi, self.lattices[gi].class_of[idx])
 
     # -- quotient witnesses and product element maps ---------------------------
 

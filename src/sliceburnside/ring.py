@@ -239,12 +239,14 @@ def slice_classes(group: FiniteGroup) -> SliceClassTable:
 class SliceRingElement:
     """An exact rational combination of slice classes of one group, stored as
     integer numerators over one positive denominator in lowest terms, so equal
-    elements are stored alike.  `coeffs` is a {class: Fraction} output view."""
+    elements are stored alike.  `coeffs` is a {class: Fraction} output view;
+    a key outside the table raises `GroupError`, even with coefficient 0."""
 
     __slots__ = ("table", "denominator", "numerators")
 
     def __init__(self, table: SliceClassTable, coeffs: dict[int, Fraction]):
-        qs = {c: q for c, x in coeffs.items() if (q := _rational(x))}
+        qs = {table._require_class(c): _rational(x) for c, x in coeffs.items()}
+        qs = {c: q for c, q in qs.items() if q}
         den = lcm(*(q.denominator for q in qs.values()))
         self.table = table
         self.denominator = den

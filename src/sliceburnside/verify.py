@@ -45,6 +45,7 @@ from .groups import (
     group_from_spec,
     is_isomorphic,
     normalizer,
+    prime_factors,
     quaternion_group,
     quotient,
     set_product,
@@ -405,7 +406,7 @@ def check_constants() -> CheckResult:
                 n_members = lat.subgroups[n_idx].members
                 if len(n_members) == 1:
                     continue
-                k = _rank_of(p, len(n_members))
+                k = len(prime_factors(len(n_members)))
                 if supplement_moebius_sum(e, one, n_members) != (
                     elementary_abelian_supplement_value(p, rank, k)
                 ):
@@ -444,14 +445,6 @@ def check_constants() -> CheckResult:
     return _result("deflation-constants", t0, failures, f"{configs} identities")
 
 
-def _rank_of(p: int, size: int) -> int:
-    k = 0
-    while size > 1:
-        size //= p
-        k += 1
-    return k
-
-
 # ---------------------------------------------------------------------------
 # 5. classifications
 
@@ -476,7 +469,7 @@ def check_classifications() -> CheckResult:
                     continue
                 seen_sizes.add(len(sub))
                 if is_t_slice(e, sub.members):
-                    found_types.add((rank_e, _rank_of(p, len(sub))))
+                    found_types.add((rank_e, len(prime_factors(len(sub)))))
         expected_types = {(0, 0), (1, 0), (2, 2), (3, 2)}
         if found_types != expected_types:
             failures.append(f"p={p}: T-slice types {sorted(found_types)}")

@@ -9,9 +9,10 @@ of the idempotent deflation scalar, of cyclicity and of the p-group
 vanishing prediction, the orbit-sum basis product, the subgroup
 enumeration that extends each subgroup by every cyclic subgroup, the
 element-map form of the universe's quotient moves, and the member-tuple
-form of a witness's subgroup-index maps, and the external product of
-slice-ring elements.  Each is an oracle or a fixture of the tests, with no
-caller in the library."""
+form of a witness's subgroup-index maps, the external product of
+slice-ring elements, and the trial-division p-group test that
+`groups.prime_factors` replaced.  Each is an oracle or a fixture of the
+tests, with no caller in the library."""
 
 from fractions import Fraction
 from math import prod
@@ -323,3 +324,18 @@ def element_map_moves(universe, maps, gi, cls, normals):
         image = qlat.class_of[qlat.index_of({comp[x] for x in s_members})]
         moves.append((n_idx, (qi, universe.canonical_class(qi, image))))
     return tuple(moves)
+
+
+def trial_division_is_p_group(n):
+    """(whether n is a prime power, the least prime dividing n), (True, 0)
+    for n = 1, by a scan up from 2 and repeated division: the loop that
+    `constants.is_p_group` ran on |G| before it read `groups.prime_factors`."""
+    if n == 1:
+        return True, 0
+    p = 2
+    while n % p:
+        p += 1
+    m = n
+    while m % p == 0:
+        m //= p
+    return m == 1, p

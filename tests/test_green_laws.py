@@ -9,11 +9,24 @@ external product `helpers.cross` on one side and the biset operations of
   `quotient` makes of G×H mod the other factor.
 
 The second law is why `bounded_closure` needs no product move: a
-subfunctor whose evaluations are ideals holds Inf(x), so it holds x × y."""
+subfunctor whose evaluations are ideals holds Inf(x), so it holds x × y.
+The same chapter's remaining laws are checked at every subgroup class H,
+normal subgroup N and Aut generator of each group drawn:
+
+- Res, Inf and transport are unital ring homomorphisms;
+- Frobenius: Ind(a · Res y) = Ind(a) · y and Def(Inf(u) · y) = u · Def(y);
+- Def ∘ Inf = id on KΞ(G/N).
+
+Last, each ideal family absorbs the external product: for a member
+idempotent ξ of G and any basis element e of H, ξ × e has its marks on
+member classes of G×H only, and the broken family `S_CYCLIC` fails this."""
 
 import functools
+import random
+from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,11 +34,14 @@ from sliceburnside import bisetops
 from sliceburnside.groups import (
     GroupEmbedding,
     GroupIsomorphism,
+    all_subgroups,
     automorphism_generators,
     direct_product,
     group_from_spec,
     quotient,
+    subgroup_as_group,
 )
+from sliceburnside.ideals import BROKEN_CYCLIC_FAMILY, FAMILIES, member_classes
 from sliceburnside.ring import SliceRingElement, slice_classes
 
 from helpers import cross
@@ -123,3 +139,120 @@ def test_a_diagonal_twisted_by_an_automorphism_breaks_the_law():
     basis = [table.basis_element(c) for c in range(table.size)]
     for twist in automorphism_generators(g):
         assert not all(diagonal_law_holds(x, y, square, twist) for x in basis for y in basis)
+
+
+def assert_green_laws(group, draw) -> int:
+    """The homomorphism, Frobenius and Def ∘ Inf laws along the embedding
+    of every subgroup class H, the quotient by every normal N and the
+    transport along every Aut generator of `group`, on fresh elements from
+    `draw(some_group)`; returns the number of identities checked."""
+    lat, one = all_subgroups(group), slice_classes(group).one()
+    checks = 0
+    for h in lat.class_reps:
+        emb = subgroup_as_group(lat.subgroups[h])
+        x, y, a = draw(group), draw(group), draw(emb.source)
+
+        def res(z):
+            return bisetops.restrict(z, emb)
+
+        assert res(x * y) == res(x) * res(y), (group.label, h)
+        assert res(one) == slice_classes(emb.source).one(), (group.label, h)
+        assert bisetops.induce(a * res(y), emb) == bisetops.induce(a, emb) * y, (group.label, h)
+        checks += 3
+    for n in lat.normal:
+        q = quotient(group, lat.subgroups[n].members)
+        u, v, y = draw(q.group), draw(q.group), draw(group)
+
+        def inf(z):
+            return bisetops.inflate(z, q)
+
+        assert inf(u * v) == inf(u) * inf(v), (group.label, n)
+        assert inf(slice_classes(q.group).one()) == one, (group.label, n)
+        assert bisetops.deflate(inf(u) * y, q) == u * bisetops.deflate(y, q), (group.label, n)
+        assert bisetops.deflate(inf(u), q) == u, (group.label, n)
+        checks += 4
+    for aut in automorphism_generators(group):
+        iso = GroupIsomorphism(group, group, aut)
+        x, y = draw(group), draw(group)
+
+        def transport(z):
+            return bisetops.transport(z, iso)
+
+        assert transport(x * y) == transport(x) * transport(y), (group.label, aut)
+        assert transport(one) == one, (group.label, aut)
+        checks += 2
+    return checks
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group=groups_of_order_at_most(24), data=st.data())
+def test_the_homomorphism_frobenius_and_def_inf_laws(group, data):
+    assert assert_green_laws(group, functools.partial(random_element, data)) >= 4
+
+
+def seeded_element(rng, group):
+    table = slice_classes(group)
+    classes = rng.sample(range(table.size), min(4, table.size))
+    return SliceRingElement(
+        table, {c: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for c in classes}
+    )
+
+
+# C4, C2², D8, S3, C6, C3², A4, H27 and D10, with the number of laws each
+# checks: 3 per subgroup class, 4 per normal subgroup, 2 per Aut generator
+LAW_SWEEP = [
+    ("cyclic:4", 23), ("elab:2^2", 39), ("dihedral:8", 52), ("perm:(0 1 2),(0 1)", 28),
+    ("cyclic:6", 30), ("elab:3^2", 50), ("perm:(0 1 2),(0 1)(2 3)", 33), ("heis:3", 73),
+    ("dihedral:10", 28),
+]
+
+
+@pytest.mark.parametrize("spec, checks", LAW_SWEEP)
+def test_the_laws_at_every_subgroup_class_normal_subgroup_and_aut_generator(spec, checks):
+    rng = random.Random(spec)
+    assert assert_green_laws(spec_group(spec), functools.partial(seeded_element, rng)) == checks
+
+
+def absorption_failures(family, groups, max_order) -> tuple[int, int]:
+    """(products, products outside the family) over the ordered pairs
+    (G, H) of `groups` with |G×H| <= `max_order`: each product is ξ × e for
+    a member idempotent ξ of G and a basis element e of H, and it is
+    outside when one of its nonzero marks is at a non-member class of G×H."""
+    products = outside = 0
+    for g, h in product(groups, repeat=2):
+        if g.order * h.order > max_order:
+            continue
+        big, g_table, h_table = direct_product(g, h), slice_classes(g), slice_classes(h)
+        members = set(member_classes(slice_classes(big), family))
+        for c in member_classes(g_table, family):
+            xi = g_table.idempotent(c)
+            for e in range(h_table.size):
+                # the mark numerators at the rows of its columns, the only
+                # rows where a mark can be nonzero
+                marks = cross(xi, h_table.basis_element(e), big)._marks()
+                products += 1
+                outside += any(m and r not in members for r, m in marks.items())
+    return products, outside
+
+
+def assert_families_absorb(specs, max_order) -> int:
+    """Every family of `FAMILIES` absorbs the external product and the
+    broken family does not; returns the number of family products."""
+    groups = [spec_group(s) for s in specs]
+    total = 0
+    for family in FAMILIES.values():
+        products, outside = absorption_failures(family, groups, max_order)
+        assert outside == 0, family.id
+        total += products
+    products, outside = absorption_failures(BROKEN_CYCLIC_FAMILY, groups, max_order)
+    assert 0 < outside < products
+    return total
+
+
+def test_the_ideal_families_absorb_the_external_product():
+    # C2, C4, C2² and D8 with |G×H| <= 16; without D8 the broken family
+    # fails 120 of its 420 products
+    specs = ("cyclic:2", "cyclic:4", "elab:2^2", "dihedral:8")
+    assert assert_families_absorb(specs, 16) == 1291
+    groups = [spec_group(s) for s in specs[:3]]
+    assert absorption_failures(BROKEN_CYCLIC_FAMILY, groups, 16) == (420, 120)

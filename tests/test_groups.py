@@ -30,6 +30,7 @@ from sliceburnside.groups import (
     group_from_spec,
     is_isomorphic,
     normalizer,
+    prime_factors,
     quaternion_group,
     quotient,
     slice_normalizer,
@@ -37,7 +38,7 @@ from sliceburnside.groups import (
 )
 from sliceburnside.ideals import constructor_known_p_groups
 
-from helpers import is_normal, stabiliser_chain_order
+from helpers import is_normal, stabiliser_chain_order, trial_division_is_p_group
 from test_marks import small_perm_groups
 
 SMALL_SPECS = [
@@ -357,6 +358,44 @@ def assert_hall_moebius(group):
             hall = (-1) ** k * p ** (k * (k - 1) // 2)
             expected = hall if needed & mask_of(lat.subgroups[u].members) == needed else 0
             assert lat.moebius(u, v) == expected, (u, v)
+
+
+def least_divisor_factors(n):
+    """n's prime factors ascending, by repeatedly dividing out its least
+    divisor above 1, which is prime."""
+    out = []
+    while n > 1:
+        d = next(d for d in range(2, n + 1) if n % d == 0)
+        out.append(d)
+        n //= d
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10**5))
+@example(n=1)
+@example(n=2)
+@example(n=65536)
+@example(n=99991)
+@example(n=316**2)
+@example(n=99999)
+def test_prime_factors_match_a_brute_force_factorisation(n):
+    assert prime_factors(n) == least_divisor_factors(n)
+    assert groups._is_prime(n) == (least_divisor_factors(n) == (n,))
+
+
+def test_is_p_group_matches_the_trial_division_loop_on_1_to_512():
+    # is_p_group reads only the order, so a stand-in with that attribute
+    # serves; order 512 has 512 x 512 table entries otherwise
+    class Order:
+        def __init__(self, n):
+            self.order = n
+
+    for n in range(1, 513):
+        assert is_p_group(Order(n)) == trial_division_is_p_group(n), n
+    assert is_p_group(Order(1)) == (True, 0)
+    assert is_p_group(Order(243)) == (True, 3)
+    assert is_p_group(Order(12)) == (False, 2)
 
 
 HALL_SPECS = [

@@ -132,13 +132,14 @@ def test_index_families_match_the_member_oracle_on_derived_lattices(group, data)
 def test_universe_builds_find_no_subgroup_by_its_members(monkeypatch):
     # builds, closures and condition sweeps hand `index_of` only a lattice's
     # own member tuple (`quotient`'s lookup of N), apart from one lookup of
-    # each closure's seed: no image of a quotient move is found by members
+    # each closure's seed in its own group: no image of a quotient move, and
+    # no seed's image in the universe, is found by members
     calls = []
     original = SubgroupLattice.index_of
 
     def counted(self, members):
         i = original(self, members)
-        calls.append(members is self.subgroups[i].members)
+        calls.append((self.group, members is self.subgroups[i].members))
         return i
 
     monkeypatch.setattr(SubgroupLattice, "index_of", counted)
@@ -146,14 +147,18 @@ def test_universe_builds_find_no_subgroup_by_its_members(monkeypatch):
         GroupUniverse(prime, bound)
         assert calls == [], (prime, bound)
     u = GroupUniverse(3, 81)
-    for seed in criterion_07_seeds(3).values():
+    seeds = list(criterion_07_seeds(3).values())
+    for seed in seeds:
         bounded_closure(u, *seed)
-    assert calls.count(False) == 4 and calls.count(True) > 0
+    seed_groups = [g for g, _ in seeds]
+    assert [g for g, _ in calls if g in seed_groups] == seed_groups
+    others = [own for g, own in calls if g not in seed_groups]
+    assert others and all(others)
     calls.clear()
     u = GroupUniverse(3, 27)
     for fam in FAMILIES.values():
         check_conditions(fam, u)
-    assert calls.count(False) == 0 and calls.count(True) > 0
+    assert calls and all(own for _, own in calls)
 
 
 def test_member_classes_read_no_member_tuples(monkeypatch):
@@ -257,6 +262,17 @@ def test_locate_slice_rejects_foreign_orders():
     u = GroupUniverse(2, 8)
     with pytest.raises(GroupError):
         u.locate_slice(cyclic_group(16), (0,))
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 10**6])
+def test_seed_members_outside_the_group_are_rejected(bad):
+    # -1 would index the last element, so (0, -1) was closed as (0, 1), and
+    # 2 and past it raised IndexError
+    u, c2 = GroupUniverse(2, 8), cyclic_group(2)
+    for locate in (u.locate_slice, lambda g, s: bounded_closure(u, g, s)):
+        with pytest.raises(GroupError, match="not a subgroup"):
+            locate(c2, (0, bad))
+    assert bounded_closure(u, c2, (0, 1)) == bounded_closure(u, c2, [1, 0])
 
 
 def test_conditions_pass_for_ideal_families():

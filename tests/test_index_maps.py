@@ -5,7 +5,11 @@ for `GroupEmbedding.preimage_indices`, and the double-coset sum of Mackey's
 formula for restriction.  The maps that `quotient` and `subgroup_as_group`
 read off the lattice correspondence are checked against the member-tuple
 form, `helpers.member_index_map`, as are those of a quotient composed with
-an automorphism of its group, and are pinned to call no member map."""
+an automorphism of its group, and are pinned to call no member map.  So is
+`SubgroupLattice.index_map`, the one routine behind the conjugation table,
+hand-built embeddings, `GroupQuotient.compose` and the universe's
+canonical classes, on every conjugation and Aut generator of the
+verification corpus, S4 and A5."""
 
 from fractions import Fraction
 
@@ -13,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sliceburnside import bisetops
+from sliceburnside import bisetops, verify
 from sliceburnside.groups import (
     GroupEmbedding,
     GroupError,
@@ -159,16 +163,15 @@ def test_compose_refuses_an_isomorphism_of_another_group():
 
 
 def test_correspondence_witnesses_call_no_member_map(monkeypatch):
-    # the universe's canonical maps push hand-built automorphisms, which
-    # keep the member-tuple map, so it is built before the patch
-    universe = GroupUniverse(3, 81)
-
+    # the universe's canonical maps read each Aut generator's images through
+    # `index_map` too, so it is built after the patch
     def refuse(*args, **kwargs):
         raise AssertionError("a member map behind a correspondence witness")
 
     for cls in (GroupEmbedding, GroupQuotient):
         monkeypatch.setattr(cls, "image_members", refuse)
         monkeypatch.setattr(cls, "preimage_members", refuse)
+    universe = GroupUniverse(3, 81)
     for spec in ("perm:(0 1 2 3),(0 1)", "heis:3 * cyclic:3"):
         g = group_from_spec(spec)
         lat = all_subgroups(g)
@@ -181,6 +184,61 @@ def test_correspondence_witnesses_call_no_member_map(monkeypatch):
     for seed in criterion_07_seeds(3).values():
         assert bounded_closure(universe, *seed)
     assert universe._quotient_maps
+
+
+def assert_index_map_matches_member_tuples(group) -> int:
+    """`index_map` against `helpers.member_index_map` for conjugation by
+    every element, both as called and as kept in the conjugation table, for
+    every Aut generator, and for the projection onto G/N of every normal N,
+    which is not injective; returns the number of maps checked."""
+    lat = all_subgroups(group)
+    subs = lat.subgroups
+    maps = [tuple(group.conj(e, x) for x in group.elements()) for e in group.elements()]
+    maps += automorphism_generators(group)
+    for images in maps:
+        oracle = member_index_map(lambda ms: [images[x] for x in ms], group, group)
+        assert lat.index_map(images, subs) == list(oracle), (group.label, images)
+    for e, images in enumerate(maps[: group.order]):
+        assert lat.conj_table[e] == lat.index_map(images, subs), (group.label, e)
+    for n in lat.normal:
+        q = quotient(group, subs[n].members)
+        oracle = member_index_map(q.image_members, group, q.group)
+        assert all_subgroups(q.group).index_map(q.projection, subs) == list(oracle)
+    return len(maps) + len(lat.normal)
+
+
+@pytest.mark.parametrize(
+    "group",
+    verify.corpus().groups
+    + [group_from_spec("perm:(0 1 2 3),(0 1)"), group_from_spec("perm:(0 1 2 3 4),(0 1 2)")],
+    ids=lambda g: g.label,
+)
+def test_index_map_matches_the_member_tuples(group):
+    assert assert_index_map_matches_member_tuples(group) > group.order
+
+
+def test_hand_built_witnesses_and_compose_call_no_member_map(monkeypatch):
+    # an isomorphism and a composed quotient each map their subgroups
+    # through `index_map`, by images alone
+    a, b = group_from_spec("dihedral:8"), group_from_spec("perm:(0 1 2 3),(0 2)")
+    iso = find_isomorphism(a, b)
+    lat = all_subgroups(a)
+    q = quotient(a, lat.subgroups[lat.normal[1]].members)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a member map behind a hand-built witness")
+
+    for cls, name in [
+        (GroupEmbedding, "image_members"),
+        (GroupQuotient, "image_members"),
+        (SubgroupLattice, "index_of"),
+    ]:
+        monkeypatch.setattr(cls, name, refuse)
+    assert iso.image_indices()[-1] == all_subgroups(b).top
+    assert sorted(iso.image_indices()) == list(range(len(all_subgroups(b).subgroups)))
+    for aut in automorphism_generators(q.group):
+        composed = q.compose(GroupIsomorphism(q.group, q.group, aut))
+        assert sorted(composed.preimage) == sorted(q.preimage)
 
 
 def test_index_maps_of_an_isomorphism_between_separately_built_groups():

@@ -497,6 +497,22 @@ def test_class_indices_outside_the_table_are_rejected():
     assert [elem.mark(r) for r in range(table.size)] == list(elem.mark_vector())
 
 
+@pytest.mark.parametrize("bad", [-1, 3, 7])
+@pytest.mark.parametrize("coefficient", [1, 0])
+def test_element_keys_outside_the_table_are_rejected(bad, coefficient):
+    # over C2's three classes, -1 would read class 2's marks under a key of
+    # its own, and 7 would fail later on a missing mark row; a zero
+    # coefficient is checked too, though it is not stored
+    table = slice_classes(cyclic_group(2))
+    assert table.size == 3
+    with pytest.raises(GroupError, match="no slice class"):
+        SliceRingElement(table, {bad: coefficient})
+    with pytest.raises(GroupError, match="no slice class"):
+        SliceRingElement(table, {0: 1, bad: coefficient})
+    assert SliceRingElement(table, {2: 1}) == table.basis_element(2)
+    assert SliceRingElement(table, {2: 0}) == table.zero()
+
+
 CORPUS_UP_TO_16 = [g for g in verify.corpus().groups if g.order <= 16]
 
 
