@@ -309,9 +309,9 @@ def _members_of(mask: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Morphism witnesses between groups
 #
-# Each witness owns the caches derived from it (the basis images that
-# `bisetops` pushes along it, and its subgroup-index maps), so they are freed
-# with the witness.
+# Each witness owns the caches derived from it (the class maps and basis
+# images that `bisetops` pushes along, and its subgroup-index maps), so they
+# are freed with the witness.
 
 
 def _cache_field():

@@ -6,7 +6,8 @@ computed in closed form from the subgroup lattice and kept only as sparse
 columns.  The primitive idempotents xi_r are the dual basis of the mark rows
 (Bouc), so x*y = sum_r m_r(x) m_r(y) xi_r and no product is stored.
 Restriction sums over the conjugate pairs of a class (`orbits`) in one
-kernel `orbit_sum`.  `projection` (the `gsets.canonical_projection` of a
+kernel `orbit_sum`; the other biset operations send each class to one class
+(`relabelled`).  `projection` (the `gsets.canonical_projection` of a
 class representative, kept per class) and `morphism_to_ring` only feed the
 G-set oracles of `verify`.  Elements store integer numerators over one
 common denominator; marks and `coeffs` are `fractions.Fraction`s, never
@@ -24,6 +25,8 @@ from . import gsets
 
 # most marks are zero; Fractions are immutable, so one zero serves them all
 _ZERO = Fraction(0)
+# scalar types that are already exact rationals with `numerator` and `denominator`
+_EXACT = (int, Fraction)
 
 
 class SliceClassTable:
@@ -58,6 +61,7 @@ class SliceClassTable:
         self.orbits = tuple(orbits)
         self.class_sizes = tuple(len(o) for o in orbits)
         self.size = len(reps)
+        self._classes = range(self.size)
         self._projections: dict[int, gsets.GSetMorphism] = {}
         self._mark_columns: list[dict[int, int]] | None = None
         self._idempotents: list[SliceRingElement | None] = [None] * len(reps)
@@ -86,7 +90,8 @@ class SliceClassTable:
             raise GroupError("not a slice: the pair is not nested") from None
 
     def _require_class(self, cls: int) -> int:
-        if cls not in range(self.size):
+        # `range` membership compares by value, so 1.0 and True would pass it
+        if type(cls) is not int or cls not in self._classes:
             raise GroupError(f"no slice class {cls!r}: the table has {self.size}")
         return cls
 
@@ -278,7 +283,7 @@ class SliceRingElement:
         return _element(self.table, self.denominator, {c: -n for c, n in self.numerators.items()})
 
     def scaled(self, scalar) -> "SliceRingElement":
-        s = _rational(scalar)
+        s = scalar if type(scalar) in _EXACT else _rational(scalar)
         nums = {c: n * s.numerator for c, n in self.numerators.items()}
         return _element(self.table, self.denominator * s.denominator, nums)
 
@@ -303,6 +308,14 @@ class SliceRingElement:
         for cls, n in self.numerators.items():
             for c, m in basis_images[cls].items():
                 acc[c] = acc.get(c, 0) + n * m
+        return _element(out_table, self.denominator, acc)
+
+    def relabelled(self, out_table: SliceClassTable, image) -> "SliceRingElement":
+        """The image under the linear map that sends each class c to class `image[c]`."""
+        acc: dict[int, int] = {}
+        for cls, n in self.numerators.items():
+            c = image[cls]
+            acc[c] = acc.get(c, 0) + n
         return _element(out_table, self.denominator, acc)
 
     def __eq__(self, other) -> bool:
@@ -355,12 +368,15 @@ def _rational(q) -> Fraction:
 
 def _element(table: SliceClassTable, den: int, nums: dict[int, int]) -> SliceRingElement:
     """The element with coefficients nums[c] / den for a positive `den`:
-    zeros are dropped and the common factor is divided out."""
+    zeros are dropped and the common factor is divided out.  Callers hand
+    over a fresh dict, which the element keeps when it is already reduced."""
     g = gcd(den, *nums.values())
     elem = SliceRingElement.__new__(SliceRingElement)
     elem.table = table
     elem.denominator = den // g
-    elem.numerators = {c: n // g for c, n in nums.items() if n}
+    if g != 1 or not all(nums.values()):
+        nums = {c: n // g for c, n in nums.items() if n}
+    elem.numerators = nums
     return elem
 
 

@@ -10,8 +10,9 @@ vanishing prediction, the orbit-sum basis product, the subgroup
 enumeration that extends each subgroup by every cyclic subgroup, the
 element-map form of the universe's quotient moves, and the member-tuple
 form of a witness's subgroup-index maps, the external product of
-slice-ring elements, and the trial-division p-group test that
-`groups.prime_factors` replaced.  Each is an oracle or a fixture of the
+slice-ring elements, the trial-division p-group test that
+`groups.prime_factors` replaced, and the per-class dict push that the
+relabelings of `bisetops` replaced.  Each is an oracle or a fixture of the
 tests, with no caller in the library."""
 
 from fractions import Fraction
@@ -116,6 +117,19 @@ def member_map_image(table, out_table, member_map, cls):
     the subgroup-index maps that `bisetops` reads instead."""
     big, small = table.rep_subgroups(cls)
     return {out_table.class_index(member_map(big.members), member_map(small.members)): 1}
+
+
+def per_class_push(elem, out_table, index_map):
+    """The push of induction, inflation, deflation or transport as a general
+    linear map: each class (T, S) of the support goes to the dict
+    {class_of[m[T], m[S]]: 1} over `out_table`, for the witness's
+    subgroup-index map m, extended by `SliceRingElement.linear_image`.  The
+    oracle of the class tuples and `SliceRingElement.relabelled`."""
+    images = {}
+    for cls in elem.numerators:
+        t, s = elem.table.reps[cls]
+        images[cls] = {out_table.class_of[index_map[t], index_map[s]]: 1}
+    return elem.linear_image(out_table, images)
 
 
 def orbit_basis_product(table, i, j):

@@ -23,6 +23,7 @@ from sliceburnside.groups import (
 )
 from sliceburnside.ring import SliceClassTable, SliceRingElement, slice_classes
 
+from helpers import per_class_push
 from test_marks import rational_coeffs, small_perm_groups
 
 
@@ -391,6 +392,13 @@ def per_term_extend(elem, images):
     return {c: q for c, q in acc.items() if q != 0}
 
 
+def class_map_images(image, size):
+    """A relabeling's class tuple, which covers the whole source table, as
+    the {class: {class: 1}} basis images that `per_term_extend` reads."""
+    assert type(image) is tuple and len(image) == size
+    return {c: {d: 1} for c, d in enumerate(image)}
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(group=small_perm_groups(), data=st.data())
 def test_operations_equal_the_per_term_extension(group, data):
@@ -410,10 +418,44 @@ def test_operations_equal_the_per_term_extension(group, data):
         table = slice_classes(source)
         elem = SliceRingElement(table, data.draw(rational_coeffs(table.size)))
         out = fn(elem, witness)
-        assert out.coeffs == per_term_extend(elem, witness.basis_images[name])
+        images = witness.basis_images[name]
+        if name != "restriction":
+            images = class_map_images(images, table.size)
+        assert out.coeffs == per_term_extend(elem, images)
         assert all(type(v) is Fraction and v != 0 for v in out.coeffs.values())
         # the oracle sums the G-set images one scaled term at a time
         assert verify.oracle_image(elem, witness, morphism_map, out_group) == out
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group=small_perm_groups(), data=st.data())
+def test_relabelings_equal_the_per_class_dict_push(group, data):
+    # each witness pushes twice: the first push builds its class tuple,
+    # the second reads it
+    lat = all_subgroups(group)
+    sub = subgroup_as_group(lat.subgroups[data.draw(st.sampled_from(lat.class_reps))])
+    q = quotient(group, lat.subgroups[data.draw(st.sampled_from(lat.normal))].members)
+    g = data.draw(st.integers(0, group.order - 1))
+    inner = GroupIsomorphism(group, group, tuple(group.conj(g, x) for x in group.elements()))
+    cases = [
+        ("induction", bisetops.induce, sub, sub.source, group, sub.image_indices()),
+        ("inflation", bisetops.inflate, q, q.group, group, q.preimage_indices()),
+        ("deflation", bisetops.deflate, q, group, q.group, q.image_indices()),
+        ("transport", bisetops.transport, inner, group, group, inner.image_indices()),
+    ]
+    for name, fn, witness, source, out_group, m in cases:
+        table, out_table = slice_classes(source), slice_classes(out_group)
+        for _ in range(2):
+            elem = SliceRingElement(table, data.draw(rational_coeffs(table.size)))
+            out = fn(elem, witness)
+            assert out.table is out_table
+            assert out == per_class_push(elem, out_table, m), name
+            assert out.numerators is not elem.numerators
+        image = witness.basis_images[name]
+        assert type(image) is tuple and len(image) == table.size
+        for cls in range(table.size):
+            basis = table.basis_element(cls)
+            assert per_class_push(basis, out_table, m) == out_table.basis_element(image[cls])
 
 
 # D8, A4, S4, H27 x C3, C2^3 and M27

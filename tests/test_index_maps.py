@@ -1,5 +1,5 @@
 """The subgroup-index maps that the biset push reads, against the member-set
-forms they replaced: `helpers.member_map_image` for the basis images of
+forms they replaced: `helpers.member_map_image` for the class tuples of
 induction, inflation, deflation and transport, `helpers.subgroup_positions`
 for `GroupEmbedding.preimage_indices`, and the double-coset sum of Mackey's
 formula for restriction.  The maps that `quotient` and `subgroup_as_group`
@@ -59,9 +59,9 @@ def assert_push_matches_member_map(op, name, witness, source, out_group, member_
     table, out_table = slice_classes(source), slice_classes(out_group)
     op(every_class(source), witness)
     images = witness.basis_images[name]
-    assert sorted(images) == list(range(table.size))
+    assert type(images) is tuple and len(images) == table.size
     for cls in range(table.size):
-        assert images[cls] == member_map_image(table, out_table, member_map, cls), (name, cls)
+        assert {images[cls]: 1} == member_map_image(table, out_table, member_map, cls), (name, cls)
 
 
 def assert_embedding_maps(emb):
@@ -119,6 +119,30 @@ def assert_transport(iso):
     )
 
 
+def assert_class_maps_match(group) -> int:
+    """The class tuples of induction along the embedding of every subgroup,
+    and of deflation and inflation along the quotient by every normal
+    subgroup, against `helpers.member_map_image`; returns the number of
+    class maps checked."""
+    lat, checked = all_subgroups(group), 0
+    for h in lat.subgroups:
+        emb = subgroup_as_group(h)
+        assert_push_matches_member_map(
+            bisetops.induce, "induction", emb, emb.source, group, emb.image_members
+        )
+        checked += 1
+    for n in lat.normal:
+        q = quotient(group, lat.subgroups[n].members)
+        assert_push_matches_member_map(
+            bisetops.deflate, "deflation", q, group, q.group, q.image_members
+        )
+        assert_push_matches_member_map(
+            bisetops.inflate, "inflation", q, q.group, group, q.preimage_members
+        )
+        checked += 2
+    return checked
+
+
 def inner_automorphism(group, g):
     return GroupIsomorphism(group, group, tuple(group.conj(g, x) for x in group.elements()))
 
@@ -134,6 +158,11 @@ def test_index_map_push_matches_the_member_maps(spec):
     for aut in automorphism_generators(g):
         assert_transport(GroupIsomorphism(g, g, aut))
     assert_transport(inner_automorphism(g, g.order - 1))
+
+
+@pytest.mark.parametrize("spec, maps", [("dihedral:8", 10 + 2 * 6), ("perm:(0 1 2 3),(0 1)", 30 + 2 * 4)])
+def test_class_maps_of_every_subgroup_and_quotient_match_the_member_maps(spec, maps):
+    assert assert_class_maps_match(group_from_spec(spec)) == maps
 
 
 @pytest.mark.parametrize("spec", SPECS)

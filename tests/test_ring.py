@@ -15,6 +15,8 @@ from sliceburnside import bisetops, gsets, ring, verify
 from sliceburnside.cli import element_to_json, fraction_str, mark_matrix_csv, table_to_json
 from sliceburnside.groups import (
     GroupError,
+    GroupIsomorphism,
+    all_subgroups,
     cyclic_group,
     double_cosets,
     group_from_spec,
@@ -22,8 +24,8 @@ from sliceburnside.groups import (
 )
 from sliceburnside.ring import SliceRingElement, morphism_to_ring, slice_classes
 
-from helpers import from_mark_vector, orbit_basis_product, subgroup_positions
-from test_bisetops import per_term_extend
+from helpers import from_mark_vector, orbit_basis_product, per_class_push, subgroup_positions
+from test_bisetops import class_map_images, per_term_extend
 from test_marks import rational_coeffs, small_perm_groups
 
 
@@ -353,7 +355,10 @@ def test_stored_form_is_lowest_terms_and_equals_per_term_arithmetic(spec, data):
         (a * b, per_term_product(a, b)),
         (a.scaled(s), {cls: q * s for cls, q in a.coeffs.items() if q * s != 0}),
         (bisetops.restrict(a, emb), per_term_extend(a, emb.basis_images["restriction"])),
-        (bisetops.induce(c, emb), per_term_extend(c, emb.basis_images["induction"])),
+        (
+            bisetops.induce(c, emb),
+            per_term_extend(c, class_map_images(emb.basis_images["induction"], sub_table.size)),
+        ),
     ]
     for elem, oracle in results:
         assert elem.coeffs == oracle
@@ -511,6 +516,91 @@ def test_element_keys_outside_the_table_are_rejected(bad, coefficient):
         SliceRingElement(table, {0: 1, bad: coefficient})
     assert SliceRingElement(table, {2: 1}) == table.basis_element(2)
     assert SliceRingElement(table, {2: 0}) == table.zero()
+
+
+@pytest.mark.parametrize("bad", [1.0, 2.0, True, "1", -1, 3])
+def test_class_arguments_must_be_ints_of_the_table(bad):
+    # `range` membership compares by value, so 1.0, 2.0 and True used to
+    # pass the check and fail later with a `TypeError` on a list index
+    table = slice_classes(cyclic_group(2))
+    assert table.size == 3
+    calls = [
+        lambda: SliceRingElement(table, {bad: 1}).mark_vector(),
+        lambda: table.idempotent(bad),
+        lambda: table.basis_element(bad),
+        lambda: table.rep_subgroups(bad),
+        lambda: table.one().mark(bad),
+    ]
+    for call in calls:
+        with pytest.raises(GroupError, match="no slice class"):
+            call()
+
+
+def fusing_classes(group):
+    """An embedding of a subgroup H and two classes a < b of H's table that
+    induction sends to one class of the group."""
+    lat = all_subgroups(group)
+    for h in lat.class_reps:
+        emb = subgroup_as_group(lat.subgroups[h])
+        table = slice_classes(emb.source)
+        images = [bisetops.induce(table.basis_element(c), emb) for c in range(table.size)]
+        for b in range(table.size):
+            for a in range(b):
+                if images[a] == images[b]:
+                    return emb, a, b
+    raise AssertionError("no two classes fuse")
+
+
+@pytest.mark.parametrize("spec", ["dihedral:8", "perm:(0 1 2),(0 1)(2 3)"])
+def test_merging_classes_cancel_to_zero_or_reduce_to_lowest_terms(spec):
+    g = group_from_spec(spec)
+    emb, a, b = fusing_classes(g)
+    table, out_table = slice_classes(emb.source), slice_classes(g)
+    ea, eb = table.basis_element(a), table.basis_element(b)
+    diff = bisetops.induce(ea - eb, emb)
+    assert diff == out_table.zero() and diff.numerators == {} and diff.denominator == 1
+    half = bisetops.induce((ea + eb).scaled(Fraction(1, 2)), emb)
+    assert half == bisetops.induce(ea, emb) and half.denominator == 1
+    xa, xb = table.idempotent(a), table.idempotent(b)
+    for x in (xa - xb, (ea + eb).scaled(Fraction(1, 2)), (xa + xb).scaled(Fraction(1, 2))):
+        out = bisetops.induce(x, emb)
+        assert_lowest_terms(out)
+        assert out == per_class_push(x, out_table, emb.image_indices())
+        image = class_map_images(emb.basis_images["induction"], table.size)
+        assert out.coeffs == per_term_extend(x, image)
+
+
+@pytest.mark.parametrize("scalar", [3, -2, 0, 1, Fraction(-5, 6), Fraction(4, 2), True, False])
+def test_scaled_by_int_fraction_and_bool_matches_the_per_term_oracle(scalar):
+    t = slice_classes(group_from_spec("dihedral:8"))
+    x = SliceRingElement(t, {0: 3, 1: Fraction(1, 2), 4: -1, 7: Fraction(-2, 3)})
+    out = x.scaled(scalar)
+    assert out.coeffs == {c: q * scalar for c, q in x.coeffs.items() if q * scalar != 0}
+    assert_lowest_terms(out)
+    assert out.numerators is not x.numerators
+    assert type(out.denominator) is int and all(type(n) is int for n in out.numerators.values())
+    with pytest.raises(TypeError):
+        x.scaled(0.5)
+
+
+def test_derived_elements_share_no_numerator_dict():
+    # `_element` keeps the dict its caller builds, so every caller must
+    # build a fresh one
+    g = group_from_spec("dihedral:8")
+    t = slice_classes(g)
+    emb = subgroup_as_group(t.lattice.subgroups[t.lattice.class_reps[2]])
+    iso = GroupIsomorphism(g, g, tuple(g.elements()))
+    x, y = SliceRingElement(t, {0: 3, 1: Fraction(1, 2), 4: -1}), t.idempotent(5)
+    down = bisetops.restrict(x, emb)
+    derived = [
+        x + t.zero(), t.zero() + x, x - t.zero(), -x, x.scaled(1), x.scaled(Fraction(1)),
+        x * t.one(), y.scaled(1), y * y, bisetops.transport(x, iso),
+        bisetops.induce(down, emb), down.scaled(1),
+    ]
+    seen = {id(e.numerators) for e in (x, y, down, t.zero())}
+    for z in derived:
+        assert id(z.numerators) not in seen
+        seen.add(id(z.numerators))
 
 
 CORPUS_UP_TO_16 = [g for g in verify.corpus().groups if g.order <= 16]
